@@ -9,11 +9,12 @@ pub type NodeId = usize;
 
 /// MAC frame kinds, including WhiteFi's control frames.
 ///
-/// `Report` carries a full airtime vector inline, making it much larger
-/// than the control variants; frames are short-lived stack values, so
-/// the size skew is harmless.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Frames live in event-heap entries, node queues and the medium's
+/// history, so every variant stays a few words: `Report`'s 480-byte
+/// airtime vector travels boxed, out of line (DESIGN.md §8, "Compact
+/// frames"). Cloning a `Report` allocates; every other kind is a plain
+/// copy.
+#[derive(Debug, Clone, PartialEq)]
 pub enum FrameKind {
     /// A data frame carrying `bytes` of payload.
     Data {
@@ -26,8 +27,9 @@ pub enum FrameKind {
     Report {
         /// The client's observed incumbent occupancy.
         map: SpectrumMap,
-        /// The client's measured per-channel load.
-        airtime: AirtimeVector,
+        /// The client's measured per-channel load, boxed so the variant
+        /// stays word-sized.
+        airtime: Box<AirtimeVector>,
     },
     /// An AP beacon, advertising the backup channel (§4.3).
     Beacon {
@@ -93,7 +95,7 @@ impl FrameKind {
 }
 
 /// A MAC frame.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Sending node.
     pub src: NodeId,
@@ -153,7 +155,7 @@ mod tests {
             dst: Some(1),
             kind: FrameKind::Report {
                 map: SpectrumMap::all_free(),
-                airtime: AirtimeVector::idle(),
+                airtime: Box::new(AirtimeVector::idle()),
             },
         };
         assert!(report.needs_ack());

@@ -7,7 +7,7 @@ use whitefi_phy::{Burst, SimDuration, SimTime, VisibleBurst};
 use whitefi_spectrum::{UhfChannel, WfChannel, NUM_UHF_CHANNELS};
 
 /// One frame on the air.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transmission {
     /// Unique id.
     pub id: u64,
@@ -171,7 +171,8 @@ impl Medium {
         id
     }
 
-    /// Finishes a transmission, moving it to history. Returns it.
+    /// Finishes a transmission, moving it to history. Returns a clone
+    /// for the caller's delivery pass; history keeps the original.
     ///
     /// Callers must finish transmissions in nondecreasing order of their
     /// `end` times (the discrete-event loop does: `TxEnd` fires at
@@ -206,7 +207,7 @@ impl Medium {
         );
         let seq = self.history_base + self.history.len();
         self.by_src[tx.src].push_back(seq);
-        self.history.push_back(tx);
+        self.history.push_back(tx.clone());
         self.prune(now);
         tx
     }
@@ -511,14 +512,14 @@ impl Medium {
         let mut out: Vec<Transmission> = self
             .recent_history(from)
             .filter(|t| t.overlaps_window(from, to))
-            .copied()
+            .cloned()
             .collect();
         out.reverse();
         out.extend(
             self.active
                 .iter()
                 .filter(|t| t.overlaps_window(from, to))
-                .copied(),
+                .cloned(),
         );
         out
     }
@@ -535,9 +536,9 @@ impl Medium {
         let keep = |t: &&Transmission| {
             t.id != exclude_id && t.overlaps_channel(channel) && t.overlaps_window(from, to)
         };
-        let mut out: Vec<Transmission> = self.recent_history(from).filter(keep).copied().collect();
+        let mut out: Vec<Transmission> = self.recent_history(from).filter(keep).cloned().collect();
         out.reverse();
-        out.extend(self.active.iter().filter(keep).copied());
+        out.extend(self.active.iter().filter(keep).cloned());
         out
     }
 
@@ -1085,7 +1086,7 @@ mod tests {
             1000.0,
         );
         m.finish(id, SimTime::from_micros(20));
-        let t = m.visible_window_transmissions(SimTime::ZERO, SimTime::from_micros(100))[0];
+        let t = &m.visible_window_transmissions(SimTime::ZERO, SimTime::from_micros(100))[0];
         // Windows touching either endpoint exactly: no overlap.
         assert!(!t.overlaps_window(SimTime::ZERO, SimTime::from_micros(10)));
         assert!(!t.overlaps_window(SimTime::from_micros(20), SimTime::from_micros(30)));

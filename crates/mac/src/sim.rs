@@ -353,7 +353,6 @@ struct TimerKey {
     gen: u64,
 }
 
-#[allow(clippy::large_enum_variant)] // ForcedTx carries a Frame; events are transient
 #[derive(Debug, Clone)]
 enum Ev {
     Start { node: NodeId },
@@ -363,13 +362,15 @@ enum Ev {
     TentativeTx { node: NodeId, seq: u64 },
     TxEnd { id: u64 },
     AckTimeout { node: NodeId, seq: u64 },
-    ForcedTx { node: NodeId, frame: Frame },
+    // An engine-sent control frame (ACK, CTS-to-self) from `frame.src`.
+    ForcedTx { frame: Frame },
     Timer { node: NodeId, key: u64 },
     IncumbentCheck { node: NodeId },
     // A broadcast delivery the fault plan deferred: the frame already
     // hit the receiver's stats at TxEnd, only the behaviour dispatch
-    // runs late.
-    FaultDeliver { node: NodeId, frame: Frame },
+    // runs late. Boxed: fault-only, and a second inline `Frame` would
+    // widen every heap entry.
+    FaultDeliver { node: NodeId, frame: Box<Frame> },
 }
 
 struct Queued {
@@ -714,6 +715,7 @@ impl Core {
         // knows.)
         let observed = self.nodes[n].observed_map;
         let violates = channel.spanned().any(|u| observed.is_occupied(u));
+        let broadcast = frame.dst.is_none();
 
         let id = self
             .medium
@@ -729,7 +731,7 @@ impl Core {
             node.current_tx = Some(id);
         }
         if let Some(fs) = self.faults.as_mut() {
-            fs.decide(n, self.now, id, frame.dst.is_none());
+            fs.decide(n, self.now, id, broadcast);
         }
         if let Some(obs) = self.observer.as_mut() {
             // The transmission just started is the newest active entry.
@@ -1218,14 +1220,18 @@ impl Simulator {
                     self.core.nodes[node].state = CsmaState::Idle;
                     return;
                 }
-                let frame = *self.core.nodes[node]
+                // The queue keeps its copy until the frame is acked or
+                // dropped; the medium gets its own.
+                let frame = self.core.nodes[node]
                     .queue
                     .front()
                     // lint:allow(unwrap, a node only enters Pending with a queued frame and dequeues on TxEnd; documented panic)
-                    .expect("pending tx with empty queue");
+                    .expect("pending tx with empty queue")
+                    .clone();
                 self.core.start_transmission(node, frame, true);
             }
-            Ev::ForcedTx { node, frame } => {
+            Ev::ForcedTx { frame } => {
+                let node = frame.src;
                 if self.core.is_transmitting(node) {
                     return; // half-duplex: cannot send the control frame
                 }
@@ -1354,17 +1360,12 @@ impl Simulator {
                 dst: None,
                 kind: FrameKind::Cts,
             };
-            self.core.schedule(
-                now + timing.sifs(),
-                Ev::ForcedTx {
-                    node: src,
-                    frame: cts,
-                },
-            );
+            self.core
+                .schedule(now + timing.sifs(), Ev::ForcedTx { frame: cts });
         }
 
         for m in deliveries {
-            match (tx.frame.dst, tx.frame.kind) {
+            match (tx.frame.dst, &tx.frame.kind) {
                 (Some(dst), FrameKind::Ack)
                     if dst == m
                     // ACK consumed by the engine.
@@ -1400,29 +1401,23 @@ impl Simulator {
                             dst: Some(src),
                             kind: FrameKind::Ack,
                         };
-                        self.core.schedule(
-                            now + timing.sifs(),
-                            Ev::ForcedTx {
-                                node: m,
-                                frame: ack,
-                            },
-                        );
+                        self.core
+                            .schedule(now + timing.sifs(), Ev::ForcedTx { frame: ack });
                     }
-                    let frame = tx.frame;
-                    self.dispatch(m, |b, ctx| b.on_frame(&frame, ctx));
+                    self.dispatch(m, |b, ctx| b.on_frame(&tx.frame, ctx));
                 }
                 (None, _) => {
                     self.core.nodes[m].stats.rx_broadcast_frames += 1;
-                    let frame = tx.frame;
                     if let Some(by) = fault.delay {
                         // Deferred processing: stats above already
                         // counted the reception at the true time.
+                        let frame = Box::new(tx.frame.clone());
                         self.core
                             .schedule(now + by, Ev::FaultDeliver { node: m, frame });
                     } else {
-                        self.dispatch(m, |b, ctx| b.on_frame(&frame, ctx));
+                        self.dispatch(m, |b, ctx| b.on_frame(&tx.frame, ctx));
                         if fault.duplicate {
-                            self.dispatch(m, |b, ctx| b.on_frame(&frame, ctx));
+                            self.dispatch(m, |b, ctx| b.on_frame(&tx.frame, ctx));
                         }
                     }
                 }
@@ -1522,6 +1517,30 @@ mod tests {
                 ctx.send(Frame::data(ctx.id(), self.dst, self.bytes));
             }
         }
+    }
+
+    /// Layout pin: frames are copied on every heap push/pop, queue
+    /// enqueue and history append, so each must stay a few words.
+    #[test]
+    fn frames_and_events_stay_compact() {
+        use std::mem::size_of;
+        let why =
+            "payloads larger than a cache line travel out of line (DESIGN.md §8, Compact frames)";
+        assert!(
+            size_of::<Frame>() <= 48,
+            "Frame is {} B; {why}",
+            size_of::<Frame>()
+        );
+        assert!(
+            size_of::<Transmission>() <= 128,
+            "Transmission is {} B; {why}",
+            size_of::<Transmission>()
+        );
+        assert!(
+            size_of::<Queued>() <= 64,
+            "Queued is {} B; {why}",
+            size_of::<Queued>()
+        );
     }
 
     /// Does nothing (a pure receiver).

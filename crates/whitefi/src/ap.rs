@@ -589,12 +589,15 @@ impl Behavior for ApBehavior {
 
     fn on_frame(&mut self, frame: &Frame, ctx: &mut Ctx) {
         match frame.kind {
-            FrameKind::Report { map, airtime } => {
+            FrameKind::Report { map, ref airtime } => {
                 if !self.clients.contains(&frame.src) {
                     self.clients.push(frame.src);
                     self.pump_downlink(ctx);
                 }
-                let report = NodeReport { map, airtime };
+                let report = NodeReport {
+                    map,
+                    airtime: **airtime,
+                };
                 if let Some(entry) = self.reports.iter_mut().find(|(id, _)| *id == frame.src) {
                     entry.1 = report;
                 } else {
@@ -708,5 +711,188 @@ impl Behavior for ApBehavior {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{ClientBehavior, ClientConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use whitefi_mac::traffic::Sink;
+    use whitefi_mac::{CbrSender, FaultPlan, NodeConfig, SimObserver, Simulator, Transmission};
+
+    /// The exact bit pattern of an airtime vector (`f64 ==` would let
+    /// `-0.0` stand in for `0.0`).
+    fn bits(v: &AirtimeVector) -> Vec<(u64, u32)> {
+        v.iter().map(|(_, l)| (l.busy.to_bits(), l.aps)).collect()
+    }
+
+    /// A real AP that records, after each delivered Report, the
+    /// `NodeReport` it stored for the sender.
+    struct Tap {
+        ap: ApBehavior,
+        stored: Rc<RefCell<Vec<(SimTime, NodeReport)>>>,
+    }
+
+    impl Behavior for Tap {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.ap.on_start(ctx);
+        }
+        fn on_timer(&mut self, key: u64, ctx: &mut Ctx) {
+            self.ap.on_timer(key, ctx);
+        }
+        fn on_frame(&mut self, frame: &Frame, ctx: &mut Ctx) {
+            self.ap.on_frame(frame, ctx);
+            if matches!(frame.kind, FrameKind::Report { .. }) {
+                let (_, report) = self
+                    .ap
+                    .reports
+                    .iter()
+                    .find(|(id, _)| *id == frame.src)
+                    .expect("a delivered report is stored");
+                self.stored.borrow_mut().push((ctx.now(), *report));
+            }
+        }
+        fn on_send_result(&mut self, frame: &Frame, success: bool, ctx: &mut Ctx) {
+            self.ap.on_send_result(frame, success, ctx);
+        }
+        fn on_incumbent_change(&mut self, map: SpectrumMap, ctx: &mut Ctx) {
+            self.ap.on_incumbent_change(map, ctx);
+        }
+    }
+
+    /// One on-air attempt of a Report frame.
+    struct Attempt {
+        /// Index of the frame this attempt sends (retransmissions share it).
+        frame: usize,
+        /// The vector it carried when it started.
+        airtime: AirtimeVector,
+        /// `(end, faulted_drop)` once it left the medium.
+        end: Option<(SimTime, bool)>,
+    }
+
+    /// Every Report attempt on the air. A new frame starts when the
+    /// previous attempt's ACK went out unharmed; any other attempt is a
+    /// retransmission after an `AckTimeout`.
+    #[derive(Default)]
+    struct OnAir {
+        attempts: Vec<Attempt>,
+        frames: usize,
+        acked: bool,
+    }
+
+    struct Watch(Rc<RefCell<OnAir>>);
+
+    impl SimObserver for Watch {
+        fn on_tx_start(&mut self, _now: SimTime, tx: &Transmission) {
+            if let FrameKind::Report { airtime, .. } = &tx.frame.kind {
+                let mut log = self.0.borrow_mut();
+                if log.attempts.is_empty() || log.acked {
+                    log.frames += 1;
+                }
+                log.acked = false;
+                let frame = log.frames;
+                log.attempts.push(Attempt {
+                    frame,
+                    airtime: **airtime,
+                    end: None,
+                });
+            }
+        }
+        fn on_tx_end(&mut self, now: SimTime, tx: &Transmission, faulted_drop: bool) {
+            let mut log = self.0.borrow_mut();
+            match tx.frame.kind {
+                FrameKind::Report { .. } => {
+                    if let Some(last) = log.attempts.last_mut() {
+                        last.end = Some((now, faulted_drop));
+                    }
+                }
+                // Only the client sends Reports, and only the AP ACKs it.
+                FrameKind::Ack if !faulted_drop && tx.frame.dst == Some(CLIENT) => {
+                    log.acked = true;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    const CLIENT: NodeId = 1;
+
+    /// A client's Report reaches the AP's `NodeReport` with a
+    /// bit-identical airtime vector, including Reports the fault plan
+    /// lost and the client retransmitted after its `AckTimeout`: the
+    /// boxed payload survives the queue, medium and history clones.
+    #[test]
+    fn report_airtime_round_trips_bit_identically() {
+        let main = WfChannel::from_parts(20, Width::W5);
+        let busy = WfChannel::from_parts(2, Width::W5);
+        let mut sim = Simulator::new(11);
+        sim.set_fault_plan(FaultPlan {
+            drop_prob: 0.25,
+            ..FaultPlan::quiet(5)
+        });
+        let stored = Rc::new(RefCell::new(Vec::new()));
+        let on_air = Rc::new(RefCell::new(OnAir::default()));
+        sim.set_observer(Box::new(Watch(on_air.clone())));
+        let ap = sim.add_node(
+            NodeConfig::on_channel(main).ap().in_ssid(1),
+            Box::new(Tap {
+                ap: ApBehavior::new(ApConfig::default().fixed()),
+                stored: stored.clone(),
+            }),
+        );
+        let client = sim.add_node(
+            NodeConfig::on_channel(main).in_ssid(1),
+            Box::new(ClientBehavior::new(ClientConfig::new(ap, 0))),
+        );
+        assert_eq!(client, CLIENT);
+        // Foreign load on a channel the client's scanner visits, so the
+        // reported vectors carry non-trivial loads.
+        let sink = sim.add_node(NodeConfig::on_channel(busy).in_ssid(2), Box::new(Sink));
+        sim.add_node(
+            NodeConfig::on_channel(busy).in_ssid(2),
+            Box::new(CbrSender::new(sink, SimDuration::from_millis(3))),
+        );
+        sim.run_until(SimTime::from_secs(8));
+
+        let on_air = on_air.borrow();
+        let stored = stored.borrow();
+        let first = |frame: usize| {
+            let a = on_air.attempts.iter().find(|a| a.frame == frame);
+            bits(&a.expect("every frame has an attempt").airtime)
+        };
+        for (k, a) in on_air.attempts.iter().enumerate() {
+            assert_eq!(
+                bits(&a.airtime),
+                first(a.frame),
+                "attempt {k} changed its payload"
+            );
+        }
+        assert!(!stored.is_empty(), "no report reached the AP");
+        let mut late = 0;
+        for (t, report) in stored.iter() {
+            let (k, a) = on_air
+                .attempts
+                .iter()
+                .enumerate()
+                .find(|(_, a)| a.end.is_some_and(|(end, _)| end == *t))
+                .expect("a stored report matches an on-air attempt");
+            assert!(
+                !a.end.is_some_and(|(_, drop)| drop),
+                "lost attempt {k} was delivered"
+            );
+            assert_eq!(bits(&report.airtime), first(a.frame), "at {t:?}");
+            if on_air.attempts[..k].iter().any(|p| p.frame == a.frame) {
+                late += 1;
+            }
+        }
+        assert!(late > 0, "no report was delivered by a retransmission");
+        let bg = busy.center();
+        assert!(
+            stored.iter().any(|(_, r)| r.airtime.load(bg).busy > 0.0),
+            "no report carried the foreign load"
+        );
     }
 }

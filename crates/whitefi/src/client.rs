@@ -262,7 +262,7 @@ impl Behavior for ClientBehavior {
                         dst: Some(self.ap),
                         kind: FrameKind::Report {
                             map: ctx.spectrum_map(),
-                            airtime: self.airtime,
+                            airtime: Box::new(self.airtime),
                         },
                     };
                     ctx.send(frame);
@@ -334,7 +334,7 @@ impl Behavior for ClientBehavior {
                             dst: Some(src),
                             kind: FrameKind::Report {
                                 map: ctx.spectrum_map(),
-                                airtime: self.airtime,
+                                airtime: Box::new(self.airtime),
                             },
                         });
                         self.pump_uplink(ctx);
