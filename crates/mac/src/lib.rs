@@ -39,6 +39,7 @@ pub mod interference;
 pub mod medium;
 pub mod sim;
 pub mod stats;
+mod timers;
 pub mod trace;
 pub mod traffic;
 

@@ -3,8 +3,8 @@
 # Run from the repository root: scripts/check.sh
 #
 #   --bless    re-bless the golden digests (GOLDEN_BLESS=1: the golden
-#              trace test and the layerbench city digest) after an
-#              intended protocol/timing change
+#              trace test and the layerbench city and paper_sweep
+#              digests) after an intended protocol/timing change
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,25 +34,31 @@ print("registry-free: every package is a path dependency")'
 # spectrum/phy/mac/whitefi libraries without crates.io access.
 cargo test --offline --release --manifest-path layerbench/Cargo.toml -q
 
-# Offline outcome-identity lane: the layer benchmark's `city` job (a
-# 58-cell and a 6-cell group with mic-driven switching) digests its whole
-# merged outcome, so any drift in event order, RNG draws or oracle output
-# moves it. The city_smoke shard diff below cannot see such drift: both
-# of its sides move together. After an intended behaviour change,
-# re-bless with --bless.
-city_golden=tests/golden/layerbench_city.digest
-city_digest=$(cargo run --release --offline --quiet --manifest-path layerbench/Cargo.toml -- \
-    --workload city --seed 1 --seconds 1 --trace 0 | grep -o 'digest=0x[0-9a-f]*' | cut -d= -f2)
-if [ "${GOLDEN_BLESS:-}" = 1 ]; then
-    echo "$city_digest" > "$city_golden"
-    echo "layerbench city digest blessed: $city_digest"
-elif [ "$city_digest" != "$(cat "$city_golden")" ]; then
-    echo "layerbench city digest $city_digest != golden $(cat "$city_golden") ($city_golden);" \
-        "re-bless with scripts/check.sh --bless if the change is intended" >&2
-    exit 1
-else
-    echo "layerbench city digest matches golden: $city_digest"
-fi
+# Offline outcome-identity lane: each layer-benchmark job digests its
+# whole outcome, so any drift in event order, RNG draws or oracle output
+# moves it. `city` (a 58-cell and a 6-cell group with mic-driven
+# switching) covers the shard plan and merge; the city_smoke shard diff
+# below cannot see such drift, because both of its sides move together.
+# `paper_sweep` (the Fig 11 grid: ~900 small fixed-channel and adaptive
+# simulators) is the CSMA-timer-heavy workload. After an intended
+# behaviour change, re-bless with --bless.
+layerbench_golden() {
+    local workload=$1 golden=$2 digest
+    digest=$(cargo run --release --offline --quiet --manifest-path layerbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | grep -o 'digest=0x[0-9a-f]*' | cut -d= -f2)
+    if [ "${GOLDEN_BLESS:-}" = 1 ]; then
+        echo "$digest" > "$golden"
+        echo "layerbench $workload digest blessed: $digest"
+    elif [ "$digest" != "$(cat "$golden")" ]; then
+        echo "layerbench $workload digest $digest != golden $(cat "$golden") ($golden);" \
+            "re-bless with scripts/check.sh --bless if the change is intended" >&2
+        exit 1
+    else
+        echo "layerbench $workload digest matches golden: $digest"
+    fi
+}
+layerbench_golden city tests/golden/layerbench_city.digest
+layerbench_golden paper_sweep tests/golden/layerbench_paper_sweep.digest
 
 cargo build --workspace --release
 cargo clippy --workspace --all-targets -- -D warnings
