@@ -16,28 +16,59 @@ use crate::json;
 use crate::report::{round4, ExperimentReport};
 use crate::runner::RunCtx;
 use whitefi_phy::attenuation::{amplitude_after, NoiseModel, TX_REFERENCE_AMPLITUDE};
-use whitefi_phy::synth::data_ack_exchange;
+use whitefi_phy::synth::{data_ack_exchange, SAMPLE_NS};
 use whitefi_phy::{DetectionKind, SimDuration, SimTime, Sniffer, Synthesizer};
 use whitefi_spectrum::Width;
 
-/// SIFT detection fraction at the given attenuation.
+/// SIFT detection fraction at the given attenuation: the share of the
+/// sent packets that at least one 20 MHz data/ACK detection overlaps.
+/// Past the cliff SIFT sees a data frame only as fragments and can pair
+/// two of them more than once inside one frame, so detections are
+/// matched to packets rather than counted.
 pub fn sift_fraction(attenuation_db: f64, packets: usize, seed: u64) -> f64 {
     let amplitude = amplitude_after(TX_REFERENCE_AMPLITUDE, attenuation_db);
     let mut bursts = Vec::with_capacity(packets * 2);
+    let mut spans = Vec::with_capacity(packets);
     let mut t = SimTime::from_millis(1);
     for _ in 0..packets {
         let ex = data_ack_exchange(t, Width::W20, 1000, amplitude);
-        t = ex[1].start + ex[1].duration + SimDuration::from_millis(1);
+        let end = ex[1].start + ex[1].duration;
+        spans.push((sample_index(t), sample_index(end)));
+        t = end + SimDuration::from_millis(1);
         bursts.extend(ex);
     }
     let window = SimDuration::from_nanos(t.as_nanos() + 1_000_000);
     let mut rng = super::rng(seed);
     let (detections, _) = super::stream_sift(&Synthesizer::new(), &bursts, window, &mut rng);
-    let found = detections
-        .into_iter()
+    let extents = detections
+        .iter()
         .filter(|d| d.kind == DetectionKind::DataAck && d.width == Width::W20)
-        .count();
-    found.min(packets) as f64 / packets as f64
+        .map(|d| {
+            (
+                d.first_start,
+                d.first_start + d.first_len + d.gap + d.second_len,
+            )
+        });
+    packets_hit(&spans, extents) as f64 / packets as f64
+}
+
+/// The sample at or before `t`.
+fn sample_index(t: SimTime) -> usize {
+    (t.as_nanos() / SAMPLE_NS) as usize
+}
+
+/// How many of the sorted, disjoint sample ranges `spans` overlap at
+/// least one of the ranges `extents` (all half-open).
+fn packets_hit(spans: &[(usize, usize)], extents: impl Iterator<Item = (usize, usize)>) -> usize {
+    let mut hit = vec![false; spans.len()];
+    for (start, end) in extents {
+        let mut k = spans.partition_point(|&(_, span_end)| span_end <= start);
+        while k < spans.len() && spans[k].0 < end {
+            hit[k] = true;
+            k += 1;
+        }
+    }
+    hit.into_iter().filter(|&h| h).count()
 }
 
 /// Sniffer decode fraction (Monte Carlo over the decode model).
@@ -108,6 +139,17 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packets_hit_counts_each_packet_once() {
+        let spans = [(10, 20), (30, 40), (50, 60)];
+        // Two detections inside the first packet, one straddling the
+        // second and third, one in the idle gap after the last.
+        let extents = [(11, 13), (15, 19), (38, 52), (60, 70)];
+        assert_eq!(packets_hit(&spans, extents.into_iter()), 3);
+        assert_eq!(packets_hit(&spans, [(12, 14), (16, 18)].into_iter()), 1);
+        assert_eq!(packets_hit(&spans, [(0, 10), (20, 30)].into_iter()), 0);
+    }
 
     #[test]
     fn both_near_perfect_at_low_attenuation() {

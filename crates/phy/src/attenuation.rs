@@ -9,15 +9,8 @@
 //! and the SIFT threshold are chosen so SIFT's detection cliff falls at
 //! ≈ 96–97 dB of attenuation, matching the paper's measurement.
 
+use crate::kernels;
 use rand::Rng;
-
-/// A standard-normal sample via the Box–Muller transform (avoids an extra
-/// dependency on `rand_distr`).
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
 
 /// Amplitude scale factor for a power attenuation of `db` decibels.
 pub fn db_to_amplitude_ratio(db: f64) -> f64 {
@@ -64,12 +57,14 @@ impl NoiseModel {
         Self { sigma: 0.0 }
     }
 
-    /// One noise amplitude sample.
+    /// One noise amplitude sample, drawn like one sample of the
+    /// synthesizer's noise floor (the ziggurat half-normal of
+    /// [`kernels::add_noise`]).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.sigma == 0.0 {
             return 0.0;
         }
-        (standard_normal(rng) * self.sigma).abs()
+        (kernels::half_normal(rng) * self.sigma).abs()
     }
 
     /// Mean of the |N(0,σ)| noise floor: σ·√(2/π).

@@ -23,6 +23,7 @@
 //! detector's floor (verified in tests, along with the floor itself).
 
 use crate::fft::{fft, Complex};
+use crate::kernels;
 use rand::Rng;
 
 /// Scan span sample rate: 8 MHz complex baseband (§3's USRP span).
@@ -77,15 +78,6 @@ impl IqSynthesizer {
     pub fn generate<R: Rng + ?Sized>(&self, frames: usize, rng: &mut R) -> Vec<Complex> {
         let n = frames * FFT_SIZE;
         let mut out = Vec::with_capacity(n);
-        let gauss = |rng: &mut R| {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let r = (-2.0 * u1.ln()).sqrt();
-            (
-                r * (std::f64::consts::TAU * u2).cos(),
-                r * (std::f64::consts::TAU * u2).sin(),
-            )
-        };
         // TV: band-limited pseudo-noise approximated as a sum of tones on
         // a dense comb across the occupied bandwidth, plus the pilot.
         let tv_tones: Vec<(f64, f64, f64)> = if let Some(dbm) = self.tv_dbm {
@@ -117,8 +109,8 @@ impl IqSynthesizer {
         });
         for t in 0..n {
             let time = t as f64 / SCAN_SAMPLE_RATE_HZ;
-            let (nr, ni) = gauss(rng);
-            let mut z = Complex::new(nr, ni);
+            let nr = kernels::normal(rng);
+            let mut z = Complex::new(nr, kernels::normal(rng));
             for &(f, a, phase) in &tv_tones {
                 z += Complex::from_angle(std::f64::consts::TAU * f * time + phase) * a;
             }

@@ -27,7 +27,7 @@
 
 use crate::sift::RawBurst;
 use rand::Rng;
-use std::f64::consts::TAU;
+use std::sync::LazyLock;
 
 /// Lane width of the chunked kernels. Four f64 lanes fill one AVX2
 /// register; the remainder loops reuse the identical per-element
@@ -250,9 +250,20 @@ pub fn sum_lens_ref(bursts: &[RawBurst]) -> u64 {
     bursts.iter().map(|b| count_u64(b.len)).sum()
 }
 
-/// Ripple synthesis: `seg[i] += amp · U[lo, hi)`, one uniform draw per
-/// sample in sample order (no draws at all when `lo == hi` — the ideal
-/// ripple-free synthesizer must consume no randomness). `seg` is the
+/// `2^-24`: the weight of one step of a 24-bit uniform.
+const U24: f64 = 1.0 / 16_777_216.0;
+
+/// The top 24 bits of a ChaCha word as a uniform on `[0, 1)`, in steps
+/// of `2^-24` (exact: a 24-bit integer fits an f64 mantissa).
+fn unit24(word: u32) -> f64 {
+    f64::from(word >> 8) * U24
+}
+
+/// Ripple synthesis: `seg[i] += amp · (lo + (hi − lo)·u)`, with `u` the
+/// 24-bit uniform of one `next_u32` per sample, drawn in sample order (no
+/// draws at all when `lo == hi` — the ideal ripple-free synthesizer must
+/// consume no randomness). 24 bits match the f32 output: a ripple step
+/// at amplitude 1000 is 5.4e-5, below one f32 ulp (6.1e-5). `seg` is the
 /// slice of the f64 mixing scratch covered by one burst within one
 /// block; the caller splits the 5 MHz low-amplitude head from the body
 /// by calling this twice with different `amp`.
@@ -276,18 +287,19 @@ pub fn accumulate_ripple<R: Rng + ?Sized>(
         }
         return;
     }
+    let span = hi - lo;
     let mut chunks = seg.chunks_exact_mut(LANES);
     for c in &mut chunks {
-        let mut r = [0f64; LANES];
-        for v in &mut r {
-            *v = rng.gen_range(lo..hi);
+        let mut w = [0u32; LANES];
+        for v in &mut w {
+            *v = rng.next_u32();
         }
-        for (s, ripple) in c.iter_mut().zip(r) {
-            *s += amp * ripple;
+        for (s, word) in c.iter_mut().zip(w) {
+            *s += amp * (lo + span * unit24(word));
         }
     }
     for s in chunks.into_remainder() {
-        *s += amp * rng.gen_range(lo..hi);
+        *s += amp * (lo + span * unit24(rng.next_u32()));
     }
 }
 
@@ -301,42 +313,161 @@ pub fn accumulate_ripple_ref<R: Rng + ?Sized>(
     rng: &mut R,
 ) {
     for s in seg {
-        let ripple = if lo == hi { lo } else { rng.gen_range(lo..hi) };
+        let ripple = if lo == hi {
+            lo
+        } else {
+            lo + (hi - lo) * unit24(rng.next_u32())
+        };
         *s += amp * ripple;
     }
 }
 
-/// One Box–Muller transform: two uniforms → **two** independent
-/// standard normals `(r·cos θ, r·sin θ)`. The noise kernels consume
-/// both halves of every pair (the committed scalar baseline burned a
-/// full transform per sample and discarded the sine branch — reusing it
-/// halves the uniform draws *and* the `ln`/`sqrt` work, which is where
-/// the synthesis speedup comes from).
-fn normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = TAU * u2;
-    (r * theta.cos(), r * theta.sin())
+/// Layers of the half-normal ziggurat.
+const ZIG_LAYERS: usize = 256;
+
+/// Right edge of the base layer, where the tail begins: the published
+/// constant 3.6541528853610088 of the 256-layer normal ziggurat
+/// (Marsaglia & Tsang, "The Ziggurat Method for Generating Random
+/// Variables", JSS 2000), written with the fewest digits that give the
+/// same f64.
+const ZIG_R: f64 = 3.654_152_885_361_009;
+
+/// The half-normal density up to its constant factor, `exp(−x²/2)`.
+fn density(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
+
+/// `∫_r^∞ exp(−t²/2) dt` by the Laplace continued fraction
+/// `f(r) / (r + 1/(r + 2/(r + 3/(r + …))))`, evaluated bottom-up; 200
+/// terms reach full f64 precision at `r = ZIG_R`.
+fn tail_area(r: f64) -> f64 {
+    let mut t = 0.0;
+    for k in (1..=200u32).rev() {
+        t = f64::from(k) / (r + t);
+    }
+    density(r) / (r + t)
+}
+
+/// The layer tables of a 256-layer Marsaglia–Tsang ziggurat covering the
+/// half-normal density `exp(−x²/2)` on `x ≥ 0`. Every layer has the same
+/// area `v`: layer `i` is the box `[0, x[i]) × [f(x[i]), f(x[i+1])]`, and
+/// layer 0 is the box `[0, r) × [0, f(r)]` plus the tail beyond `r`,
+/// stretched to the virtual width `x[0] = v / f(r)`.
+struct Ziggurat {
+    /// Layer edges: `x[0] = v / f(r)`, `x[1] = r`, decreasing to
+    /// `x[256] = 0`.
+    x: [f64; ZIG_LAYERS + 1],
+    /// `f[i] = exp(−x[i]²/2)`, increasing to `f[256] = 1`.
+    f: [f64; ZIG_LAYERS + 1],
+}
+
+impl Ziggurat {
+    /// The common layer area `v`. The published `v = 4.92867323399e-3`
+    /// has 12 significant digits, too few to close the top layer (its
+    /// area would be off by ~1e-9), so `v` comes from `r` through the
+    /// base layer's own equation `v = r·f(r) + ∫_r^∞ f`; every layer's
+    /// area then equals `v` to ~1e-13 relative.
+    fn area() -> f64 {
+        ZIG_R * density(ZIG_R) + tail_area(ZIG_R)
+    }
+
+    /// Builds the tables from the published recurrence
+    /// `x[i+1] = sqrt(−2 ln(v / x[i] + f(x[i])))`, starting at `x[1] = r`.
+    fn new() -> Self {
+        let v = Self::area();
+        let mut x = [0f64; ZIG_LAYERS + 1];
+        x[0] = v / density(ZIG_R);
+        x[1] = ZIG_R;
+        for i in 1..ZIG_LAYERS - 1 {
+            x[i + 1] = (-2.0 * (v / x[i] + density(x[i])).ln()).sqrt();
+        }
+        Self {
+            x,
+            f: x.map(density),
+        }
+    }
+
+    /// One half-normal draw. The fast path reads one `next_u32`: the low
+    /// byte picks the layer and the high 24 bits place the point inside
+    /// it. Points outside the layer's inner rectangle take the exact
+    /// slow path ([`Self::edge`]), which may draw more.
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        loop {
+            let (i, x) = self.point(rng.next_u32());
+            if x < self.x[i + 1] {
+                return x;
+            }
+            if let Some(x) = self.edge(i, x, rng) {
+                return x;
+            }
+        }
+    }
+
+    /// The layer and abscissa a 32-bit word selects.
+    fn point(&self, word: u32) -> (usize, f64) {
+        let [layer, ..] = word.to_le_bytes();
+        let i = usize::from(layer);
+        (i, unit24(word) * self.x[i])
+    }
+
+    /// The slow path for a point `x` of layer `i` beyond the inner
+    /// rectangle. In the base layer that point stands for the tail:
+    /// Marsaglia's exact tail sampler returns `r + a` with `a = −ln(U₁)/r`,
+    /// accepted when `−2 ln(U₂) ≥ a²`. Elsewhere it is the wedge test: a
+    /// uniform height in the layer accepts `x` when it falls under the
+    /// density; `None` rejects the point, and the caller draws a new word.
+    #[cold]
+    #[inline(never)]
+    fn edge<R: Rng + ?Sized>(&self, i: usize, x: f64, rng: &mut R) -> Option<f64> {
+        if i == 0 {
+            loop {
+                let a = -open_unit(rng).ln() / ZIG_R;
+                let b = -open_unit(rng).ln();
+                if b + b >= a * a {
+                    return Some(ZIG_R + a);
+                }
+            }
+        }
+        let y = self.f[i] + rng.gen::<f64>() * (self.f[i + 1] - self.f[i]);
+        (y < density(x)).then_some(x)
+    }
+}
+
+/// A uniform on `(0, 1]`, so its logarithm is finite.
+fn open_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    1.0 - rng.gen::<f64>()
+}
+
+/// The ziggurat tables, built once per process.
+static ZIGGURAT: LazyLock<Ziggurat> = LazyLock::new(Ziggurat::new);
+
+/// One draw of the half-normal `|N(0,1)|`, exact in distribution at the
+/// 24-bit resolution of its fast path. Usually one `next_u32`; the wedge
+/// and tail paths (about 1.5 % of draws) read more, always in order.
+pub(crate) fn half_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    ZIGGURAT.sample(rng)
+}
+
+/// One draw of the standard normal `N(0,1)`: a [`half_normal`] draw,
+/// then one `next_u32` whose top bit is the sign.
+pub(crate) fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let m = half_normal(rng);
+    if rng.gen::<bool>() {
+        -m
+    } else {
+        m
+    }
 }
 
 /// AWGN quantization: appends `(acc[i] + |N(0,1)·σ|) as f32` for every
 /// mixed sample — or no draws at all when `σ == 0`, matching
 /// [`crate::attenuation::NoiseModel::sample`]'s draw-free noiseless
-/// path. Normals come from Box–Muller **pairs**: even-numbered noise
-/// samples draw a fresh pair and stash the sine half in `carry`,
-/// odd-numbered ones consume it. Threading `carry` across calls is what
-/// makes the streaming synthesizer chunk-invariant — sample `i` gets
-/// the same normal no matter where the block boundary falls. Pass a
-/// fresh `None` for a one-shot buffer. `out` is appended to, not
-/// cleared: successive blocks land in one caller buffer.
-pub fn add_noise<R: Rng + ?Sized>(
-    acc: &[f64],
-    sigma: f64,
-    carry: &mut Option<f64>,
-    out: &mut Vec<f32>,
-    rng: &mut R,
-) {
+/// path. Each sample takes one `half_normal` draw, in sample order and
+/// with nothing left over, so a capture split into blocks at any sample
+/// boundary draws exactly what the whole buffer draws. `out` is appended
+/// to, not cleared: successive blocks land in one caller buffer.
+pub fn add_noise<R: Rng + ?Sized>(acc: &[f64], sigma: f64, out: &mut Vec<f32>, rng: &mut R) {
     out.reserve(acc.len());
     if sigma == 0.0 {
         let mut chunks = acc.chunks_exact(LANES);
@@ -350,11 +481,12 @@ pub fn add_noise<R: Rng + ?Sized>(
         }
         return;
     }
+    let zig = &*ZIGGURAT;
     let mut chunks = acc.chunks_exact(LANES);
     for c in &mut chunks {
         let mut g = [0f64; LANES];
         for v in &mut g {
-            *v = next_normal(carry, rng);
+            *v = zig.sample(rng);
         }
         let mut q = [0f32; LANES];
         for (o, (s, z)) in q.iter_mut().zip(c.iter().zip(g)) {
@@ -363,39 +495,18 @@ pub fn add_noise<R: Rng + ?Sized>(
         out.extend_from_slice(&q);
     }
     for &s in chunks.remainder() {
-        let z = next_normal(carry, rng);
-        out.push(quantize(s + (z * sigma).abs()));
+        out.push(quantize(s + (zig.sample(rng) * sigma).abs()));
     }
 }
 
-/// Takes the carried sine half if present, otherwise draws a fresh
-/// Box–Muller pair and stashes its second half.
-fn next_normal<R: Rng + ?Sized>(carry: &mut Option<f64>, rng: &mut R) -> f64 {
-    match carry.take() {
-        Some(z) => z,
-        None => {
-            let (z0, z1) = normal_pair(rng);
-            *carry = Some(z1);
-            z0
-        }
-    }
-}
-
-/// Scalar reference for [`add_noise`] — same pair-reuse draw schedule,
-/// same per-element expression.
-pub fn add_noise_ref<R: Rng + ?Sized>(
-    acc: &[f64],
-    sigma: f64,
-    carry: &mut Option<f64>,
-    out: &mut Vec<f32>,
-    rng: &mut R,
-) {
+/// Scalar reference for [`add_noise`] — same draws, same order, same
+/// per-element expression.
+pub fn add_noise_ref<R: Rng + ?Sized>(acc: &[f64], sigma: f64, out: &mut Vec<f32>, rng: &mut R) {
     for &s in acc {
         if sigma == 0.0 {
             out.push(quantize(s));
         } else {
-            let z = next_normal(carry, rng);
-            out.push(quantize(s + (z * sigma).abs()));
+            out.push(quantize(s + (half_normal(rng) * sigma).abs()));
         }
     }
 }
@@ -403,7 +514,7 @@ pub fn add_noise_ref<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     /// Sizes that cover every lane-remainder class plus degenerate and
@@ -548,28 +659,59 @@ mod tests {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 let mut ra = ChaCha8Rng::seed_from_u64(300 + k as u64);
                 let mut rb = ra.clone();
-                let (mut ca, mut cb) = (None, None);
-                add_noise(&acc, sigma, &mut ca, &mut a, &mut ra);
-                add_noise_ref(&acc, sigma, &mut cb, &mut b, &mut rb);
+                add_noise(&acc, sigma, &mut a, &mut ra);
+                add_noise_ref(&acc, sigma, &mut b, &mut rb);
                 assert_f32_bits_eq(&a, &b);
-                assert_eq!(ca.map(f64::to_bits), cb.map(f64::to_bits));
                 assert_eq!(ra.gen::<u64>(), rb.gen::<u64>());
             }
         }
     }
 
+    /// Draws `n` half-normals and returns, for each, the value and the
+    /// number of ChaCha words it consumed.
+    fn draws_with_words(n: usize, seed: u64) -> Vec<(f64, u128)> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let before = rng.get_word_pos();
+                let x = half_normal(&mut rng);
+                (x, rng.get_word_pos() - before)
+            })
+            .collect()
+    }
+
     #[test]
-    fn add_noise_carry_makes_chunking_invisible() {
-        let acc: Vec<f64> = trace(101, 9).iter().map(|&s| f64::from(s)).collect();
+    fn add_noise_chunking_is_invisible() {
+        let n = 20_000;
+        let acc: Vec<f64> = trace(n, 9).iter().map(|&s| f64::from(s)).collect();
         let mut whole = Vec::new();
-        let mut rw = ChaCha8Rng::seed_from_u64(11);
-        add_noise(&acc, 30.0, &mut None, &mut whole, &mut rw);
-        for chunk in [1usize, 2, 3, 7, 64] {
+        add_noise(&acc, 30.0, &mut whole, &mut ChaCha8Rng::seed_from_u64(11));
+        // Samples whose draw left the fast path: one landing in the tail
+        // (value beyond r) and one whose wedge test rejected a point
+        // (more than the three words of a single wedge test).
+        let draws = draws_with_words(n, 11);
+        let tail = draws.iter().position(|&(x, _)| x > ZIG_R);
+        let wedge_reject = draws.iter().position(|&(x, w)| x < ZIG_R && w > 3);
+        let (Some(tail), Some(wedge_reject)) = (tail, wedge_reject) else {
+            panic!("fixture must hit both slow paths: tail {tail:?} wedge {wedge_reject:?}");
+        };
+        // Block boundaries right before and right after each slow draw,
+        // then uniform chunkings down to 1-sample blocks.
+        let mut cuts: Vec<Vec<usize>> = [tail, tail + 1, wedge_reject, wedge_reject + 1]
+            .iter()
+            .map(|&c| vec![c, n - c])
+            .collect();
+        for chunk in [1usize, 2, 3, 7, 64, 2048] {
+            cuts.push(vec![chunk; n.div_ceil(chunk)]);
+        }
+        for sizes in cuts {
             let mut split = Vec::new();
             let mut rs = ChaCha8Rng::seed_from_u64(11);
-            let mut carry = None;
-            for c in acc.chunks(chunk) {
-                add_noise(c, 30.0, &mut carry, &mut split, &mut rs);
+            let mut at = 0;
+            for len in sizes {
+                let end = (at + len).min(n);
+                add_noise(&acc[at..end], 30.0, &mut split, &mut rs);
+                at = end;
             }
             assert_f32_bits_eq(&whole, &split);
         }
@@ -580,7 +722,7 @@ mod tests {
         let mut out = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let before = rng.clone().gen::<u64>();
-        add_noise(&[2.0, 3.0], 0.0, &mut None, &mut out, &mut rng);
+        add_noise(&[2.0, 3.0], 0.0, &mut out, &mut rng);
         assert_eq!(rng.gen::<u64>(), before);
     }
 
@@ -588,7 +730,171 @@ mod tests {
     fn add_noise_appends_rather_than_clears() {
         let mut out = vec![1.0f32];
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        add_noise(&[2.0], 0.0, &mut None, &mut out, &mut rng);
+        add_noise(&[2.0], 0.0, &mut out, &mut rng);
         assert_eq!(out, vec![1.0, 2.0]);
+    }
+
+    /// `∫_a^b exp(−x²/2) dx` by composite Simpson over `n` (even)
+    /// intervals, independent of the ziggurat's tables.
+    fn simpson(a: f64, b: f64, n: usize) -> f64 {
+        let h = (b - a) / n as f64;
+        let mut sum = density(a) + density(b);
+        for k in 1..n {
+            let w = if k % 2 == 1 { 4.0 } else { 2.0 };
+            sum += w * density(a + k as f64 * h);
+        }
+        sum * h / 3.0
+    }
+
+    /// `P(|N(0,1)| > a)`: the half-normal upper tail, by Simpson.
+    fn half_normal_sf(a: f64) -> f64 {
+        simpson(a, a + 20.0, 20_000) * (2.0 / std::f64::consts::PI).sqrt()
+    }
+
+    /// Asserts an observed count of `hits` in `n` trials lies within five
+    /// binomial standard deviations of probability `p`.
+    fn assert_binomial(what: &str, hits: u64, n: u64, p: f64) {
+        let (n, hits) = (n as f64, hits as f64);
+        let sd = (n * p * (1.0 - p)).sqrt();
+        assert!(
+            (hits - n * p).abs() <= 5.0 * sd,
+            "{what}: {hits} of {n}, expected {} ± 5·{sd}",
+            n * p
+        );
+    }
+
+    #[test]
+    fn half_normal_moments() {
+        let n = 1_000_000;
+        let mut rng = ChaCha8Rng::seed_from_u64(2024);
+        let (mut m1, mut m2, mut m4) = (0.0, 0.0, 0.0);
+        for _ in 0..n {
+            let x = half_normal(&mut rng);
+            assert!(x >= 0.0 && x.is_finite(), "draw {x}");
+            m1 += x;
+            m2 += x * x;
+            m4 += x * x * x * x;
+        }
+        let n = n as f64;
+        let (m1, m2, m4) = (m1 / n, m2 / n, m4 / n);
+        // Five standard errors: sd(x) = sqrt(1 − 2/π), sd(x²) = √2,
+        // sd(x⁴) = √96.
+        let mean = (2.0 / std::f64::consts::PI).sqrt();
+        assert!(
+            (m1 - mean).abs() < 5.0 * (1.0 - mean * mean).sqrt() / n.sqrt(),
+            "E[x] {m1}"
+        );
+        assert!(
+            (m2 - 1.0).abs() < 5.0 * 2f64.sqrt() / n.sqrt(),
+            "E[x²] {m2}"
+        );
+        assert!(
+            (m4 - 3.0).abs() < 5.0 * 96f64.sqrt() / n.sqrt(),
+            "E[x⁴] {m4}"
+        );
+    }
+
+    #[test]
+    fn normal_is_a_signed_half_normal() {
+        let n = 100_000;
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let mut lockstep = rng.clone();
+        let (mut sum, mut negative) = (0.0, 0u32);
+        for _ in 0..n {
+            let z = normal(&mut rng);
+            // Same magnitude as a half-normal draw, then one sign word.
+            let m = half_normal(&mut lockstep);
+            let sign_word = lockstep.next_u32();
+            assert_eq!(z.abs().to_bits(), m.to_bits());
+            assert_eq!(z < 0.0, sign_word >> 31 == 1, "draw {z}");
+            sum += z;
+            negative += u32::from(z < 0.0);
+        }
+        // Five standard errors: sd(z) = 1, sd(sign) = 1/2.
+        let n = f64::from(n);
+        assert!((sum / n).abs() < 5.0 / n.sqrt(), "E[z] {}", sum / n);
+        let frac = f64::from(negative) / n;
+        assert!((frac - 0.5).abs() < 5.0 * 0.5 / n.sqrt(), "P(z < 0) {frac}");
+    }
+
+    #[test]
+    fn half_normal_tail_probabilities_match_cdf() {
+        let n = 1_000_000u64;
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let (mut above3, mut above_r) = (0u64, 0u64);
+        for _ in 0..n {
+            let x = half_normal(&mut rng);
+            above3 += u64::from(x > 3.0);
+            above_r += u64::from(x > ZIG_R);
+        }
+        assert_binomial("P(x > 3)", above3, n, half_normal_sf(3.0));
+        assert_binomial("P(x > r)", above_r, n, half_normal_sf(ZIG_R));
+    }
+
+    #[test]
+    fn wedge_and_tail_paths_fire_at_expected_rates() {
+        let (zig, v) = (&*ZIGGURAT, Ziggurat::area());
+        let n = 1_000_000;
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut lockstep = rng.clone();
+        let (mut attempts, mut tails, mut wedges, mut rejects) = (0u64, 0u64, 0u64, 0u64);
+        for _ in 0..n {
+            // `Ziggurat::sample`, unrolled to count its paths.
+            let x = loop {
+                attempts += 1;
+                let (i, x) = zig.point(rng.next_u32());
+                if x < zig.x[i + 1] {
+                    break x;
+                }
+                if i == 0 {
+                    tails += 1;
+                } else {
+                    wedges += 1;
+                }
+                match zig.edge(i, x, &mut rng) {
+                    Some(x) => break x,
+                    None => rejects += 1,
+                }
+            };
+            assert_eq!(x.to_bits(), half_normal(&mut lockstep).to_bits());
+        }
+        let layers = ZIG_LAYERS as f64;
+        // A word lands in the tail strip with the tail's share of the
+        // ziggurat's area, and a wedge test rejects with the share of
+        // the ziggurat that lies above the density; both follow from r
+        // and v alone.
+        let tail = simpson(ZIG_R, ZIG_R + 20.0, 20_000);
+        assert_binomial("tail", tails, attempts, tail / (layers * v));
+        let above = 1.0 - (std::f64::consts::PI / 2.0).sqrt() / (layers * v);
+        assert_binomial("wedge rejections", rejects, attempts, above);
+        // A word leaves layer i's inner rectangle with probability
+        // 1 − x[i+1]/x[i] (always, in the top layer).
+        let wedge: f64 = (1..ZIG_LAYERS)
+            .map(|i| 1.0 - zig.x[i + 1] / zig.x[i])
+            .sum::<f64>()
+            / layers;
+        assert_binomial("wedge", wedges, attempts, wedge);
+    }
+
+    #[test]
+    fn ziggurat_layers_have_equal_area() {
+        let (zig, v) = (&*ZIGGURAT, Ziggurat::area());
+        assert_eq!(zig.x[1], ZIG_R);
+        assert_eq!(zig.x[ZIG_LAYERS], 0.0);
+        // The published area, to its 12 significant digits.
+        assert!((v / 4.928_673_233_99e-3 - 1.0).abs() < 1e-11, "v {v}");
+        let close = |area: f64, what: &str| {
+            assert!((area / v - 1.0).abs() < 1e-12, "{what}: {area} vs {v}");
+        };
+        // Base layer: the rectangle under f(r) plus the tail, integrated
+        // here by Simpson rather than the builder's continued fraction.
+        close(
+            ZIG_R * density(ZIG_R) + simpson(ZIG_R, ZIG_R + 20.0, 20_000),
+            "layer 0",
+        );
+        close(zig.x[0] * zig.f[1], "layer 0 strip");
+        for i in 1..ZIG_LAYERS {
+            close(zig.x[i] * (zig.f[i + 1] - zig.f[i]), &format!("layer {i}"));
+        }
     }
 }

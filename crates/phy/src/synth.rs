@@ -32,10 +32,12 @@
 //! RNG per capture, seeding a family of derived ChaCha8 streams — stream
 //! 0 for receiver noise, stream `1 + i` for input burst `i`. Each
 //! burst's head/ripple draws happen in that burst's own stream in sample
-//! order, and noise draws happen in stream 0 in sample order (Box–Muller
-//! pairs, both halves used, odd tails carried), so no draw's position
-//! depends on block boundaries or on which other bursts exist. An ideal
-//! (ripple-free, noiseless, headless) configuration consumes no
+//! order, and noise draws happen in stream 0 in sample order: one
+//! ziggurat half-normal per sample, which reads one word on its fast path
+//! and a few more on its rare slow paths, all before the next sample's
+//! draw, with nothing carried from one sample to the next. So no draw's
+//! position depends on block boundaries or on which other bursts exist.
+//! An ideal (ripple-free, noiseless, headless) configuration consumes no
 //! randomness whatsoever.
 
 use crate::attenuation::NoiseModel;
@@ -246,8 +248,7 @@ impl Synthesizer {
         }
         let mut out = Vec::new();
         let mut noise_rng = derive_stream(base, 0);
-        let mut carry = None;
-        kernels::add_noise_ref(&acc, self.noise.sigma, &mut carry, &mut out, &mut noise_rng);
+        kernels::add_noise_ref(&acc, self.noise.sigma, &mut out, &mut noise_rng);
         out
     }
 
@@ -279,7 +280,6 @@ impl Synthesizer {
             next_pending: 0,
             active: Vec::new(),
             noise_rng: derive_stream(base, 0),
-            noise_carry: None,
             acc: Vec::new(),
             out: Vec::new(),
         }
@@ -348,19 +348,13 @@ fn clip_bursts(config: &SynthesizerConfig, bursts: &[Burst], n: usize) -> Vec<Cl
     out
 }
 
-/// Draws the per-burst head amplitude factor (first draw in the burst's
-/// stream), or 1.0 without drawing when the burst has no head.
+/// Draws the per-burst head amplitude factor (the first draws in the
+/// burst's stream), or 1.0 without drawing when the burst has no head.
 fn head_factor<R: Rng + ?Sized>(config: &SynthesizerConfig, head_len: usize, rng: &mut R) -> f64 {
     if head_len == 0 {
         return 1.0;
     }
-    let g = {
-        // Box–Muller standard normal (cos branch; a once-per-burst draw,
-        // not worth pair bookkeeping).
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    };
+    let g = kernels::normal(rng);
     (config.w5_head_mean + g * config.w5_head_sd).clamp(0.02, 1.0)
 }
 
@@ -397,7 +391,6 @@ pub struct SynthStream {
     next_pending: usize,
     active: Vec<ActiveBurst>,
     noise_rng: ChaCha8Rng,
-    noise_carry: Option<f64>,
     acc: Vec<f64>,
     out: Vec<f32>,
 }
@@ -479,13 +472,7 @@ impl SynthStream {
         }
         self.active.retain(|a| a.end > hi);
         out.clear();
-        kernels::add_noise(
-            acc,
-            self.sigma,
-            &mut self.noise_carry,
-            out,
-            &mut self.noise_rng,
-        );
+        kernels::add_noise(acc, self.sigma, out, &mut self.noise_rng);
         self.emitted = hi;
     }
 }

@@ -3,8 +3,9 @@
 # Run from the repository root: scripts/check.sh
 #
 #   --bless    re-bless the golden digests (GOLDEN_BLESS=1: the golden
-#              trace test and the layerbench city and paper_sweep
-#              digests) after an intended protocol/timing change
+#              trace test and the layerbench city, paper_sweep and
+#              sift_capture digests) after an intended protocol, timing
+#              or synthesis change
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,8 +41,11 @@ cargo test --offline --release --manifest-path layerbench/Cargo.toml -q
 # switching) covers the shard plan and merge; the city_smoke shard diff
 # below cannot see such drift, because both of its sides move together.
 # `paper_sweep` (the Fig 11 grid: ~900 small fixed-channel and adaptive
-# simulators) is the CSMA-timer-heavy workload. After an intended
-# behaviour change, re-bless with --bless.
+# simulators) is the CSMA-timer-heavy workload. `sift_capture` (the
+# Table 1 grid streamed through SynthStream and StreamingSift) is the
+# only one that synthesizes samples, so it alone sees drift in the noise,
+# ripple and head draws. After an intended behaviour change, re-bless
+# with --bless.
 layerbench_golden() {
     local workload=$1 golden=$2 digest
     digest=$(cargo run --release --offline --quiet --manifest-path layerbench/Cargo.toml -- \
@@ -59,6 +63,7 @@ layerbench_golden() {
 }
 layerbench_golden city tests/golden/layerbench_city.digest
 layerbench_golden paper_sweep tests/golden/layerbench_paper_sweep.digest
+layerbench_golden sift_capture tests/golden/layerbench_sift_capture.digest
 
 cargo build --workspace --release
 cargo clippy --workspace --all-targets -- -D warnings
