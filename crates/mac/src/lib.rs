@@ -40,7 +40,6 @@ pub mod medium;
 pub mod sim;
 pub mod stats;
 mod timers;
-pub mod trace;
 pub mod traffic;
 
 pub use analysis::{bianchi_saturation_goodput_mbps, bianchi_tau, single_flow_goodput_mbps};
@@ -54,5 +53,4 @@ pub use sim::{
     global_event_totals, Behavior, Ctx, EventCounters, NodeConfig, SimObserver, Simulator,
 };
 pub use stats::NodeStats;
-pub use trace::{export as export_trace, export_recent, render_tcpdump, TraceRecord};
 pub use traffic::{CbrSender, MarkovOnOffSender, SaturatingSender, ScriptedCbrSender};

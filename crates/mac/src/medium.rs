@@ -87,20 +87,15 @@ pub struct Medium {
     by_src: Vec<VecDeque<usize>>,
     /// How much history to retain for scanner queries. Drivers may
     /// tighten this when no scanner will ever look back (fixed-channel
-    /// baseline runs keep only enough for interference checks), making
-    /// trace retention pay-as-you-go; queries never reach past their
-    /// window, so shrinking the horizon below the longest query window
-    /// actually issued is the only way it can change results.
+    /// baseline runs keep only enough for interference checks); queries
+    /// never reach past their window, so shrinking the horizon below the
+    /// longest query window actually issued is the only way it can change
+    /// results.
     pub history_horizon: SimDuration,
     /// Cumulative busy time per UHF channel since simulation start
     /// (union of overlapping transmissions — exact, via active counts).
     busy_total: [SimDuration; NUM_UHF_CHANNELS],
     active_count: [u32; NUM_UHF_CHANNELS],
-    /// Active transmissions per channel broken down by SSID (association
-    /// list; a channel rarely carries more than a handful of networks).
-    /// Lets SSID-excluded carrier sense answer from counters instead of
-    /// scanning every active transmission.
-    ssid_active: Vec<Vec<(u32, u32)>>,
     last_change: [SimTime; NUM_UHF_CHANNELS],
     next_id: u64,
 }
@@ -122,7 +117,6 @@ impl Medium {
             history_horizon: SimDuration::from_secs(3),
             busy_total: [SimDuration::ZERO; NUM_UHF_CHANNELS],
             active_count: [0; NUM_UHF_CHANNELS],
-            ssid_active: vec![Vec::new(); NUM_UHF_CHANNELS],
             last_change: [SimTime::ZERO; NUM_UHF_CHANNELS],
             next_id: 0,
         }
@@ -149,13 +143,6 @@ impl Medium {
         for ch in channel.spanned() {
             self.accrue(ch, start);
             self.active_count[ch.index()] += 1;
-            if let Some(ssid) = ssid {
-                let counts = &mut self.ssid_active[ch.index()];
-                match counts.iter_mut().find(|(s, _)| *s == ssid) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((ssid, 1)),
-                }
-            }
         }
         self.active.push(Transmission {
             id,
@@ -188,18 +175,6 @@ impl Medium {
         for ch in tx.channel.spanned() {
             self.accrue(ch, now);
             self.active_count[ch.index()] -= 1;
-            if let Some(ssid) = tx.ssid {
-                let counts = &mut self.ssid_active[ch.index()];
-                let k = counts
-                    .iter()
-                    .position(|(s, _)| *s == ssid)
-                    // lint:allow(unwrap, ssid was counted at `start` of this same transmission; absence is engine corruption)
-                    .expect("finishing transmission with untracked ssid");
-                counts[k].1 -= 1;
-                if counts[k].1 == 0 {
-                    counts.swap_remove(k);
-                }
-            }
         }
         debug_assert!(
             self.history.back().is_none_or(|p| p.end <= tx.end),
@@ -289,44 +264,6 @@ impl Medium {
     /// active list.
     pub fn any_active_on(&self, channel: WfChannel) -> bool {
         channel.spanned().any(|c| self.active_count[c.index()] > 0)
-    }
-
-    /// Active transmissions of `ssid` spanning UHF channel index `i`.
-    fn ssid_count(&self, i: usize, ssid: u32) -> u32 {
-        self.ssid_active[i]
-            .iter()
-            .find(|(s, _)| *s == ssid)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
-    }
-
-    /// Whether any active transmission's span intersects `channel`
-    /// (optionally excluding one transmitter — a node does not sense its
-    /// own signal as foreign carrier).
-    pub fn carrier_sensed(&self, channel: WfChannel, exclude_src: Option<NodeId>) -> bool {
-        match exclude_src {
-            // No exclusion: the counters answer exactly.
-            None => self.any_active_on(channel),
-            Some(src) => {
-                // Counter fast path for the common idle case; the scan
-                // below only runs while something is actually on the air.
-                self.any_active_on(channel)
-                    && self
-                        .active
-                        .iter()
-                        .any(|t| t.src != src && t.overlaps_channel(channel))
-            }
-        }
-    }
-
-    /// Whether any active transmission from a *different* network
-    /// intersects `channel` — carrier sense for scanner measurements
-    /// that must ignore the measuring network's own traffic. Answered
-    /// entirely from the per-(channel, SSID) counters: O(span).
-    pub fn carrier_sensed_excluding_ssid(&self, channel: WfChannel, ssid: u32) -> bool {
-        channel
-            .spanned()
-            .any(|c| self.active_count[c.index()] > self.ssid_count(c.index(), ssid))
     }
 
     /// Cumulative busy time on `ch` since simulation start, as of `now`.
@@ -465,7 +402,7 @@ impl Medium {
     /// scanner-visible bursts. Feed these to
     /// [`whitefi_phy::Scanner::capture_stream`] for block-at-a-time
     /// signal-level SIFT (or [`whitefi_phy::Scanner::capture`] when a
-    /// whole materialized trace is wanted, e.g. for trace export).
+    /// whole materialized trace is wanted).
     ///
     /// Output order is finished transmissions first, oldest finish
     /// first, then the active ones in active-list order. The active list
@@ -506,8 +443,10 @@ impl Medium {
         out
     }
 
-    /// Raw transmissions (history + active) overlapping `[from, to)`,
-    /// for trace export. Same output order as [`Medium::visible_bursts`].
+    /// Raw transmissions (history + active) overlapping `[from, to)`, by
+    /// a plain scan of the whole window with no per-source index: the
+    /// brute-force reference the heard-source queries are tested
+    /// against. Same output order as [`Medium::visible_bursts`].
     pub fn visible_window_transmissions(&self, from: SimTime, to: SimTime) -> Vec<Transmission> {
         let mut out: Vec<Transmission> = self
             .recent_history(from)
@@ -524,30 +463,12 @@ impl Medium {
         out
     }
 
-    /// Transmissions in history plus active, overlapping the window and
-    /// intersecting the given channel — used for interference checks.
-    pub fn interferers(
-        &self,
-        channel: WfChannel,
-        from: SimTime,
-        to: SimTime,
-        exclude_id: u64,
-    ) -> Vec<Transmission> {
-        let keep = |t: &&Transmission| {
-            t.id != exclude_id && t.overlaps_channel(channel) && t.overlaps_window(from, to)
-        };
-        let mut out: Vec<Transmission> = self.recent_history(from).filter(keep).cloned().collect();
-        out.reverse();
-        out.extend(self.active.iter().filter(keep).cloned());
-        out
-    }
-
     /// Appends to `out` the source node of every transmission (history +
     /// active) that intersects `channel` and overlaps `[from, to)`,
-    /// excluding transmission `exclude_id`. Allocation-free variant of
-    /// [`Medium::interferers`] for the delivery hot path, which only
-    /// needs the transmitter identities (order-insensitive: the caller
-    /// asks "is any interferer in range of this receiver").
+    /// excluding transmission `exclude_id` — the delivery interference
+    /// check. Allocation-free: the caller only needs the transmitter
+    /// identities, in any order (it asks "is any interferer in range of
+    /// this receiver").
     pub fn interferer_sources_into(
         &self,
         channel: WfChannel,
@@ -611,30 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn carrier_sense_is_span_intersection() {
-        let mut m = Medium::new();
-        let tx20 = ch(10, Width::W20); // spans 8..=12
-        m.start(
-            0,
-            false,
-            None,
-            tx20,
-            SimTime::ZERO,
-            SimTime::from_millis(1),
-            frame(),
-            1000.0,
-        );
-        // A 5 MHz node on channel 12 senses the 20 MHz carrier.
-        assert!(m.carrier_sensed(ch(12, Width::W5), None));
-        // A 5 MHz node on channel 13 does not.
-        assert!(!m.carrier_sensed(ch(13, Width::W5), None));
-        // The transmitter does not sense itself.
-        assert!(!m.carrier_sensed(ch(10, Width::W20), Some(0)));
-        // …but senses others.
-        assert!(m.carrier_sensed(ch(10, Width::W20), Some(5)));
-    }
-
-    #[test]
     fn any_active_on_tracks_counters() {
         let mut m = Medium::new();
         let tx20 = ch(10, Width::W20); // spans 8..=12
@@ -653,56 +550,6 @@ mod tests {
         assert!(!m.any_active_on(ch(13, Width::W5)));
         m.finish(id, SimTime::from_millis(1));
         assert!(!m.any_active_on(tx20));
-    }
-
-    #[test]
-    fn ssid_excluded_sensing_ignores_own_network_only() {
-        let mut m = Medium::new();
-        let c = ch(10, Width::W5);
-        // Our own network (SSID 7) is transmitting. It stays on the air
-        // through the whole test: `finish` requires nondecreasing end
-        // times (history stays sorted), so `own` ends last, at 3 ms.
-        let own = m.start(
-            0,
-            true,
-            Some(7),
-            c,
-            SimTime::ZERO,
-            SimTime::from_millis(3),
-            frame(),
-            1000.0,
-        );
-        assert!(m.carrier_sensed(c, None));
-        assert!(!m.carrier_sensed_excluding_ssid(c, 7));
-        // A foreign network joins: now it is sensed even excluding 7.
-        let other = m.start(
-            1,
-            true,
-            Some(9),
-            c,
-            SimTime::ZERO,
-            SimTime::from_millis(2),
-            frame(),
-            1000.0,
-        );
-        assert!(m.carrier_sensed_excluding_ssid(c, 7));
-        // SSID-less traffic (background) is foreign to every network.
-        m.finish(other, SimTime::from_millis(2));
-        assert!(!m.carrier_sensed_excluding_ssid(c, 7));
-        let bg = m.start(
-            2,
-            false,
-            None,
-            c,
-            SimTime::from_millis(2),
-            SimTime::from_millis(3),
-            frame(),
-            1000.0,
-        );
-        assert!(m.carrier_sensed_excluding_ssid(c, 7));
-        m.finish(bg, SimTime::from_millis(3));
-        m.finish(own, SimTime::from_millis(3));
-        assert!(!m.carrier_sensed(c, None));
     }
 
     #[test]
@@ -849,9 +696,9 @@ mod tests {
             frame(),
             1000.0,
         );
-        let ints = m.interferers(c, SimTime::ZERO, SimTime::from_millis(2), a);
-        assert_eq!(ints.len(), 1);
-        assert_eq!(ints[0].src, 1);
+        let mut srcs = Vec::new();
+        m.interferer_sources_into(c, SimTime::ZERO, SimTime::from_millis(2), a, &mut srcs);
+        assert_eq!(srcs, vec![1]);
     }
 
     #[test]

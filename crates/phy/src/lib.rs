@@ -10,9 +10,6 @@
 //!   preamble, packet durations) per Chandra et al. (SIGCOMM 2008), the
 //!   technique WhiteFi builds on;
 //! * [`attenuation`] — dB arithmetic and the noise model;
-//! * [`fft`] / [`feature`] — the scanner's frequency-domain path
-//!   (Figure 4: FFT → TV/MIC detection) with the paper's −114/−110 dBm
-//!   sensitivity targets;
 //! * [`synth`] — synthesis of raw amplitude (`sqrt(I² + Q²)`) sample
 //!   traces from a schedule of bursts, including the low-amplitude head
 //!   of 5 MHz packets visible in Figure 5;
@@ -35,10 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod attenuation;
-pub mod feature;
-pub mod fft;
 pub mod kernels;
-pub mod platform;
 pub mod scanner;
 pub mod sift;
 pub mod sniffer;
@@ -47,9 +41,6 @@ pub mod time;
 pub mod timing;
 
 pub use attenuation::{amplitude_after, db_to_amplitude_ratio, NoiseModel};
-pub use feature::{FeatureDetector, Incumbent, IqSynthesizer};
-pub use fft::{dft_naive, fft, ifft, Complex};
-pub use platform::{AtherosDriver, KnowsDevice, UhfTranslator};
 pub use scanner::{Scanner, VisibleBurst};
 pub use sift::{Detection, DetectionKind, RawBurst, Sift, SiftConfig, StreamingSift};
 pub use sniffer::Sniffer;

@@ -847,7 +847,9 @@ mod tests {
     fn r5_only_in_kernels() {
         let src = "fn f(n: usize) -> f64 { n as f64 }\n";
         assert_eq!(lint("crates/phy/src/sift.rs", src).diagnostics.len(), 1);
-        assert!(lint("crates/phy/src/fft.rs", src).diagnostics.is_empty());
+        assert!(lint("crates/phy/src/scanner.rs", src)
+            .diagnostics
+            .is_empty());
     }
 
     #[test]

@@ -28,6 +28,21 @@ if bad:
     sys.exit("non-path dependencies: " + ", ".join(bad))
 print("registry-free: every package is a path dependency")'
 
+# Tier-1 coverage gate: `cargo test` at the root runs the default
+# members, so the root package and every crates/* package must be one,
+# or tier-1 silently shrinks. A missing package fails here, by name.
+# (The rand/rand_chacha stand-ins are implicit path members, not ours.)
+cargo metadata --format-version 1 --no-deps | python3 -c 'import json, os, sys
+meta = json.load(sys.stdin)
+root = meta["workspace_root"]
+ours = [p for p in meta["packages"]
+        if os.path.dirname(p["manifest_path"]) == root
+        or os.path.dirname(os.path.dirname(p["manifest_path"])) == os.path.join(root, "crates")]
+missing = [p["name"] for p in ours if p["id"] not in meta["workspace_default_members"]]
+if missing:
+    sys.exit("not default workspace members (tier-1 skips their tests): " + ", ".join(missing))
+print("default members: the root package and all", len(ours) - 1, "crates/* packages")'
+
 # Offline lane: the layer benchmark is a workspace of its own. The
 # rand/rand_chacha stand-ins under layerbench/stand-ins serve both
 # workspaces (this one depends on them by path, layerbench patches

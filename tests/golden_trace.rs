@@ -53,22 +53,6 @@ fn golden_trace_digest_matches() {
         .unwrap_or_else(|e| panic!("missing golden digest {}: {e}", path.display()));
     let committed = committed.trim();
 
-    if committed == "UNINITIALIZED" {
-        // First native run: the digest cannot be precomputed without
-        // executing the simulator, so the sentinel defers blessing to
-        // the first machine that runs the test. Record the digest and
-        // print the exact commands that re-bless it on purpose, so the
-        // deferral path teaches the workflow instead of hiding it.
-        std::fs::write(&path, format!("{got}\n")).expect("write golden digest");
-        eprintln!(
-            "golden digest was UNINITIALIZED; blessed {got} -> {}\n\
-             commit the file, and re-bless after intended changes with:\n\
-             GOLDEN_BLESS=1 cargo test --test golden_trace\n\
-             or: scripts/check.sh --bless",
-            path.display()
-        );
-        return;
-    }
     if std::env::var("GOLDEN_BLESS").is_ok() {
         // Explicit re-bless after an intended protocol/timing change.
         std::fs::write(&path, format!("{got}\n")).expect("write golden digest");
@@ -85,7 +69,7 @@ fn golden_trace_digest_matches() {
 }
 
 /// The digest itself is deterministic: two runs of the pinned scenario
-/// agree exactly (this holds even before the sentinel is blessed).
+/// agree exactly.
 #[test]
 fn golden_scenario_is_reproducible() {
     let a = run_whitefi(&golden_scenario(), None);
