@@ -58,6 +58,44 @@ impl Transmission {
     }
 }
 
+/// The per-source index's copy of a history entry's span: its finish
+/// sequence number plus the `start`, `end` and `channel` every scanner
+/// filter tests, so a query touches the 96-byte [`Transmission`] itself
+/// only to materialize a burst.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HistoryKey {
+    seq: usize,
+    start: SimTime,
+    end: SimTime,
+    channel: WfChannel,
+}
+
+/// One transmitter's slice of the history index. `is_ap` and `ssid`
+/// come from the node's fixed configuration, so they are kept once per
+/// source instead of being read from every entry.
+#[derive(Debug, Clone, Default)]
+struct SourceHistory {
+    is_ap: bool,
+    ssid: Option<u32>,
+    /// Keys of the source's transmissions still in `history`, ascending
+    /// by finish sequence number (hence by `end`).
+    keys: VecDeque<HistoryKey>,
+}
+
+impl SourceHistory {
+    /// Keys whose span can overlap a window starting at `from`, newest
+    /// first: the early stop of [`Medium::recent_history`], per source.
+    fn recent(&self, from: SimTime) -> impl Iterator<Item = &HistoryKey> {
+        self.keys.iter().rev().take_while(move |k| k.end > from)
+    }
+
+    /// Whether Equation 1's measurements skip this source outright: it
+    /// belongs to the measuring node's own network.
+    fn excluded(&self, exclude_ssid: Option<u32>) -> bool {
+        exclude_ssid.is_some() && self.ssid == exclude_ssid
+    }
+}
+
 /// The medium: active transmissions plus a pruned history for windowed
 /// airtime queries (the scanning radio's view).
 ///
@@ -69,22 +107,25 @@ impl Transmission {
 ///
 /// Every finished transmission gets a *finish sequence number* (0 for
 /// the first one finished, then 1, 2, …), so history order is finish
-/// sequence order. A per-source index of those numbers lets the
+/// sequence order. A per-source index of [`HistoryKey`]s lets the
 /// scanner queries visit only the transmitters a node hears: each
 /// source's entries are a subsequence of `history`, hence also sorted by
 /// `end`, and the same backwards scan applies per source.
 #[derive(Debug)]
 pub struct Medium {
     active: Vec<Transmission>,
+    /// `active_ids[i] == active[i].id`: [`Medium::finish`] searches
+    /// these 8-byte ids, not the 96-byte entries.
+    active_ids: Vec<u64>,
     history: VecDeque<Transmission>,
     /// Finish sequence number of `history.front()`: the entry with
     /// sequence `s` sits at `history[s - history_base]`.
     history_base: usize,
-    /// `by_src[n]`: finish sequence numbers of node `n`'s transmissions
-    /// still in `history`, ascending. Pruned together with `history`, so
-    /// the lists hold exactly `history.len()` entries between them. Has
-    /// an entry for every node that ever started a transmission.
-    by_src: Vec<VecDeque<usize>>,
+    /// `by_src[n]`: node `n`'s keys still in `history`. Pruned together
+    /// with `history`, so the lists hold exactly `history.len()` keys
+    /// between them. Has an entry for every node that ever started a
+    /// transmission.
+    by_src: Vec<SourceHistory>,
     /// How much history to retain for scanner queries. Drivers may
     /// tighten this when no scanner will ever look back (fixed-channel
     /// baseline runs keep only enough for interference checks); queries
@@ -111,6 +152,7 @@ impl Medium {
     pub fn new() -> Self {
         Self {
             active: Vec::new(),
+            active_ids: Vec::new(),
             history: VecDeque::new(),
             history_base: 0,
             by_src: Vec::new(),
@@ -138,12 +180,20 @@ impl Medium {
         let id = self.next_id;
         self.next_id += 1;
         if self.by_src.len() <= src {
-            self.by_src.resize_with(src + 1, VecDeque::new);
+            self.by_src.resize_with(src + 1, SourceHistory::default);
         }
+        let source = &mut self.by_src[src];
+        debug_assert!(
+            source.keys.is_empty() || (source.is_ap, source.ssid) == (src_is_ap, ssid),
+            "a source's AP flag and SSID are fixed"
+        );
+        source.is_ap = src_is_ap;
+        source.ssid = ssid;
         for ch in channel.spanned() {
             self.accrue(ch, start);
             self.active_count[ch.index()] += 1;
         }
+        self.active_ids.push(id);
         self.active.push(Transmission {
             id,
             src,
@@ -166,11 +216,14 @@ impl Medium {
     /// `end`); windowed queries rely on the resulting history order.
     pub fn finish(&mut self, id: u64, now: SimTime) -> Transmission {
         let idx = self
-            .active
+            .active_ids
             .iter()
-            .position(|t| t.id == id)
+            .position(|&a| a == id)
             // lint:allow(unwrap, TxEnd fires exactly once per `start` id; a miss is engine corruption, documented panic)
             .expect("finishing unknown transmission");
+        // Both vectors swap the same slots, so active-list order (which
+        // `visible_bursts` exposes) is what a search of `active` gives.
+        self.active_ids.swap_remove(idx);
         let tx = self.active.swap_remove(idx);
         for ch in tx.channel.spanned() {
             self.accrue(ch, now);
@@ -181,7 +234,14 @@ impl Medium {
             "history must stay sorted by end time"
         );
         let seq = self.history_base + self.history.len();
-        self.by_src[tx.src].push_back(seq);
+        let source = &mut self.by_src[tx.src];
+        debug_assert_eq!((source.is_ap, source.ssid), (tx.src_is_ap, tx.ssid));
+        source.keys.push_back(HistoryKey {
+            seq,
+            start: tx.start,
+            end: tx.end,
+            channel: tx.channel,
+        });
         self.history.push_back(tx.clone());
         self.prune(now);
         tx
@@ -196,20 +256,15 @@ impl Medium {
         self.history.iter().rev().take_while(move |t| t.end > from)
     }
 
-    /// [`Medium::recent_history`] restricted to transmitter `src`, as
-    /// finish sequence numbers, newest first: the same early stop works
-    /// per source because each source's entries are sorted by `end` too.
-    fn recent_seqs_of(&self, src: NodeId, from: SimTime) -> impl Iterator<Item = usize> + '_ {
-        self.by_src
-            .get(src)
-            .into_iter()
-            .flat_map(|seqs| seqs.iter().rev().copied())
-            .take_while(move |&s| self.at_seq(s).end > from)
-    }
-
     /// The history entry with finish sequence number `seq`.
     fn at_seq(&self, seq: usize) -> &Transmission {
         &self.history[seq - self.history_base]
+    }
+
+    /// The index slices of the heard sources (`heard` ascending) that
+    /// ever started a transmission.
+    fn heard_sources<'a>(&'a self, heard: &'a [NodeId]) -> impl Iterator<Item = &'a SourceHistory> {
+        heard.iter().filter_map(|&src| self.by_src.get(src))
     }
 
     /// Every node that ever started a transmission, ascending: the
@@ -241,9 +296,9 @@ impl Medium {
             if front.end < cutoff {
                 let src = front.src;
                 self.history.pop_front();
-                let head = self.by_src[src].pop_front();
+                let head = self.by_src[src].keys.pop_front();
                 debug_assert_eq!(
-                    head,
+                    head.map(|k| k.seq),
                     Some(self.history_base),
                     "per-source index out of sync"
                 );
@@ -257,13 +312,6 @@ impl Medium {
     /// The transmissions currently on the air.
     pub fn active(&self) -> &[Transmission] {
         &self.active
-    }
-
-    /// Whether any transmission is on the air anywhere in `channel`'s
-    /// span, from the per-channel counters: O(span), no scan of the
-    /// active list.
-    pub fn any_active_on(&self, channel: WfChannel) -> bool {
-        channel.spanned().any(|c| self.active_count[c.index()] > 0)
     }
 
     /// Cumulative busy time on `ch` since simulation start, as of `now`.
@@ -318,24 +366,26 @@ impl Medium {
                 && t.overlaps_window(from, to)
                 && !(exclude_ssid.is_some() && t.ssid == exclude_ssid)
         };
+        let clipped = |start: SimTime, end: SimTime| end.min(to).since(start.max(from)).as_nanos();
         let mut busy = 0u64;
-        let mut add = |t: &Transmission| {
-            busy += t.end.min(to).since(t.start.max(from)).as_nanos();
-        };
         // Summation order differs from a forward scan, but the busy
         // accumulator is an integer, so the result is order-independent.
-        for &src in heard {
-            for s in self.recent_seqs_of(src, from) {
-                let t = self.at_seq(s);
-                if counts(t) {
-                    add(t);
+        for source in self.heard_sources(heard) {
+            if source.excluded(exclude_ssid) {
+                continue;
+            }
+            for k in source.recent(from) {
+                if k.channel.contains(ch) && k.start < to {
+                    busy += clipped(k.start, k.end);
                 }
             }
         }
         // Only active transmissions spanning `ch` can contribute; the
         // counter skips the scan entirely when there are none.
         if self.active_count[ch.index()] > 0 {
-            self.active_heard(heard).filter(|t| counts(t)).for_each(add);
+            for t in self.active_heard(heard).filter(|t| counts(t)) {
+                busy += clipped(t.start, t.end);
+            }
         }
         (busy as f64 / to.since(from).as_nanos() as f64).min(1.0)
     }
@@ -387,10 +437,15 @@ impl Medium {
         }
         let mut n = seen.len();
         for &src in heard {
-            if !seen.contains(&src)
-                && self
-                    .recent_seqs_of(src, from)
-                    .any(|s| counts(self.at_seq(s)))
+            let Some(source) = self.by_src.get(src) else {
+                continue;
+            };
+            if source.is_ap
+                && !source.excluded(exclude_ssid)
+                && !seen.contains(&src)
+                && source
+                    .recent(from)
+                    .any(|k| k.channel.contains(ch) && k.start < to)
             {
                 n += 1;
             }
@@ -412,24 +467,31 @@ impl Medium {
     /// order. Consumers like the AP's chirp scan take the *first*
     /// matching burst, so this order is part of the simulation's output.
     pub fn visible_bursts(&self, from: SimTime, to: SimTime) -> Vec<VisibleBurst> {
-        self.visible_bursts_heard(from, to, &self.all_sources())
+        self.visible_bursts_heard(from, to, &self.all_sources(), |_, _, _| true)
     }
 
     /// Like [`Medium::visible_bursts`], restricted to the transmitters in
-    /// `heard` (see [`Medium::airtime_in_window_heard`]). Same output
-    /// order: the heard sources' history entries are merged by finish
-    /// sequence number.
+    /// `heard` (see [`Medium::airtime_in_window_heard`]) and to the
+    /// transmissions `keep(channel, start, end)` accepts. Same output
+    /// order: the heard sources' kept history entries are merged by
+    /// finish sequence number. `keep` runs on the index keys, before the
+    /// merge, so a scanner that wants a few bursts out of a busy window
+    /// neither sorts nor materializes the rest, and dropping entries
+    /// from a sorted merge leaves the kept ones in the same order.
     pub(crate) fn visible_bursts_heard(
         &self,
         from: SimTime,
         to: SimTime,
         heard: &[NodeId],
+        keep: impl Fn(WfChannel, SimTime, SimTime) -> bool,
     ) -> Vec<VisibleBurst> {
         let mut seqs: Vec<usize> = Vec::new();
-        for &src in heard {
+        for source in self.heard_sources(heard) {
             seqs.extend(
-                self.recent_seqs_of(src, from)
-                    .filter(|&s| self.at_seq(s).overlaps_window(from, to)),
+                source
+                    .recent(from)
+                    .filter(|k| k.start < to && keep(k.channel, k.start, k.end))
+                    .map(|k| k.seq),
             );
         }
         seqs.sort_unstable();
@@ -437,7 +499,7 @@ impl Medium {
             seqs.iter().map(|&s| self.at_seq(s).to_visible()).collect();
         out.extend(
             self.active_heard(heard)
-                .filter(|t| t.overlaps_window(from, to))
+                .filter(|t| t.overlaps_window(from, to) && keep(t.channel, t.start, t.end))
                 .map(|t| t.to_visible()),
         );
         out
@@ -529,27 +591,6 @@ mod tests {
         m.finish(b, SimTime::from_micros(150));
         let busy = m.busy_total(UhfChannel::from_index(10), SimTime::from_micros(200));
         assert_eq!(busy.as_micros(), 150);
-    }
-
-    #[test]
-    fn any_active_on_tracks_counters() {
-        let mut m = Medium::new();
-        let tx20 = ch(10, Width::W20); // spans 8..=12
-        assert!(!m.any_active_on(tx20));
-        let id = m.start(
-            0,
-            false,
-            None,
-            tx20,
-            SimTime::ZERO,
-            SimTime::from_millis(1),
-            frame(),
-            1000.0,
-        );
-        assert!(m.any_active_on(ch(12, Width::W5)));
-        assert!(!m.any_active_on(ch(13, Width::W5)));
-        m.finish(id, SimTime::from_millis(1));
-        assert!(!m.any_active_on(tx20));
     }
 
     #[test]
@@ -774,15 +815,16 @@ mod tests {
         let u = UhfChannel::from_index(5);
         let from = SimTime::ZERO;
         let to = SimTime::from_millis(10);
+        let all = |_, _, _| true;
         // Hearing only node 1: 9 of 10 ms busy, one AP, one burst.
         let f = m.airtime_in_window_heard(u, from, to, None, &[1]);
         assert!((f - 0.9).abs() < 1e-9, "f {f}");
         assert_eq!(m.ap_count_in_window_heard(u, from, to, None, &[1]), 1);
-        assert_eq!(m.visible_bursts_heard(from, to, &[1]).len(), 1);
+        assert_eq!(m.visible_bursts_heard(from, to, &[1], all).len(), 1);
         // Hearing nothing: all quiet.
         assert_eq!(m.airtime_in_window_heard(u, from, to, None, &[]), 0.0);
         assert_eq!(m.ap_count_in_window_heard(u, from, to, None, &[]), 0);
-        assert!(m.visible_bursts_heard(from, to, &[]).is_empty());
+        assert!(m.visible_bursts_heard(from, to, &[], all).is_empty());
         // Hearing everything == the unfiltered queries.
         assert_eq!(
             m.airtime_in_window_heard(u, from, to, None, &[0, 1]),
@@ -793,7 +835,7 @@ mod tests {
             m.ap_count_in_window(u, from, to)
         );
         assert_eq!(
-            m.visible_bursts_heard(from, to, &[0, 1]),
+            m.visible_bursts_heard(from, to, &[0, 1], all),
             m.visible_bursts(from, to)
         );
     }
@@ -812,7 +854,10 @@ mod tests {
     /// like a brute-force filter of the full window scan, in the same
     /// order, over seeded random transmission sequences that cross the
     /// history-horizon prune many times and include sources that stop
-    /// transmitting early (their index lists drain to empty).
+    /// transmitting early (their index lists drain to empty). After
+    /// every operation each source's keys mirror its history entries,
+    /// and the burst query under a random `keep` predicate (channel,
+    /// start floor, duration band) equals the filtered brute force.
     #[test]
     fn heard_queries_match_brute_force_filter() {
         use rand::{Rng, SeedableRng};
@@ -854,17 +899,42 @@ mod tests {
                     now = end;
                     m.finish(id, now);
                 }
-                let indexed: usize = m.by_src.iter().map(VecDeque::len).sum();
+                let indexed: usize = m.by_src.iter().map(|s| s.keys.len()).sum();
                 assert!(indexed <= m.history.len(), "index outgrew history");
                 assert_eq!(indexed, m.history.len(), "seed {seed} step {step}");
+                for (src, source) in m.by_src.iter().enumerate() {
+                    let want: Vec<HistoryKey> = m
+                        .history
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, t)| t.src == src)
+                        .map(|(i, t)| HistoryKey {
+                            seq: m.history_base + i,
+                            start: t.start,
+                            end: t.end,
+                            channel: t.channel,
+                        })
+                        .collect();
+                    assert!(
+                        source.keys.iter().eq(want.iter()),
+                        "seed {seed} step {step}: source {src} keys out of sync"
+                    );
+                    if !source.keys.is_empty() {
+                        assert_eq!((source.is_ap, source.ssid), (is_ap[src], ssid[src]));
+                    }
+                }
                 if now == SimTime::ZERO || !rng.gen_bool(0.2) {
                     continue;
                 }
                 queries += 1;
                 let heard: Vec<NodeId> = (0..sources + 2).filter(|_| rng.gen_bool(0.5)).collect();
                 let back = SimDuration::from_micros(rng.gen_range(1..60_000));
-                let from = SimTime::ZERO + now.saturating_since(SimTime::ZERO + back);
-                let to = now;
+                // Half the windows close before `now`, so recent entries
+                // start after them.
+                let lag = rng.gen_bool(0.5).then(|| rng.gen_range(1..5000));
+                let lag = SimDuration::from_micros(lag.unwrap_or(0));
+                let to = SimTime::ZERO + now.saturating_since(SimTime::ZERO + lag);
+                let from = SimTime::ZERO + to.saturating_since(SimTime::ZERO + back);
                 if from == to {
                     continue;
                 }
@@ -876,9 +946,27 @@ mod tests {
 
                 let visible: Vec<VisibleBurst> = brute.iter().map(|t| t.to_visible()).collect();
                 assert_eq!(
-                    m.visible_bursts_heard(from, to, &heard),
+                    m.visible_bursts_heard(from, to, &heard, |_, _, _| true),
                     visible,
                     "seed {seed}"
+                );
+
+                let kc = chans[rng.gen_range(0..chans.len())];
+                let any_channel = rng.gen_bool(0.3);
+                let floor = SimTime::ZERO + to.saturating_since(SimTime::ZERO + back / 2);
+                let min_len = SimDuration::from_micros(rng.gen_range(0..2000));
+                let keep = |c: WfChannel, start: SimTime, end: SimTime| {
+                    (any_channel || c.overlaps(kc)) && start >= floor && end.since(start) >= min_len
+                };
+                let kept: Vec<VisibleBurst> = brute
+                    .iter()
+                    .filter(|t| keep(t.channel, t.start, t.end))
+                    .map(|t| t.to_visible())
+                    .collect();
+                assert_eq!(
+                    m.visible_bursts_heard(from, to, &heard, keep),
+                    kept,
+                    "seed {seed} step {step}: predicate burst query"
                 );
 
                 let keep = |t: &&Transmission| {
@@ -908,7 +996,7 @@ mod tests {
             assert!(queries > 50, "seed {seed}: too few queries");
             assert!(m.history_base > 0, "seed {seed}: never pruned");
             assert!(
-                m.by_src[5..].iter().all(VecDeque::is_empty),
+                m.by_src[5..].iter().all(|s| s.keys.is_empty()),
                 "seed {seed}: quitting sources kept history past the horizon"
             );
         }

@@ -322,6 +322,9 @@ struct Node {
     /// This node's transmissions currently on the air (mirrors the
     /// medium's active list, so half-duplex checks are O(1)).
     active_tx: u32,
+    /// Other nodes' active transmissions that reach this node on an
+    /// overlapping channel: it senses carrier iff nonzero (DESIGN.md §8).
+    sensed: usize,
     /// The node's private deterministic RNG: `ChaCha8Rng` seeded from
     /// the simulator seed on this node's stream. Backoff draws and
     /// behaviour draws ([`Ctx::rng`]) both come from here, so a node's
@@ -491,7 +494,7 @@ impl Core {
     }
 
     /// Moves node `n` between `(F, W)` index lists when it retunes,
-    /// keeping both sorted ascending.
+    /// keeping both sorted ascending, and recounts its carrier sense.
     fn retune(&mut self, n: NodeId, new: WfChannel) {
         let old = self.nodes[n].channel;
         if old != new {
@@ -503,8 +506,9 @@ impl Core {
             if let Err(i) = self.on_channel[s].binary_search(&n) {
                 self.on_channel[s].insert(i, n);
             }
+            self.nodes[n].channel = new;
+            self.nodes[n].sensed = self.count_sensed(n);
         }
-        self.nodes[n].channel = new;
     }
 
     fn in_range(&self, from: NodeId, to: NodeId) -> bool {
@@ -524,24 +528,19 @@ impl Core {
         self.nodes[n].active_tx > 0
     }
 
-    fn senses_carrier(&self, n: NodeId) -> bool {
-        let ch = self.nodes[n].channel;
-        // Counter fast path: in a saturated simulation most plan() calls
-        // happen while the node's span is idle, and the per-channel
-        // active counts answer that without scanning the active list.
-        if !self.medium.any_active_on(ch) {
-            return false;
-        }
-        self.medium
-            .active()
-            .iter()
-            .any(|t| t.src != n && t.overlaps_channel(ch) && self.in_range(t.src, n))
+    /// What `Node::sensed` counts, by a scan of the whole active list
+    /// (on retune and `add_node`, and to check every carrier sense).
+    fn count_sensed(&self, n: NodeId) -> usize {
+        let c = self.nodes[n].channel;
+        let hit = |t: &Transmission| t.src != n && t.overlaps_channel(c) && self.in_range(t.src, n);
+        self.medium.active().iter().filter(|t| hit(t)).count()
     }
 
     /// Whether node `n` may not start a deferral now: it senses a carrier
     /// or is itself on the air.
     fn blocked(&self, n: NodeId) -> bool {
-        self.senses_carrier(n) || self.is_transmitting(n)
+        debug_assert_eq!(self.nodes[n].sensed, self.count_sensed(n));
+        self.nodes[n].sensed > 0 || self.is_transmitting(n)
     }
 
     /// The first Idle node with a queued frame that is not [`blocked`]
@@ -643,17 +642,18 @@ impl Core {
         }
         self.schedule(end, Ev::TxEnd { id });
 
-        // Invalidate deferrals of overlapping in-range nodes: the medium
-        // just went busy for them. Freeze each node's remaining backoff
+        // Overlapping in-range nodes count the carrier, and their
+        // deferrals are invalidated: each freezes its remaining backoff
         // slots (DCF decrements only during idle time). Only nodes that
         // hear `n` can be affected, and each one's update reads and
         // writes its own state alone, so visiting order is immaterial.
         for k in 0..self.hears[n].len() {
             let m = self.hears[n][k];
-            if m != n
-                && self.nodes[m].state == CsmaState::Pending
-                && self.nodes[m].channel.overlaps(channel)
-            {
+            if m == n || !self.nodes[m].channel.overlaps(channel) {
+                continue;
+            }
+            self.nodes[m].sensed += 1;
+            if self.nodes[m].state == CsmaState::Pending {
                 let timing = self.params.contention_timing(self.nodes[m].channel.width());
                 let elapsed = self.now.saturating_since(self.nodes[m].pending_since);
                 let idle_after_difs = elapsed.as_nanos().saturating_sub(timing.difs().as_nanos());
@@ -664,11 +664,6 @@ impl Core {
                 self.timers.remove(m);
             }
         }
-    }
-
-    fn enqueue(&mut self, n: NodeId, frame: Frame) {
-        self.nodes[n].queue.push_back(frame);
-        self.plan(n);
     }
 }
 
@@ -714,7 +709,8 @@ impl Ctx<'_> {
     /// to this node.
     pub fn send(&mut self, mut frame: Frame) {
         frame.src = self.node;
-        self.core.enqueue(self.node, frame);
+        self.core.nodes[self.node].queue.push_back(frame);
+        self.core.plan(self.node);
     }
 
     /// Enqueues a frame at the *front* of the queue (for urgent control
@@ -800,15 +796,19 @@ impl Ctx<'_> {
             .ap_count_in_window_heard(ch, from, core.now, ssid, &core.heard_by[self.node])
     }
 
-    /// Everything the scanning radio saw over the trailing `window`, as
-    /// scanner-visible bursts (input for time-domain SIFT analysis such as
-    /// chirp detection on the backup channel). In-range transmitters
-    /// only, like [`Ctx::airtime`].
-    pub fn visible_bursts(&self, window: SimDuration) -> Vec<whitefi_phy::VisibleBurst> {
+    /// The bursts `keep(channel, start, end)` accepts of all the scanning
+    /// radio saw over the trailing `window`, in-range transmitters only
+    /// (like [`Ctx::airtime`]): input for time-domain SIFT analysis such
+    /// as chirp detection. Rejected bursts are never sorted or built.
+    pub fn visible_bursts(
+        &self,
+        window: SimDuration,
+        keep: impl Fn(WfChannel, SimTime, SimTime) -> bool,
+    ) -> Vec<whitefi_phy::VisibleBurst> {
         let from = SimTime::ZERO + self.core.now.saturating_since(SimTime::ZERO + window);
         let core = &*self.core;
         core.medium
-            .visible_bursts_heard(from, core.now, &core.heard_by[self.node])
+            .visible_bursts_heard(from, core.now, &core.heard_by[self.node], keep)
     }
 
     /// This node's private deterministic RNG stream. Draws here advance
@@ -933,9 +933,11 @@ impl Simulator {
             pending_since: SimTime::ZERO,
             pending_slots: 0,
             active_tx: 0,
+            sensed: 0,
             rng,
         });
         self.core.register_node(id);
+        self.core.nodes[id].sensed = self.core.count_sensed(id);
         self.behaviors.push(Some(behavior));
         let now = self.core.now;
         let extra = match self.core.faults.as_mut() {
@@ -978,6 +980,12 @@ impl Simulator {
     #[cfg(test)]
     fn armed_timer(&self, n: NodeId) -> Option<TimerKind> {
         self.core.timers.get(n).map(|d| d.kind)
+    }
+
+    /// Node `n`'s carrier-sense counter.
+    #[cfg(test)]
+    fn sensed(&self, n: NodeId) -> usize {
+        self.core.nodes[n].sensed
     }
 
     /// Whether `from`'s transmissions reach `to`, answered from the
@@ -1177,6 +1185,14 @@ impl Simulator {
         let tx = self.core.medium.finish(id, now);
         let src = tx.src;
         self.core.nodes[src].active_tx -= 1;
+        // The carrier is gone for every node that counted it. This runs
+        // before anything below can `plan`.
+        let Core { hears, nodes, .. } = &mut self.core;
+        for &m in &hears[src] {
+            if m != src && nodes[m].channel.overlaps(tx.channel) {
+                nodes[m].sensed -= 1;
+            }
+        }
         let fault = self
             .core
             .faults
@@ -1188,23 +1204,29 @@ impl Simulator {
         }
 
         // --- Receiver side ---------------------------------------------
-        // Candidates come from the per-(F, W) channel index (exact width
-        // and centre match, ascending id — the same set and order a full
-        // scan would produce), and the interferer set is collected once
-        // per transmission instead of once per candidate: the medium
+        // Candidates are the nodes in range of `src` and tuned to exactly
+        // `tx.channel` (the width/centre match), ascending by id: the
+        // same set and order a full scan would produce, read off the
+        // ascending `hears[src]`. The interferer set is collected once
+        // per transmission, and only if a candidate exists: the medium
         // cannot change inside this loop.
-        let mut cands = std::mem::take(&mut self.core.delivery_buf);
-        cands.clear();
+        let mut deliveries = std::mem::take(&mut self.core.delivery_buf);
+        deliveries.clear();
         // A faulted drop loses the frame at *every* receiver: delivery
         // is skipped wholesale, and the sender's ACK wait (if any)
         // times out naturally — retries and backoff emerge from the
         // normal CSMA paths.
         if !fault.drop {
-            cands.extend_from_slice(self.core.nodes_on(tx.channel));
+            let core = &self.core;
+            deliveries.extend(
+                core.hears[src]
+                    .iter()
+                    .filter(|&&m| m != src && core.nodes[m].channel == tx.channel),
+            );
         }
         let mut interferer_srcs = std::mem::take(&mut self.core.interferer_buf);
         interferer_srcs.clear();
-        if cands.iter().any(|&m| m != src) {
+        if !deliveries.is_empty() {
             self.core.medium.interferer_sources_into(
                 tx.channel,
                 tx.start,
@@ -1213,27 +1235,19 @@ impl Simulator {
                 &mut interferer_srcs,
             );
         }
-        let mut deliveries: Vec<NodeId> = Vec::new();
-        for &m in &cands {
-            if m == src {
-                continue;
+        // Filter the candidates in place down to the receivers: not
+        // transmitting (half duplex), and not reached by any other
+        // transmission overlapping this one in time whose span
+        // intersects the receiver's channel (interference).
+        deliveries.retain(|&m| {
+            !self.core.is_transmitting(m) && {
+                let hit = interferer_srcs.iter().any(|&s| self.core.in_range(s, m));
+                if hit {
+                    self.core.nodes[m].stats.rx_collisions += 1;
+                }
+                !hit
             }
-            if !self.core.in_range(src, m) {
-                continue;
-            }
-            if self.core.is_transmitting(m) {
-                continue; // half duplex
-            }
-            // Interference: any other transmission overlapping this one in
-            // time whose span intersects the receiver's channel.
-            let interfered = interferer_srcs.iter().any(|&s| self.core.in_range(s, m));
-            if interfered {
-                self.core.nodes[m].stats.rx_collisions += 1;
-                continue;
-            }
-            deliveries.push(m);
-        }
-        self.core.delivery_buf = cands;
+        });
         self.core.interferer_buf = interferer_srcs;
 
         // Beacon ⇒ CTS-to-self one SIFS later, regardless of receivers.
@@ -1248,7 +1262,7 @@ impl Simulator {
                 .schedule(now + timing.sifs(), Ev::ForcedTx { frame: cts });
         }
 
-        for m in deliveries {
+        for &m in &deliveries {
             match (tx.frame.dst, &tx.frame.kind) {
                 (Some(dst), FrameKind::Ack)
                     if dst == m
@@ -1308,6 +1322,7 @@ impl Simulator {
                 _ => { /* overheard unicast for someone else */ }
             }
         }
+        self.core.delivery_buf = deliveries;
 
         // --- Sender side -------------------------------------------------
         if self.core.nodes[src].current_tx == Some(id) {
@@ -1898,6 +1913,13 @@ mod tests {
     /// one sender's neighbourhood skips the other cluster's backlogged
     /// nodes), unicast data answered by ACK `ForcedTx`, and mid-run
     /// retunes.
+    ///
+    /// After every event, every node's carrier-sense counter also equals
+    /// a brute-force count over the medium's active list. Beside the
+    /// clusters sit a node that keeps retuning between W20 and W5 (so it
+    /// retunes while transmissions it hears are on the air) and a pair
+    /// out of each other's range, whose sender out-reaches the cluster
+    /// nodes that cannot reach it back.
     #[test]
     fn idle_backlogged_nodes_stay_blocked_after_every_event() {
         /// Blasts data at `dst`, retuning to `hop` after 30 ms.
@@ -1917,6 +1939,30 @@ mod tests {
             }
             fn on_send_result(&mut self, _f: &Frame, _ok: bool, ctx: &mut Ctx) {
                 ctx.send(Frame::data(ctx.id(), self.dst, 600));
+            }
+        }
+        /// Blasts data at `dst`, flipping between two channels every
+        /// 1.3 ms.
+        struct Flipper {
+            dst: NodeId,
+            chans: [WfChannel; 2],
+        }
+        impl Behavior for Flipper {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                ctx.set_timer(SimDuration::from_micros(1300), 0);
+                ctx.send(Frame::data(ctx.id(), self.dst, 300));
+            }
+            fn on_timer(&mut self, _key: u64, ctx: &mut Ctx) {
+                let next = if ctx.channel() == self.chans[0] {
+                    self.chans[1]
+                } else {
+                    self.chans[0]
+                };
+                ctx.set_channel(next);
+                ctx.set_timer(SimDuration::from_micros(1300), 0);
+            }
+            fn on_send_result(&mut self, _f: &Frame, _ok: bool, ctx: &mut Ctx) {
+                ctx.send(Frame::data(ctx.id(), self.dst, 300));
             }
         }
         let w20 = ch(10, Width::W20);
@@ -1947,11 +1993,62 @@ mod tests {
                 }),
             );
         }
+        let flipper = sim.add_node(
+            node(w20, 15.0),
+            Box::new(Flipper {
+                dst: 0,
+                chans: [w20, w5],
+            }),
+        );
+        // The pair: `far` reaches the cluster nodes at x >= 20 (150 m
+        // range) but not `lost`, and only those three reach `far` back.
+        let lost = sim.add_node(node(w20, 300.0), Box::new(Sink));
+        let mut far_cfg = node(w20, 120.0);
+        far_cfg.range = 150.0;
+        let far = sim.add_node(
+            far_cfg,
+            Box::new(Blaster {
+                dst: lost,
+                bytes: 700,
+                remaining: 1_000_000,
+            }),
+        );
         assert!(!sim.reaches(0, 5) && !sim.reaches(5, 0));
+        assert!(!sim.reaches(far, lost) && !sim.reaches(lost, far));
+        assert!(sim.reaches(far, 0) && !sim.reaches(0, far) && sim.reaches(2, far));
         let end = SimTime::from_millis(400);
         let mut events = 0u64;
+        let mut flipper_channel = sim.node_channel(flipper);
+        let (mut retunes_under_carrier, mut far_sensed) = (0, 0);
         while sim.step(end) {
             events += 1;
+            for n in 0..sim.node_count() {
+                let brute = sim
+                    .medium()
+                    .active()
+                    .iter()
+                    .filter(|t| {
+                        t.src != n
+                            && t.channel.overlaps(sim.node_channel(n))
+                            && sim.reaches_geometric(t.src, n)
+                    })
+                    .count();
+                assert_eq!(
+                    sim.sensed(n),
+                    brute,
+                    "node {n} carrier count after event {events} at {:?}",
+                    sim.now()
+                );
+            }
+            if sim.node_channel(flipper) != flipper_channel {
+                flipper_channel = sim.node_channel(flipper);
+                if sim.sensed(flipper) > 0 {
+                    retunes_under_carrier += 1;
+                }
+            }
+            if sim.sensed(far) > 0 {
+                far_sensed += 1;
+            }
             assert_eq!(
                 sim.core.unblocked_idle_backlog(),
                 None,
@@ -1975,11 +2072,18 @@ mod tests {
             }
         }
         // The floor is on live work, not pops: 400 ms of this topology
-        // makes 616 transmission attempts (data frames and ACKs).
+        // makes 632 transmission attempts (data frames and ACKs).
         let attempts: u64 = (0..sim.node_count())
             .map(|n| sim.stats(n).tx_attempts)
             .sum();
         assert!(attempts > 300, "only {attempts} transmission attempts");
+        assert!(
+            retunes_under_carrier > 10,
+            "only {retunes_under_carrier} retunes while a heard transmission was on the air"
+        );
+        assert!(far_sensed > 0, "the pair's sender never sensed the cluster");
+        assert_eq!(sim.stats(lost).rx_data_frames, 0);
+        assert!(sim.stats(far).tx_failures > 0);
         for base in [0, 5] {
             assert_eq!(sim.node_channel(base + 4), w20, "retune missing");
             assert!(sim.stats(base).rx_data_frames > 0);

@@ -123,6 +123,16 @@ enum Mode {
     },
 }
 
+/// SIFT burst-length matching: whether a burst of this width and
+/// on-air duration is a chirp of some slot (±4 samples).
+fn is_chirp(width: Width, duration: SimDuration) -> bool {
+    let tol = 4.0;
+    width == Width::W5 && {
+        let len = duration_to_samples(duration);
+        (0u8..=15).any(|s| (len - ChirpDetector::expected_samples(s)).abs() <= tol)
+    }
+}
+
 /// The AP behaviour.
 #[derive(Debug)]
 pub struct ApBehavior {
@@ -326,27 +336,22 @@ impl ApBehavior {
     /// admissible map are ignored. This keeps every channel the AP
     /// reads or tunes to inside its spectrum-map footprint — the
     /// property the influence sharding of DESIGN.md §13 relies on.
+    ///
+    /// Every test is a function of a burst's channel and span, so the
+    /// whole filter rides into the scanner query: only the chirps are
+    /// sorted and materialized, in the same relative order.
     fn chirp_channel(&self, ctx: &Ctx) -> Option<WfChannel> {
-        let tol = 4.0;
-        let is_chirp = |vb: &whitefi_phy::VisibleBurst| {
-            vb.burst.width == Width::W5 && {
-                let len = duration_to_samples(vb.burst.duration);
-                (0u8..=15).any(|s| (len - ChirpDetector::expected_samples(s)).abs() <= tol)
-            }
-        };
         let floor = self.chirp_scan_floor;
         let map = ctx.spectrum_map();
-        let bursts: Vec<whitefi_phy::VisibleBurst> = ctx
-            .visible_bursts(self.cfg.backup_scan_interval)
-            .into_iter()
-            .filter(|vb| vb.burst.start >= floor && map.admits(vb.channel))
-            .collect();
+        let chirps = ctx.visible_bursts(self.cfg.backup_scan_interval, |channel, start, end| {
+            start >= floor && map.admits(channel) && is_chirp(channel.width(), end.since(start))
+        });
         if let Some(backup) = self.backup {
-            if bursts.iter().any(|vb| vb.channel == backup && is_chirp(vb)) {
+            if chirps.iter().any(|vb| vb.channel == backup) {
                 return Some(backup);
             }
         }
-        bursts.iter().find(|vb| is_chirp(vb)).map(|vb| vb.channel)
+        chirps.first().map(|vb| vb.channel)
     }
 
     fn reassess(&mut self, ctx: &mut Ctx) {
@@ -819,6 +824,170 @@ mod tests {
     }
 
     const CLIENT: NodeId = 1;
+
+    /// The chirp scan as it was before its filter moved into the scanner
+    /// query: materialize every visible burst, then filter.
+    fn chirp_channel_reference(ap: &ApBehavior, ctx: &Ctx) -> Option<WfChannel> {
+        let floor = ap.chirp_scan_floor;
+        let map = ctx.spectrum_map();
+        let bursts: Vec<whitefi_phy::VisibleBurst> = ctx
+            .visible_bursts(ap.cfg.backup_scan_interval, |_, _, _| true)
+            .into_iter()
+            .filter(|vb| vb.burst.start >= floor && map.admits(vb.channel))
+            .collect();
+        let chirp = |vb: &whitefi_phy::VisibleBurst| is_chirp(vb.burst.width, vb.burst.duration);
+        if let Some(backup) = ap.backup {
+            if bursts.iter().any(|vb| vb.channel == backup && chirp(vb)) {
+                return Some(backup);
+            }
+        }
+        bursts.iter().find(|vb| chirp(vb)).map(|vb| vb.channel)
+    }
+
+    /// Broadcasts a chirp of a random slot or a data frame of a random
+    /// length every 1–15 ms, and falls silent after 2.5 s.
+    struct Noisy;
+
+    impl Behavior for Noisy {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_timer(&mut self, _key: u64, ctx: &mut Ctx) {
+            use rand::Rng;
+            let kind = if ctx.rng().gen_bool(0.5) {
+                FrameKind::Chirp {
+                    map: SpectrumMap::all_free(),
+                    slot: ctx.rng().gen_range(0..=15),
+                    key: 0,
+                }
+            } else {
+                FrameKind::Data {
+                    bytes: ctx.rng().gen_range(20..1500),
+                }
+            };
+            let src = ctx.id();
+            ctx.send(Frame {
+                src,
+                dst: None,
+                kind,
+            });
+            if ctx.now() < SimTime::from_millis(2500) {
+                let gap = ctx.rng().gen_range(1..15);
+                ctx.set_timer(SimDuration::from_millis(gap), 0);
+            }
+        }
+    }
+
+    /// Every 37 ms, draws a scan floor inside the scan window and a
+    /// backup channel (or none), then checks the AP's chirp scan against
+    /// the reference. `tally` counts `[backup found, other channel found,
+    /// nothing found, scans that saw a chirp the map rules out]`.
+    struct ChirpProbe {
+        ap: ApBehavior,
+        backups: Vec<WfChannel>,
+        tally: Rc<RefCell<[usize; 4]>>,
+    }
+
+    impl Behavior for ChirpProbe {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_timer(SimDuration::from_millis(37), 0);
+        }
+        fn on_timer(&mut self, _key: u64, ctx: &mut Ctx) {
+            use rand::Rng;
+            let window = self.ap.cfg.backup_scan_interval;
+            let back = SimDuration::from_nanos(ctx.rng().gen_range(0..window.as_nanos()));
+            self.ap.chirp_scan_floor =
+                SimTime::ZERO + ctx.now().saturating_since(SimTime::ZERO + back);
+            let pick = ctx.rng().gen_range(0..=self.backups.len());
+            self.ap.backup = self.backups.get(pick).copied();
+            let got = self.ap.chirp_channel(ctx);
+            assert_eq!(
+                got,
+                chirp_channel_reference(&self.ap, ctx),
+                "at {:?}, floor {:?}, backup {:?}",
+                ctx.now(),
+                self.ap.chirp_scan_floor,
+                self.ap.backup
+            );
+            let mut tally = self.tally.borrow_mut();
+            match got {
+                Some(c) if Some(c) == self.ap.backup => tally[0] += 1,
+                Some(_) => tally[1] += 1,
+                None => tally[2] += 1,
+            }
+            let map = ctx.spectrum_map();
+            let ruled_out = ctx.visible_bursts(window, |c, start, end| {
+                !map.admits(c) && is_chirp(c.width(), end.since(start))
+            });
+            if !ruled_out.is_empty() {
+                tally[3] += 1;
+            }
+            ctx.set_timer(SimDuration::from_millis(37), 0);
+        }
+    }
+
+    /// The chirp scan with its filter pushed into the scanner query picks
+    /// the same channel as the materialize-then-filter reference, over
+    /// random media: senders on mixed widths broadcasting chirps of every
+    /// slot (chirp-length on 5 MHz only) and data frames of random
+    /// lengths, a scan floor anywhere in the window, random backups, and
+    /// mics that make some senders' channels inadmissible to the AP.
+    #[test]
+    fn chirp_scan_matches_materialize_then_filter() {
+        use rand::{Rng, SeedableRng};
+        use whitefi_spectrum::{IncumbentSet, MicActivity, MicSchedule, WirelessMic};
+        let tally = Rc::new(RefCell::new([0usize; 4]));
+        for case in 0..6u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(case);
+            let mut chans: Vec<WfChannel> = Vec::new();
+            for w in [
+                Width::W5,
+                Width::W5,
+                Width::W5,
+                Width::W5,
+                Width::W10,
+                Width::W20,
+            ] {
+                let c = WfChannel::from_parts(rng.gen_range(4..26), w);
+                if !chans.contains(&c) {
+                    chans.push(c);
+                }
+            }
+            let mut incumbents = IncumbentSet::default();
+            for _ in 0..2 {
+                let struck = chans[rng.gen_range(0..chans.len())].center();
+                incumbents.mics.push(WirelessMic::new(
+                    struck,
+                    MicSchedule::scripted(vec![MicActivity {
+                        start: 0,
+                        end: SimTime::from_secs(100).as_nanos(),
+                    }]),
+                ));
+            }
+            let mut sim = Simulator::new(case);
+            let probe = NodeConfig::on_channel(WfChannel::from_parts(2, Width::W5))
+                .ap()
+                .with_incumbents(incumbents);
+            let backups = chans.iter().copied().filter(|c| c.width() == Width::W5);
+            sim.add_node(
+                probe,
+                Box::new(ChirpProbe {
+                    ap: ApBehavior::new(ApConfig::default()),
+                    backups: backups.collect(),
+                    tally: tally.clone(),
+                }),
+            );
+            for &c in &chans {
+                sim.add_node(NodeConfig::on_channel(c), Box::new(Noisy));
+            }
+            sim.run_until(SimTime::from_secs(4));
+        }
+        let [backup, other, none, ruled_out] = *tally.borrow();
+        assert!(
+            backup > 0 && other > 0 && none > 0 && ruled_out > 0,
+            "backup {backup}, other {other}, none {none}, ruled out {ruled_out}"
+        );
+    }
 
     /// A client's Report reaches the AP's `NodeReport` with a
     /// bit-identical airtime vector, including Reports the fault plan

@@ -350,7 +350,7 @@ impl Behavior for ClientBehavior {
                     Some(ScanStep::Sift(ch)) => {
                         // The scanner dwelled on `ch` for the last
                         // interval: match SIFT signatures in its view.
-                        let bursts = ctx.visible_bursts(self.cfg.discovery_dwell);
+                        let bursts = ctx.visible_bursts(self.cfg.discovery_dwell, |_, _, _| true);
                         let found = sift_match_bursts(&bursts, ch);
                         machine.on_sift_result(found);
                     }
