@@ -9,8 +9,9 @@
 //! ```
 //!
 //! Results are printed as text tables and written atomically as JSON to
-//! `results/<id>.json`. A run summary (per-experiment wall time, trial
-//! counts, job counts) goes to `results/BENCH_experiments.json`.
+//! `results/<id>.json`. Performance is measured by `layerbench/`, not
+//! here: the only wall-clock output is each experiment's
+//! `(… completed in …)` line and the closing `ran … experiments` line.
 //!
 //! Determinism contract: for a fixed `--seed`, the JSON outputs are
 //! byte-identical for every `--jobs` value — each trial derives its RNG
@@ -21,8 +22,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
 use whitefi::{global_oracle_totals, OracleTotals};
-use whitefi_bench::{json, registry, ExperimentReport, RunCtx, Runner};
-use whitefi_mac::{global_event_totals, EventCounters};
+use whitefi_bench::{registry, ExperimentReport, RunCtx, Runner};
 
 /// Default chart axes per experiment for `--plot`.
 fn plot_axes(id: &str) -> Option<(&'static str, Vec<&'static str>)> {
@@ -136,14 +136,9 @@ struct Finished {
     id: &'static str,
     report: ExperimentReport,
     wall_s: f64,
-    trials: u64,
-    jobs: usize,
-    /// Simulator event-class counters accumulated while this experiment
-    /// ran (delta of the process-wide totals). Exact when experiments
-    /// run one at a time; approximate attribution when they overlap.
-    events: EventCounters,
     /// Invariant-oracle totals accumulated while this experiment ran
-    /// (same delta-of-process-wide-totals attribution as `events`).
+    /// (delta of the process-wide totals: exact when experiments run
+    /// one at a time, approximate attribution when they overlap).
     oracles: OracleTotals,
 }
 
@@ -195,7 +190,6 @@ fn main() {
     let finished: Vec<Finished> = Runner::new(outer, opts.seed).map(entries.len(), |k| {
         let (id, _desc, runner) = entries[k];
         let ctx = RunCtx::new(opts.quick, inner, opts.seed);
-        let before = global_event_totals();
         let oracles_before = global_oracle_totals();
         let start = Instant::now();
         let report = runner(&ctx);
@@ -203,9 +197,6 @@ fn main() {
             id,
             report,
             wall_s: start.elapsed().as_secs_f64(),
-            trials: ctx.trials_run(),
-            jobs: ctx.jobs(),
-            events: global_event_totals().delta_since(before),
             oracles: global_oracle_totals().delta_since(oracles_before),
         }
     });
@@ -249,60 +240,6 @@ fn main() {
         failed = true;
     }
 
-    // Run summary for perf tracking (wall time per experiment, trial
-    // counts, effective job counts).
-    let summary = json::to_string_pretty(&json!({
-        "jobs": opts.jobs,
-        "outer_overlap": outer,
-        "inner_jobs_per_experiment": inner,
-        "quick": opts.quick,
-        "seed": opts.seed,
-        "total_wall_s": (total_wall_s * 1e3).round() / 1e3,
-        // Counter deltas are read from process-wide totals; with outer
-        // overlap > 1 concurrent experiments bleed into each other's
-        // windows and attribution is only approximate.
-        "event_attribution": if outer > 1 { "overlapped" } else { "exclusive" },
-        "experiments": finished.iter().map(|f| {
-            let mut entry = json!({
-                "id": f.id,
-                "wall_s": (f.wall_s * 1e3).round() / 1e3,
-                "trials": f.trials,
-                "jobs": f.jobs,
-                "events": {
-                    "scheduled": f.events.scheduled,
-                    "handled": f.events.handled,
-                    "stale_tentative": f.events.stale_tentative,
-                    "stale_ack_timeout": f.events.stale_ack_timeout,
-                    "lazy_elided": f.events.lazy_elided,
-                },
-                "oracle": {
-                    "adaptive_violations": f.oracles.adaptive_violations,
-                    "fixed_violations": f.oracles.fixed_violations,
-                    "explained_liveness": f.oracles.explained_liveness,
-                    "reports": f.oracles.reports,
-                },
-                "events_per_sec": if f.wall_s > 0.0 {
-                    (f.events.handled as f64 / f.wall_s).round()
-                } else {
-                    0.0
-                },
-            });
-            // The city scaling ladder (shards, sync rounds, events/sec,
-            // wall time per shard count) is perf telemetry, so its rows
-            // ride along in the perf summary.
-            if f.id == "city" {
-                if let json::Value::Object(map) = &mut entry {
-                    map.insert("scaling_rows".to_string(), json!(f.report.rows.clone()));
-                }
-            }
-            entry
-        }).collect::<Vec<_>>(),
-    }));
-    // The summary is advisory perf telemetry: a write failure is reported
-    // but does not fail the run.
-    if let Err(e) = write_atomic("results/BENCH_experiments.json", &summary) {
-        eprintln!("warning: could not write results/BENCH_experiments.json: {e}");
-    }
     println!(
         "ran {} experiments in {total_wall_s:.1}s (jobs {}, overlap {outer}x{inner})",
         finished.len(),

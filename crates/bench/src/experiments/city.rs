@@ -2,34 +2,24 @@
 //! parallel event core (DESIGN.md §13).
 //!
 //! The bench city is a grid of WhiteFi cells spaced beyond radio range,
-//! so the influence graph decomposes into one component per cell and the
-//! component planner can balance freely: the regime where component
-//! sharding pays and the one the paper's deployment model (disjoint home
-//! networks, §5.1) corresponds to.
+//! so the influence graph decomposes into one component per cell: the
+//! regime the paper's deployment model (disjoint home networks, §5.1)
+//! corresponds to.
 //!
-//! Each row runs the same city at one shard count with a worker pool
-//! sized to the executed group count, and reports groups, components,
-//! partition quality (largest component fraction, load imbalance against
-//! the requested shard count), barrier rounds, handled events,
-//! events/sec and wall time. Every sharded outcome is asserted
-//! byte-identical to the unsharded reference before the row is emitted,
-//! and every run must stay oracle-clean (the experiments binary
-//! additionally gates on the process-wide adaptive-violation totals).
-//!
-//! Determinism note: outcome columns (`aggregate_mbps`, `sync_rounds`,
-//! `events_handled`, …) are pure functions of the scenario; the timing
-//! columns (`wall_s`, `events_per_sec`, `speedup`) are wall-clock
-//! measurements and vary run to run. `scripts/bench_compare.sh` tracks
-//! the experiment's total wall time across runs via
-//! `results/BENCH_experiments.json`, which also embeds these scaling
-//! rows.
+//! Each row runs one city once on its component plan — one group per
+//! influence component, fanned across the harness pool and merged — and
+//! reports its outcome: size, component structure, aggregate goodput and
+//! the oracle verdict. Every run must stay oracle-clean (the experiments
+//! binary additionally gates on the process-wide adaptive-violation
+//! totals). Every column is a pure function of the scenario, so the
+//! report is byte-identical at any `--jobs`; timing lives in
+//! `layerbench/`.
 
 use crate::json;
 use crate::report::{round4, ExperimentReport};
-use crate::runner::{RunCtx, Runner};
+use crate::runner::RunCtx;
 use whitefi::{
-    largest_component_fraction, load_imbalance, merge_city, run_city_group, shard_plan,
-    CityOutcome, CityRunStats, CityScenario,
+    largest_component_fraction, merge_city, run_city_group, shard_plan, CityOutcome, CityScenario,
 };
 use whitefi_phy::SimDuration;
 
@@ -48,152 +38,71 @@ pub fn bench_city(
     city
 }
 
-/// Runs `city` at the given shard count on a worker pool sized to the
-/// executed group count (a scaling row measures "S shards on S
-/// workers", independent of the harness `--jobs` budget) and returns
-/// the merged outcome, the run stats and the measured wall seconds.
-/// The outcome is a pure function of `(city, shards)`; only the wall
-/// time varies.
-pub fn timed_run(
-    ctx: &RunCtx,
-    city: &CityScenario,
-    shards: usize,
-) -> (CityOutcome, CityRunStats, f64) {
-    let plan = shard_plan(city, shards);
-    let n_groups = plan.groups.len();
-    let pool = Runner::new(shards, 0);
-    let (groups, wall_s) =
-        ctx.time(|| pool.map(n_groups, |g| run_city_group(city, &plan.groups[g])));
-    let (outcome, sync_rounds, events) = merge_city(city, groups);
-    (
-        outcome,
-        CityRunStats {
-            groups: n_groups,
-            components: plan.components,
-            sync_rounds,
-            events,
-            largest_component_fraction: largest_component_fraction(city),
-            load_imbalance: load_imbalance(city, &plan.groups, shards),
-        },
-        wall_s,
-    )
+/// Runs `city` on its component plan (one group per influence
+/// component) across the harness pool and merges. Returns the outcome
+/// and the component count; both are pure functions of `city`.
+fn run_on_components(ctx: &RunCtx, city: &CityScenario) -> (CityOutcome, usize) {
+    let plan = shard_plan(city, city.cells.len());
+    let groups = ctx.map(plan.groups.len(), |g| run_city_group(city, &plan.groups[g]));
+    let (outcome, _, _) = merge_city(city, groups);
+    (outcome, plan.components)
 }
 
-/// Runs one city across a ladder of shard counts (first entry the
-/// unsharded reference), asserting byte-identity and cleanliness per
-/// row, and returns the peak speedup observed.
-fn scale_rows(
-    ctx: &RunCtx,
-    report: &mut ExperimentReport,
-    city: &CityScenario,
-    n_aps: usize,
-    ladder: &[usize],
-) -> f64 {
-    let mut base: Option<(CityOutcome, f64)> = None;
-    let mut peak = 0.0f64;
-    for &shards in ladder {
-        let (outcome, stats, wall_s) = timed_run(ctx, city, shards);
-        assert_eq!(
-            outcome.violations(),
-            0,
-            "{n_aps} APs / {shards} shards: incumbent violations"
-        );
-        assert_eq!(
-            outcome.oracle_violations(),
-            0,
-            "{n_aps} APs / {shards} shards: oracle violations"
-        );
-        if let Some((reference, _)) = &base {
-            assert!(
-                *reference == outcome,
-                "{n_aps} APs: {shards}-shard outcome diverged from the unsharded \
-                 reference — influence sharding unsound"
-            );
-        }
-        let wall_ref = base.as_ref().map_or(wall_s, |&(_, w)| w);
-        let speedup = if wall_s > 0.0 { wall_ref / wall_s } else { 1.0 };
-        peak = peak.max(speedup);
-        // Event totals are bounded well below 2^53, so the cast is exact.
-        #[allow(clippy::cast_precision_loss)]
-        let events_per_sec = if wall_s > 0.0 {
-            (stats.events.handled as f64 / wall_s).round()
-        } else {
-            0.0
-        };
-        report.push_row(&[
-            ("aps", json!(n_aps)),
-            ("nodes", json!(city.total_nodes())),
-            ("shards", json!(shards)),
-            ("groups", json!(stats.groups)),
-            ("components", json!(stats.components)),
-            (
-                "largest_component_fraction",
-                round4(stats.largest_component_fraction),
-            ),
-            ("load_imbalance", round4(stats.load_imbalance)),
-            ("sync_rounds", json!(stats.sync_rounds)),
-            ("events_handled", json!(stats.events.handled)),
-            ("events_per_sec", json!(events_per_sec)),
-            ("wall_s", round4(wall_s)),
-            ("speedup", round4(speedup)),
-            ("aggregate_mbps", round4(outcome.aggregate_mbps)),
-        ]);
-        if base.is_none() {
-            base = Some((outcome, wall_s));
-        }
-    }
-    peak
+/// Runs one city, asserts it clean and reports its outcome row.
+fn city_row(ctx: &RunCtx, report: &mut ExperimentReport, city: &CityScenario) {
+    let n_aps = city.cells.len();
+    let (outcome, components) = run_on_components(ctx, city);
+    assert_eq!(outcome.violations(), 0, "{n_aps} APs: incumbent violations");
+    assert_eq!(
+        outcome.oracle_violations(),
+        0,
+        "{n_aps} APs: oracle violations"
+    );
+    let checked_tx: u64 = outcome.cells.iter().map(|c| c.oracle.checked_tx).sum();
+    report.push_row(&[
+        ("aps", json!(n_aps)),
+        ("nodes", json!(city.total_nodes())),
+        ("components", json!(components)),
+        (
+            "largest_component_fraction",
+            round4(largest_component_fraction(city)),
+        ),
+        ("aggregate_mbps", round4(outcome.aggregate_mbps)),
+        ("violations", json!(outcome.violations())),
+        ("oracle_violations", json!(outcome.oracle_violations())),
+        ("checked_tx", json!(checked_tx)),
+    ]);
 }
 
-/// Runs the city scaling ladder.
+/// Runs the bench cities: 16 APs in quick mode; 64 and 1000 APs in full
+/// mode.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "city",
-        "City-scale sharded simulation: wall time vs shard count",
+        "City-scale simulation on the component plan: outcome per city",
         &[
             "aps",
             "nodes",
-            "shards",
-            "groups",
             "components",
             "largest_component_fraction",
-            "load_imbalance",
-            "sync_rounds",
-            "events_handled",
-            "events_per_sec",
-            "wall_s",
-            "speedup",
             "aggregate_mbps",
+            "violations",
+            "oracle_violations",
+            "checked_tx",
         ],
     );
-    let (n_aps, clients, ladder, duration): (usize, usize, &[usize], SimDuration) = if ctx.quick() {
-        (16, 1, &[1, 4], SimDuration::from_millis(500))
+    if ctx.quick() {
+        let city = bench_city(ctx.seed(9_100), 16, 1, SimDuration::from_millis(500));
+        city_row(ctx, &mut report, &city);
     } else {
-        (64, 2, &[1, 2, 4, 8], SimDuration::from_millis(1_500))
-    };
-    let city = bench_city(ctx.seed(9_100), n_aps, clients, duration);
-    let peak = scale_rows(ctx, &mut report, &city, n_aps, ladder);
-    report.note(format!(
-        "{n_aps} APs: sharded outcomes byte-identical to the unsharded \
-         reference; peak speedup {peak:.2}x (wall-clock, machine-dependent)"
-    ));
-    if !ctx.quick() {
-        // The headline city scale: ~1000 APs, 2000 nodes, a short
-        // measurement window. Runs under the full per-cell oracle banks;
-        // the assertions in `scale_rows` (and the process-wide
-        // adaptive-violation gate in the experiments binary) require it
-        // to finish clean.
-        let n_aps = 1_000;
-        let big = bench_city(ctx.seed(9_200), n_aps, 1, SimDuration::from_millis(400));
-        let peak = scale_rows(ctx, &mut report, &big, n_aps, &[1, 8]);
-        report.note(format!(
-            "{n_aps} APs: completed oracle-clean; 8-shard speedup {peak:.2}x"
-        ));
+        let city = bench_city(ctx.seed(9_100), 64, 2, SimDuration::from_millis(1_500));
+        city_row(ctx, &mut report, &city);
+        // The headline city scale: 1000 APs, 2000 nodes, a short
+        // measurement window under the full per-cell oracle banks.
+        let big = bench_city(ctx.seed(9_200), 1_000, 1, SimDuration::from_millis(400));
+        city_row(ctx, &mut report, &big);
     }
-    report.note(
-        "timing columns (wall_s, events_per_sec, speedup) are wall-clock measurements; \
-         all other columns are deterministic functions of the scenario",
-    );
+    report.note("every city completed oracle-clean with zero incumbent violations");
     report
 }
 
@@ -203,36 +112,29 @@ mod tests {
 
     #[test]
     fn bench_city_decomposes_per_cell_and_shards_exactly() {
-        let ctx = RunCtx::sequential(true);
         let city = bench_city(5, 6, 1, SimDuration::from_millis(300));
-        let (reference, stats1, _) = timed_run(&ctx, &city, 1);
-        assert_eq!(stats1.groups, 1);
-        assert_eq!(stats1.components, 6, "bench grid cells must decouple");
-        let (out, stats, _) = timed_run(&ctx, &city, 3);
-        assert_eq!(stats.groups, 3);
-        assert_eq!(reference, out, "pooled run diverged from sequential");
-        assert_eq!(out.violations(), 0);
-        assert_eq!(out.oracle_violations(), 0);
+        let (reference, stats) = whitefi::run_city(&city, 1);
+        assert_eq!(stats.groups, 1);
+        assert_eq!(stats.components, 6, "bench grid cells must decouple");
+        for jobs in [1, 3] {
+            let (out, components) = run_on_components(&RunCtx::new(true, jobs, 0), &city);
+            assert_eq!(components, 6);
+            assert_eq!(reference, out, "pooled run diverged at {jobs} jobs");
+        }
+        assert_eq!(reference.violations(), 0);
+        assert_eq!(reference.oracle_violations(), 0);
     }
 
     #[test]
     fn quick_report_has_expected_shape() {
         let report = run(&RunCtx::sequential(true));
-        assert_eq!(report.rows.len(), 2);
+        assert_eq!(report.rows.len(), 1);
         assert!(report.validate().is_ok());
-        // One component per cell, so the components partition freely.
-        for row in &report.rows {
-            assert_eq!(row["aps"].as_f64(), Some(16.0));
-            assert_eq!(row["components"].as_f64(), Some(16.0));
-        }
-        assert_eq!(report.rows[0]["groups"].as_f64(), Some(1.0));
-        assert_eq!(report.rows[1]["groups"].as_f64(), Some(4.0));
-        // Identical outcomes across shardings, by construction.
-        // (Scheduling counters like sync_rounds legitimately differ per
-        // sharding.)
-        assert_eq!(
-            report.rows[0]["aggregate_mbps"],
-            report.rows[1]["aggregate_mbps"]
-        );
+        // One component per cell.
+        let row = &report.rows[0];
+        assert_eq!(row["aps"].as_f64(), Some(16.0));
+        assert_eq!(row["components"].as_f64(), Some(16.0));
+        assert_eq!(row["oracle_violations"].as_f64(), Some(0.0));
+        assert!(row["checked_tx"].as_f64().is_some_and(|n| n > 0.0));
     }
 }

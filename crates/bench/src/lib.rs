@@ -106,7 +106,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         (
             "city",
-            "Scale: influence-sharded city simulation, wall time vs shard count",
+            "Scale: influence-sharded city simulation, outcome per city",
             city::run,
         ),
         (

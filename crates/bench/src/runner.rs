@@ -17,7 +17,7 @@
 //! stable; any other value mixes it into each derived seed via
 //! splitmix64.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The splitmix64 finalizer — a cheap, well-dispersed u64 mixer.
 fn splitmix64(x: u64) -> u64 {
@@ -32,7 +32,6 @@ fn splitmix64(x: u64) -> u64 {
 pub struct Runner {
     jobs: usize,
     user_seed: u64,
-    trials: AtomicU64,
 }
 
 impl Runner {
@@ -43,18 +42,7 @@ impl Runner {
         Self {
             jobs: jobs.max(1),
             user_seed,
-            trials: AtomicU64::new(0),
         }
-    }
-
-    /// The configured concurrency.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Total trials dispatched through [`Runner::map`] so far.
-    pub fn trials_run(&self) -> u64 {
-        self.trials.load(Ordering::Relaxed)
     }
 
     /// Derives the effective seed for a trial from its base seed. The
@@ -77,7 +65,6 @@ impl Runner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.trials.fetch_add(n as u64, Ordering::Relaxed);
         let workers = self.jobs.min(n);
         if workers <= 1 {
             return (0..n).map(f).collect();
@@ -136,16 +123,6 @@ impl RunCtx {
         self.quick
     }
 
-    /// The configured concurrency.
-    pub fn jobs(&self) -> usize {
-        self.runner.jobs()
-    }
-
-    /// Total trials dispatched so far.
-    pub fn trials_run(&self) -> u64 {
-        self.runner.trials_run()
-    }
-
     /// See [`Runner::seed`].
     pub fn seed(&self, base: u64) -> u64 {
         self.runner.seed(base)
@@ -158,21 +135,6 @@ impl RunCtx {
         F: Fn(usize) -> T + Sync,
     {
         self.runner.map(n, f)
-    }
-
-    /// Runs `f` and returns its result together with the elapsed wall
-    /// time in seconds. The only sanctioned wall-clock access for
-    /// experiment code: keeping the `Instant` here (inside the
-    /// allowlisted runner) lets the determinism linter forbid clock
-    /// reads everywhere simulation state lives.
-    // lint:allow(taint, sanctioned experiment timing: wall seconds ride beside results and never feed sim state)
-    pub fn time<T, F>(&self, f: F) -> (T, f64)
-    where
-        F: FnOnce() -> T,
-    {
-        let start = std::time::Instant::now();
-        let out = f();
-        (out, start.elapsed().as_secs_f64())
     }
 }
 
@@ -202,14 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn trials_are_counted() {
-        let r = Runner::new(4, 0);
-        r.map(25, |i| i);
-        r.map(5, |i| i);
-        assert_eq!(r.trials_run(), 30);
-    }
-
-    #[test]
     fn seed_zero_is_identity_nonzero_perturbs() {
         let plain = Runner::new(1, 0);
         assert_eq!(plain.seed(1234), 1234);
@@ -230,7 +184,6 @@ mod tests {
         for jobs in [1, 2, 4, 7] {
             let r = Runner::new(jobs, 0);
             for n in [0, 1, 3, 1000] {
-                let before = r.trials_run();
                 let out = r.map(n, |i| {
                     let spins = if i % 17 == 0 { 20_000 } else { i % 5 * 100 };
                     let work = (0..spins as u64).fold(i as u64, |a, k| a.wrapping_mul(31) ^ k);
@@ -238,7 +191,6 @@ mod tests {
                 });
                 let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
                 assert_eq!(order, (0..n).collect::<Vec<_>>(), "jobs {jobs}, n {n}");
-                assert_eq!(r.trials_run() - before, n as u64, "jobs {jobs}, n {n}");
             }
         }
     }

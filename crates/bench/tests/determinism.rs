@@ -13,11 +13,12 @@ fn entry(id: &str) -> fn(&RunCtx) -> whitefi_bench::ExperimentReport {
         .2
 }
 
-/// Two experiments with nontrivial fan-out, run quick: parallel output
-/// is byte-identical to sequential.
+/// Experiments with nontrivial fan-out, run quick: parallel output is
+/// byte-identical to sequential. `city` fans its component groups
+/// across the pool.
 #[test]
 fn parallel_matches_sequential_byte_for_byte() {
-    for id in ["scan_analysis", "hamming"] {
+    for id in ["scan_analysis", "hamming", "city"] {
         let run = entry(id);
         let sequential = run(&RunCtx::new(true, 1, 0)).to_json();
         let parallel = run(&RunCtx::new(true, 4, 0)).to_json();

@@ -28,7 +28,7 @@
 //!   CTS-to-self one SIFS later (the SIFT discovery signature, §4.2.1).
 //!   Both are sent without carrier sensing, as in 802.11.
 
-use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats};
+use crate::faults::{FaultEvent, FaultPlan, FaultState};
 use crate::frames::{Frame, FrameKind, NodeId};
 use crate::medium::{Medium, Transmission};
 use crate::stats::NodeStats;
@@ -878,15 +878,6 @@ impl Simulator {
         self.core.faults.as_ref().map(|fs| fs.plan())
     }
 
-    /// Counters of faults fired so far (default if no plan installed).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.core
-            .faults
-            .as_ref()
-            .map(|fs| fs.stats())
-            .unwrap_or_default()
-    }
-
     /// Every fault fired so far, in firing order.
     pub fn fault_events(&self) -> &[FaultEvent] {
         self.core.faults.as_ref().map_or(&[], |fs| fs.events())
@@ -899,11 +890,6 @@ impl Simulator {
             .faults
             .as_ref()
             .map_or(SimDuration::ZERO, |fs| fs.detection_extra(n))
-    }
-
-    /// Overrides DCF parameters.
-    pub fn set_mac_params(&mut self, params: MacParams) {
-        self.core.params = params;
     }
 
     /// Adds a node; its behaviour's `on_start` runs when the simulation

@@ -178,11 +178,6 @@ impl ApBehavior {
         }
     }
 
-    /// The clients currently associated (learned from reports).
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     fn own_report(&self, ctx: &Ctx) -> NodeReport {
         NodeReport {
             map: ctx.spectrum_map(),

@@ -38,15 +38,15 @@
 //!    completion order of the shard groups (sequential or parallel)
 //!    reduces to the same outcome.
 //!
-//! The conservative lookahead barrier: a real distributed core would
-//! block each shard at `t + L` where `L` is the minimum cross-shard
-//! propagation latency. Components are *fully* decoupled here, so the
-//! true `L` is unbounded; we clamp the window to
-//! [`CityScenario::sync_window`] to keep the barrier (and its read-only
-//! footprint-closure check) exercised on every run, and count the
-//! rounds in [`GroupOutcome::sync_rounds`]. Chunked `run_until` calls
-//! are equivalent to one long call — the event loop is time-ordered —
-//! so the barrier cannot perturb the simulation.
+//! The barrier: a real distributed core would block each shard at
+//! `t + L` where `L` is the minimum cross-shard propagation latency.
+//! Components are *fully* decoupled here, so the true `L` is unbounded
+//! and the only rounds are the ones the run needs anyway: the end of
+//! warmup and each sampling tick. The read-only footprint-closure check
+//! runs at every round, and [`GroupOutcome::sync_rounds`] counts them.
+//! Splitting `run_until` calls is equivalent to one long call — the
+//! event loop is time-ordered — so the rounds cannot perturb the
+//! simulation.
 
 use crate::ap::{ApBehavior, ApConfig};
 use crate::client::{ClientBehavior, ClientConfig};
@@ -174,9 +174,6 @@ pub struct CityScenario {
     pub warmup: SimDuration,
     /// Timeline sampling period.
     pub sample_interval: SimDuration,
-    /// Lookahead-barrier window: each shard advances in chunks of this
-    /// length, checking footprint closure at every boundary.
-    pub sync_window: SimDuration,
     /// AP protocol configuration template.
     pub ap_config: ApConfig,
     /// Deterministic fault plan, installed identically in every shard
@@ -235,7 +232,6 @@ impl CityScenario {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::from_secs(1),
             sample_interval: SimDuration::from_millis(100),
-            sync_window: SimDuration::from_millis(200),
             ap_config: ApConfig::default(),
             faults: None,
         }
@@ -393,7 +389,8 @@ pub struct GroupOutcome {
     pub cells: Vec<(usize, ScenarioOutcome)>,
     /// Fault events with node ids remapped to global city ids.
     pub fault_events: Vec<FaultEvent>,
-    /// Lookahead-barrier rounds executed.
+    /// Barrier rounds executed: the end of warmup plus one per
+    /// sampling tick.
     pub sync_rounds: u64,
     /// Event-loop counters of the group's simulator.
     pub events: EventCounters,
@@ -547,49 +544,30 @@ fn build_group(city: &CityScenario, cells: &[usize]) -> (Simulator, Vec<BuiltCel
     (sim, built, local_to_global)
 }
 
-/// One lookahead-barrier round of the city's global schedule: advance
-/// to `to`, then (for the round closing a tick) reset stats after
-/// warmup or take the timeline sample.
+/// One barrier round of the city's global schedule: advance to `to`,
+/// then reset stats (the round ending warmup) or take the timeline
+/// sample (every other round).
 #[derive(Debug, Clone, Copy)]
 struct CityRound {
     /// Absolute target time of this round (offset from `SimTime::ZERO`).
     to: SimDuration,
     /// Reset statistics after advancing (the round that ends warmup).
     reset: bool,
-    /// Take a timeline sample after advancing.
-    sample: bool,
 }
 
 /// The global barrier schedule every shard group follows in lockstep:
-/// warmup and each sampling tick, chopped into `sync_window` chunks.
-/// One entry per barrier round, so `sync_rounds` counts exactly once
-/// per chunk. A pure function of the scenario's durations, hence
-/// identical across groups and shardings; the chunking reproduces the
-/// historical `advance()` loop byte for byte (a time-ordered event loop
-/// cannot observe where `run_until` calls are split).
+/// one round at the end of warmup (none for a zero warmup), then one
+/// per sampling tick, the last clamped to the end of the run. A pure
+/// function of the scenario's durations, hence identical across groups
+/// and shardings.
 fn city_rounds(city: &CityScenario) -> Vec<CityRound> {
-    assert!(
-        city.sync_window > SimDuration::ZERO,
-        "sync_window must be positive"
-    );
     let mut rounds = Vec::new();
-    let mut prev = SimDuration::ZERO;
-    let mut tick = |prev: &mut SimDuration, to: SimDuration, reset: bool, sample: bool| {
-        while *prev < to {
-            let mut next = *prev + city.sync_window;
-            if next > to {
-                next = to;
-            }
-            let last = next >= to;
-            rounds.push(CityRound {
-                to: next,
-                reset: reset && last,
-                sample: sample && last,
-            });
-            *prev = next;
-        }
-    };
-    tick(&mut prev, city.warmup, true, false);
+    if city.warmup > SimDuration::ZERO {
+        rounds.push(CityRound {
+            to: city.warmup,
+            reset: true,
+        });
+    }
     let end = city.warmup + city.duration;
     let mut t = city.warmup;
     while t < end {
@@ -597,7 +575,10 @@ fn city_rounds(city: &CityScenario) -> Vec<CityRound> {
         if t > end {
             t = end;
         }
-        tick(&mut prev, t, false, true);
+        rounds.push(CityRound {
+            to: t,
+            reset: false,
+        });
     }
     rounds
 }
@@ -630,8 +611,7 @@ pub fn run_city_group(city: &CityScenario, cells: &[usize]) -> GroupOutcome {
         }
         if round.reset {
             sim.reset_stats();
-        }
-        if round.sample {
+        } else {
             for (k, bc) in built.iter().enumerate() {
                 let total: u64 = bc
                     .clients_local
@@ -886,31 +866,28 @@ mod tests {
         assert!((largest_component_fraction(&city) - 1.0).abs() < 1e-12);
     }
 
-    /// The round schedule reproduces the historical `advance()`
-    /// chunking exactly: windows clamped per tick, reset closing the
-    /// warmup tick, one sample closing each sampling tick.
+    /// One round ends warmup (and resets stats); one per sampling tick
+    /// follows, the last clamped to the end of the run.
     #[test]
-    fn city_rounds_match_the_historical_chunking() {
+    fn city_rounds_follow_the_tick_schedule() {
         let mut city = quick_city(3, 2, 150.0, 60.0);
         city.warmup = SimDuration::from_millis(500);
         city.duration = SimDuration::from_millis(450);
         city.sample_interval = SimDuration::from_millis(200);
-        city.sync_window = SimDuration::from_millis(200);
-        let rounds = city_rounds(&city);
-        let targets: Vec<(u64, bool, bool)> = rounds
-            .iter()
-            .map(|r| (r.to.as_nanos() / 1_000_000, r.reset, r.sample))
-            .collect();
+        let targets = |city: &CityScenario| -> Vec<(u64, bool)> {
+            city_rounds(city)
+                .iter()
+                .map(|r| (r.to.as_nanos() / 1_000_000, r.reset))
+                .collect()
+        };
         assert_eq!(
-            targets,
-            vec![
-                (200, false, false),
-                (400, false, false),
-                (500, true, false),
-                (700, false, true),
-                (900, false, true),
-                (950, false, true),
-            ]
+            targets(&city),
+            vec![(500, true), (700, false), (900, false), (950, false)]
+        );
+        city.warmup = SimDuration::ZERO;
+        assert_eq!(
+            targets(&city),
+            vec![(200, false), (400, false), (450, false)]
         );
     }
 

@@ -179,16 +179,6 @@ pub struct ScenarioOutcome {
     pub oracle: OracleReport,
 }
 
-impl ScenarioOutcome {
-    /// Mean per-client goodput.
-    pub fn mean_client_mbps(&self) -> f64 {
-        if self.per_client_mbps.is_empty() {
-            return 0.0;
-        }
-        self.per_client_mbps.iter().sum::<f64>() / self.per_client_mbps.len() as f64
-    }
-}
-
 struct BuiltNetwork {
     sim: Simulator,
     ap: NodeId,

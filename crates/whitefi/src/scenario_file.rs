@@ -1090,8 +1090,6 @@ pub struct CityDoc {
     pub duration: SimDuration,
     /// Timeline sample interval.
     pub sample_interval: SimDuration,
-    /// Cross-shard sync window.
-    pub sync_window: SimDuration,
     /// Downlink payload bytes per frame.
     pub downlink_bytes: usize,
     /// Uplink payload bytes (`None` disables uplink).
@@ -1303,7 +1301,6 @@ impl CityDoc {
         city.warmup = self.warmup;
         city.duration = self.duration;
         city.sample_interval = self.sample_interval;
-        city.sync_window = self.sync_window;
         city.downlink_bytes = self.downlink_bytes;
         city.uplink_bytes = self.uplink_bytes;
         for o in &self.overrides {
@@ -1984,10 +1981,6 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         Some(v) => pos_dur_of(v, "sample_interval_s")?,
         None => SimDuration::from_millis(100),
     };
-    let sync_window = match f.get("sync_window_s") {
-        Some(v) => pos_dur_of(v, "sync_window_s")?,
-        None => SimDuration::from_millis(200),
-    };
     let downlink_bytes = match f.get("downlink_bytes") {
         Some(v) => {
             let b = usize_of(v)?;
@@ -2063,7 +2056,6 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         "warmup_s",
         "duration_s",
         "sample_interval_s",
-        "sync_window_s",
         "downlink_bytes",
         "uplink_bytes",
         "overrides",
@@ -2076,7 +2068,6 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         warmup,
         duration,
         sample_interval,
-        sync_window,
         downlink_bytes,
         uplink_bytes,
         overrides,
@@ -2368,7 +2359,6 @@ fn write_city(out: &mut String, d: &CityDoc) {
         "    sample_interval_s: {},",
         fmt_dur(d.sample_interval)
     );
-    let _ = writeln!(out, "    sync_window_s: {},", fmt_dur(d.sync_window));
     let _ = writeln!(out, "    downlink_bytes: {},", d.downlink_bytes);
     let uplink = match d.uplink_bytes {
         Some(b) => format!("Some({b})"),

@@ -257,7 +257,6 @@ pub fn generate_city(seed: u64) -> CityDoc {
     let warmup = ms_dur(100 * timing.gen_range(1..=3u64));
     let duration = ms_dur(100 * timing.gen_range(2..=5u64));
     let sample_interval = ms_dur(50 * timing.gen_range(1..=2u64));
-    let sync_window = ms_dur(50 * timing.gen_range(1..=2u64));
 
     // The base city decides which channels a cell strike may use.
     let base = match grid {
@@ -306,7 +305,6 @@ pub fn generate_city(seed: u64) -> CityDoc {
         warmup,
         duration,
         sample_interval,
-        sync_window,
         downlink_bytes: 1000,
         uplink_bytes: Some(500),
         overrides,

@@ -19,7 +19,6 @@ fn quick(mut city: CityScenario) -> CityScenario {
     city.warmup = SimDuration::from_millis(300);
     city.duration = SimDuration::from_millis(700);
     city.sample_interval = SimDuration::from_millis(175);
-    city.sync_window = SimDuration::from_millis(150);
     city
 }
 

@@ -107,7 +107,6 @@ fn city_smoke_compiles_to_the_hand_coded_city() {
     want.warmup = whitefi_phy::SimDuration::from_millis(200);
     want.duration = whitefi_phy::SimDuration::from_millis(400);
     want.sample_interval = whitefi_phy::SimDuration::from_millis(100);
-    want.sync_window = whitefi_phy::SimDuration::from_millis(100);
     want.faults = Some(whitefi_mac::FaultPlan {
         seed: 17,
         drop_prob: 0.05,

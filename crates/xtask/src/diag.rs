@@ -77,7 +77,7 @@ impl RuleId {
             }
             RuleId::R2Nondet => {
                 "sim paths must be scheduling- and wall-clock-independent; draw from the \
-                 scenario-seeded RNG or move timing into the bench runner allowlist"
+                 scenario-seeded RNG, and leave timing to layerbench/"
             }
             RuleId::R3Rng => {
                 "construct RNGs with ChaCha8Rng::seed_from_u64(seed) + set_stream(node id) \

@@ -13,8 +13,9 @@
 //!    name-resolved call graph ([`crate::graph`]) to a fixed point. A
 //!    function whose definition line carries a valid
 //!    `lint:allow(taint, …)` waiver is a **barrier**: it is sanctioned
-//!    to touch ambient state and its callers stay clean (the bench
-//!    runner's `RunCtx::time` is the canonical barrier).
+//!    to touch ambient state and its callers stay clean (the
+//!    `experiments` binary's `main`, which times each experiment, is
+//!    the canonical barrier).
 //! 3. **Flag**: a fn in sim-deterministic library code (outside
 //!    `#[cfg(test)]`) is reported when it is *transitively* tainted
 //!    through a call, or when it is *directly* tainted inside a file

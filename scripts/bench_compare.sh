@@ -1,62 +1,36 @@
 #!/usr/bin/env bash
-# Compares two benchmark result files and flags regressions. The input
-# kind is detected from the contents:
-#
-# * Layerbench result lines — any line that is a JSON object with a
-#   "metrics" key. Each side is one file of such lines (one per run):
+# Compares two files of layerbench result lines and flags regressions.
+# A result line is any line that is a JSON object with a "metrics" key;
+# each side is one file of such lines (one per run):
 #
 #     for w in paper_sweep city sift_capture; do for s in 1 2 3; do
 #         cargo run --release --offline --quiet --manifest-path layerbench/Cargo.toml -- \
 #             --workload $w --seed $s --seconds 30 --trace 0 | grep -E '^(workload=|\{)'
 #     done; done > parent.jsonl
 #
-#   A result line belongs to the workload named by the closest
-#   `workload=<name>` line above it (a file of bare JSON lines is one
-#   unnamed workload). Per workload and metric it prints the parent
-#   median, the change median and change/parent; direction and bound
-#   come from BENCHMARK.json. Exits 1 if an end-to-end metric worsens by
-#   more than its bound (relative to the parent median).
+#     scripts/bench_compare.sh parent.jsonl change.jsonl
 #
-# * An experiment-runner summary (results/BENCH_experiments.json):
-#
-#     scripts/bench_compare.sh BASELINE.json CANDIDATE.json \
-#         [--threshold PCT] [--min-seconds S]
-#
-#   Exits 1 if any experiment present in both runs regressed by more
-#   than the threshold (default 20%). Experiments present in only one
-#   run are reported but do not fail the comparison, and neither do
-#   experiments where both runs finished under the minimum-seconds floor
-#   (default 1.0 s — sub-second quick-mode cells are dominated by
-#   scheduler noise, so a percentage gate on them would flap).
+# A result line belongs to the workload named by the closest
+# `workload=<name>` line above it (a file of bare JSON lines is one
+# unnamed workload). Per workload and metric it prints the parent
+# median, the change median and change/parent; direction and bound come
+# from BENCHMARK.json. Exits 1 if an end-to-end metric worsens by more
+# than its bound (relative to the parent median), and 2 if either file
+# holds no result lines.
 set -euo pipefail
 
-if [ "$#" -lt 2 ]; then
-    echo "usage: $0 BASELINE CANDIDATE [--threshold PCT] [--min-seconds S]" >&2
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 PARENT CHANGE" >&2
     exit 2
 fi
-
-BASE="$1"
-CAND="$2"
-shift 2
-THRESHOLD=20
-MIN_SECONDS=1.0
-while [ "$#" -gt 0 ]; do
-    case "$1" in
-        --threshold) THRESHOLD="${2:?--threshold requires a value}"; shift 2 ;;
-        --min-seconds) MIN_SECONDS="${2:?--min-seconds requires a value}"; shift 2 ;;
-        *) echo "unknown option: $1" >&2; exit 2 ;;
-    esac
-done
 SPEC="$(dirname "$0")/../BENCHMARK.json"
 
-python3 - "$BASE" "$CAND" "$THRESHOLD" "$MIN_SECONDS" "$SPEC" <<'PY'
+python3 - "$1" "$2" "$SPEC" <<'PY'
 import json
 import statistics
 import sys
 
-base_path, cand_path, threshold = sys.argv[1], sys.argv[2], float(sys.argv[3])
-min_seconds = float(sys.argv[4])
-spec_path = sys.argv[5]
+base_path, cand_path, spec_path = sys.argv[1], sys.argv[2], sys.argv[3]
 
 
 def result_lines(path):
@@ -119,60 +93,9 @@ def compare_layerbench(base, cand):
 
 
 base_runs, cand_runs = result_lines(base_path), result_lines(cand_path)
-if base_runs or cand_runs:
-    compare_layerbench(base_runs, cand_runs)
-    sys.exit(0)
-
-
-def load(path):
-    with open(path) as f:
-        data = json.load(f)
-    return {e["id"]: e for e in data.get("experiments", [])}, data
-
-base, base_doc = load(base_path)
-cand, cand_doc = load(cand_path)
-
-if base_doc.get("quick") != cand_doc.get("quick"):
-    print(
-        f"warning: comparing a quick={base_doc.get('quick')} run against "
-        f"quick={cand_doc.get('quick')} — wall times are not comparable",
-        file=sys.stderr,
-    )
-
-print(f"{'experiment':14} {'base_s':>10} {'cand_s':>10} {'delta':>8}")
-regressions = []
-for exp_id in base:
-    if exp_id not in cand:
-        print(f"{exp_id:14} {base[exp_id]['wall_s']:>10.3f} {'absent':>10} {'--':>8}")
-        continue
-    b = base[exp_id]["wall_s"]
-    c = cand[exp_id]["wall_s"]
-    delta = (c - b) / b * 100.0 if b > 0 else 0.0
-    flag = ""
-    if delta > threshold:
-        if b < min_seconds and c < min_seconds:
-            flag = "  (below floor, ignored)"
-        else:
-            flag = "  <-- REGRESSION"
-            regressions.append((exp_id, b, c, delta))
-    print(f"{exp_id:14} {b:>10.3f} {c:>10.3f} {delta:>+7.1f}%{flag}")
-for exp_id in cand:
-    if exp_id not in base:
-        print(f"{exp_id:14} {'absent':>10} {cand[exp_id]['wall_s']:>10.3f} {'--':>8}")
-
-bt = base_doc.get("total_wall_s")
-ct = cand_doc.get("total_wall_s")
-if bt and ct:
-    print(f"{'total':14} {bt:>10.3f} {ct:>10.3f} {((ct - bt) / bt * 100.0):>+7.1f}%")
-
-if regressions:
-    print(
-        f"\n{len(regressions)} experiment(s) regressed by more than "
-        f"{threshold:.0f}%:",
-        file=sys.stderr,
-    )
-    for exp_id, b, c, delta in regressions:
-        print(f"  {exp_id}: {b:.3f}s -> {c:.3f}s ({delta:+.1f}%)", file=sys.stderr)
-    sys.exit(1)
-print("\nno wall-time regressions above threshold")
+for path, runs in ((base_path, base_runs), (cand_path, cand_runs)):
+    if not runs:
+        print(f"{path}: no layerbench result lines", file=sys.stderr)
+        sys.exit(2)
+compare_layerbench(base_runs, cand_runs)
 PY

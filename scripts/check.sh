@@ -54,10 +54,9 @@ cargo test --offline --release --manifest-path layerbench/Cargo.toml -q
 # Offline outcome-identity lane: each layer-benchmark job digests its
 # whole outcome, so any drift in event order, RNG draws or oracle output
 # moves it. `city` (a 58-cell and a 6-cell group with mic-driven
-# switching) covers the shard plan and merge; the city_smoke shard diff
-# below cannot see such drift, because both of its sides move together.
-# `paper_sweep` (the Fig 11 grid: ~900 small fixed-channel and adaptive
-# simulators) is the CSMA-timer-heavy workload. `sift_capture` (the
+# switching) covers the shard plan and merge. `paper_sweep` (the Fig 11
+# grid: ~900 small fixed-channel and adaptive simulators) is the
+# CSMA-timer-heavy workload. `sift_capture` (the
 # Table 1 grid streamed through SynthStream and StreamingSift) is the
 # only one that synthesizes samples, so it alone sees drift in the noise,
 # ripple and head draws. The MAC workloads are pinned at a second seed
@@ -122,19 +121,6 @@ cargo test --release -q -p whitefi-bench --test sim_torture -- --ignored
 SCENARIO_FUZZ_CASES="${SCENARIO_FUZZ_CASES:-32}" \
     cargo test --release -q -p whitefi --test fuzz_sweep
 
-# Sharding byte-identity smoke (DESIGN.md §13): the same small city
-# run unsharded and 4-way component-sharded must print byte-identical
-# outcome JSON — per-cell goodput, timeline samples, oracle trace
-# digests and fault events included. Scheduling metadata (groups,
-# barrier rounds, event counts) goes to stderr, so a plain diff of
-# stdout is the whole gate.
-smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
-cargo run --release -p whitefi-bench --bin city_smoke -- --aps 9 --shards 1 > "$smoke_dir/shards1.json"
-cargo run --release -p whitefi-bench --bin city_smoke -- --aps 9 --shards 4 > "$smoke_dir/shards4.json"
-diff "$smoke_dir/shards1.json" "$smoke_dir/shards4.json"
-echo "city smoke: shards 1 vs 4 byte-identical"
-
 # Examples lane: every runnable example must exit cleanly. rural_broadband,
 # discovery_race and roadtrip are plain programs that no test executes,
 # so this lane is the only place they run. Stdout is discarded; a panic
@@ -144,25 +130,39 @@ for src in examples/*.rs; do
 done
 echo "examples: all ran cleanly"
 
-cargo run --release -p whitefi-bench --bin experiments -- all --quick --jobs 1
+# Sweep determinism lane: the quick sweep's stdout is byte-identical at
+# --jobs 1 and --jobs 2 once the wall-clock lines (`(<id> completed in
+# …)` and `ran … experiments in …`) are removed. Each run also exits
+# non-zero on an invalid report or an adaptive oracle violation.
+sweep_dir=$(mktemp -d)
+trap 'rm -rf "$sweep_dir"' EXIT
+for jobs in 1 2; do
+    cargo run --release -p whitefi-bench --bin experiments -- all --quick --jobs "$jobs" |
+        grep -Ev '^\([a-z0-9_]+ completed in [0-9.]+s\)$|^ran [0-9]+ experiments in ' \
+            > "$sweep_dir/jobs$jobs.txt"
+done
+diff "$sweep_dir/jobs1.txt" "$sweep_dir/jobs2.txt"
+echo "experiments: quick sweep byte-identical at --jobs 1 and --jobs 2"
 
-# Wall-time regression gate: compare the sweep just run against the
-# committed baseline snapshot (>20% per-experiment regressions fail;
-# sub-second cells are noise-floored inside bench_compare.sh). The
-# comparison is skipped when no baseline is committed, or when the
-# baseline was recorded from a full (non-quick) run and is therefore
-# not comparable to the quick sweep above — refresh it on this machine
-# with:  cargo run --release -p whitefi-bench --bin experiments -- \
-#            all --quick --jobs 1 && \
-#        cp results/BENCH_experiments.json results/BENCH_baseline.json
-if [ -f results/BENCH_baseline.json ] && [ -f results/BENCH_experiments.json ]; then
-    base_quick=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get("quick"))' results/BENCH_baseline.json)
-    cand_quick=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get("quick"))' results/BENCH_experiments.json)
-    if [ "$base_quick" = "$cand_quick" ]; then
-        scripts/bench_compare.sh results/BENCH_baseline.json results/BENCH_experiments.json --threshold 20
-    else
-        echo "bench_compare: baseline quick=$base_quick vs candidate quick=$cand_quick — skipping wall-time gate (refresh the baseline to enable it)"
+# Committed performance evidence: every bench-history/BENCH_<sha>-dirty.jsonl
+# (layerbench runs of a change, taken beside its parent with
+# scripts/bench_snapshot.sh) must sit next to its parent-side
+# BENCH_<sha>.jsonl and show no end-to-end metric worse than its
+# BENCHMARK.json bound.
+pairs=0
+for change in bench-history/BENCH_*-dirty.jsonl; do
+    [ -e "$change" ] || continue
+    parent="${change%-dirty.jsonl}.jsonl"
+    if [ ! -f "$parent" ]; then
+        echo "bench-history: $change has no parent snapshot $parent" >&2
+        exit 1
     fi
-else
-    echo "bench_compare: results/BENCH_baseline.json not found — skipping wall-time gate"
+    echo "bench-history: $parent -> $change"
+    scripts/bench_compare.sh "$parent" "$change"
+    pairs=$((pairs + 1))
+done
+if [ "$pairs" -eq 0 ]; then
+    echo "bench-history: no BENCH_<sha>-dirty.jsonl snapshot pair to check" >&2
+    exit 1
 fi
+echo "bench-history: $pairs snapshot pair(s) within their bounds"
