@@ -156,6 +156,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fig11_trial_candidate_count_is_pinned() {
+        // 26 admissible channels on the campus map; the ones no
+        // background pair touches collapse to one run per width.
+        let s = scenario(4, 9000, true);
+        assert_eq!(s.combined_map().available_channels().len(), 26);
+        assert_eq!(StaticBaselines::candidates(&s).len(), 14);
+        assert_eq!(
+            StaticBaselines::candidates(&scenario(0, 9000, true)).len(),
+            3
+        );
+    }
+
+    #[test]
     fn no_background_whitefi_matches_opt20() {
         let (w, _o5, _o10, o20, o) = point(0, &[9000], true);
         assert!(w > 0.8 * o20, "whitefi {w} vs opt20 {o20}");

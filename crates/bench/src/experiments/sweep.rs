@@ -1,7 +1,9 @@
 //! Shared fan-out for the driver-heavy sweeps (Figures 11–13).
 //!
 //! A sweep trial is one adaptive WhiteFi run plus a [`StaticBaselines`]
-//! sweep over ~40 candidate channels — historically one sequential work
+//! sweep over its candidate channels (at most the 26 admissible channels
+//! of the campus map, 84 on an all-free map; channels no background pair
+//! touches collapse to one per width) — historically one sequential work
 //! unit, which made the longest trial the wall-clock floor no matter
 //! how many workers were free. Every candidate's fixed run is
 //! independent of the others (and of the WhiteFi run), so

@@ -129,9 +129,7 @@ impl ShardSite {
 
     /// Adds every UHF channel spanned by `channel` to the footprint.
     pub fn add_channel(mut self, channel: WfChannel) -> Self {
-        for u in channel.spanned() {
-            self.footprint |= 1 << u.index();
-        }
+        self.footprint |= channel.footprint();
         self
     }
 

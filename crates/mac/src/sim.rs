@@ -615,7 +615,7 @@ impl Core {
         // onset interference; the compliance meter starts once the node
         // knows.)
         let observed = self.nodes[n].observed_map;
-        let violates = channel.spanned().any(|u| observed.is_occupied(u));
+        let violates = !observed.admits(channel);
         let broadcast = frame.dst.is_none();
 
         let id = self

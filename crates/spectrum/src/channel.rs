@@ -203,6 +203,12 @@ impl WfChannel {
         (self.low_index()..=self.high_index()).map(UhfChannel::from_index)
     }
 
+    /// The spanned UHF channels as a bitmask (bit `i` = UHF channel `i`),
+    /// the layout of [`crate::SpectrumMap::bits`].
+    pub fn footprint(self) -> u32 {
+        ((1u32 << self.width.span()) - 1) << self.low_index()
+    }
+
     /// Whether this channel and `other` share at least one UHF channel.
     ///
     /// Overlapping channels of different widths contend with each other
@@ -293,6 +299,14 @@ mod tests {
         assert_eq!(spanned, vec![8, 9, 10, 11, 12]);
         assert_eq!(c.low_index(), 8);
         assert_eq!(c.high_index(), 12);
+    }
+
+    #[test]
+    fn footprint_matches_spanned_mask_for_all_84_channels() {
+        for c in WfChannel::all() {
+            let mask = c.spanned().fold(0u32, |m, u| m | 1 << u.index());
+            assert_eq!(c.footprint(), mask, "{c}");
+        }
     }
 
     #[test]

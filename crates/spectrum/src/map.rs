@@ -114,7 +114,7 @@ impl SpectrumMap {
 
     /// Whether the whole span of WhiteFi channel `wf` is incumbent-free.
     pub fn admits(self, wf: WfChannel) -> bool {
-        wf.spanned().all(|u| self.is_free(u))
+        self.0 & wf.footprint() == 0
     }
 
     /// Enumerates every WhiteFi channel `(F, W)` whose full span is free.

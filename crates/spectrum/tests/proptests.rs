@@ -169,3 +169,13 @@ fn overlap_iff_span_intersection() {
         assert_eq!(a.overlaps(b), b.overlaps(a), "case {case}: {a} {b}");
     }
 }
+
+#[test]
+fn admits_iff_every_spanned_channel_is_free() {
+    for_each_map(|ctx, m| {
+        for c in WfChannel::all() {
+            let brute = c.spanned().all(|u| m.is_free(u));
+            assert_eq!(m.admits(c), brute, "{ctx} {c}");
+        }
+    });
+}

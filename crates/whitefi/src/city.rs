@@ -456,7 +456,7 @@ struct BuiltCell {
 }
 
 fn channel_in_footprint(ch: WfChannel, footprint: u32) -> bool {
-    ch.spanned().all(|u| footprint & (1u32 << u.index()) != 0)
+    ch.footprint() & !footprint == 0
 }
 
 fn build_group(city: &CityScenario, cells: &[usize]) -> (Simulator, Vec<BuiltCell>, Vec<NodeId>) {

@@ -13,8 +13,10 @@
 //!   OPT-5/10/20 MHz static baselines and the omniscient OPT), with
 //!   background pairs that provably cannot interact with the foreground
 //!   spectrally sliced out of the simulation (DESIGN.md §9);
-//! * [`StaticBaselines::measure`] — sweeps every admissible channel to
-//!   produce all four baselines of Figures 11–13;
+//! * [`StaticBaselines::measure`] — sweeps the admissible channels (one
+//!   run standing for each width's channels no background pair or
+//!   extra incumbent touches) to produce all four baselines of
+//!   Figures 11–13;
 //! * [`measure_airtime`] — a background-only run that yields the airtime
 //!   vector a WhiteFi scanner would measure (the Figure 10
 //!   microbenchmark's MCham input).
@@ -438,6 +440,33 @@ pub fn run_fixed_unpruned(scenario: &Scenario, channel: WfChannel) -> ScenarioOu
     measure(scenario, &mut net)
 }
 
+/// The UHF channels some background pair spans or some AP/client extra
+/// incumbent (TV station or mic) sits on, as a bitmask in the layout of
+/// [`WfChannel::footprint`]. A fixed run on a candidate whose footprint
+/// misses this mask keeps no background pair and sees no incumbent
+/// change on its span.
+fn touched_footprint(scenario: &Scenario) -> u32 {
+    let pairs = scenario.background.iter().map(|p| p.channel.footprint());
+    let incumbents = std::iter::once(&scenario.ap_extra_incumbents)
+        .chain(&scenario.client_extra_incumbents)
+        .flatten()
+        .flat_map(|set| {
+            let tv = set.tv.iter().map(|t| t.channel);
+            tv.chain(set.mics.iter().map(|m| m.channel))
+        })
+        .map(|u| 1u32 << u.index());
+    pairs.chain(incumbents).fold(0, |acc, bits| acc | bits)
+}
+
+/// [`StaticBaselines`]' per-width slot: 5, 10, 20 MHz.
+fn width_slot(width: Width) -> usize {
+    match width {
+        Width::W5 => 0,
+        Width::W10 => 1,
+        Width::W20 => 2,
+    }
+}
+
 /// The four baselines of Figures 11–13.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticBaselines {
@@ -453,12 +482,28 @@ pub struct StaticBaselines {
 
 impl StaticBaselines {
     /// The candidate channels a [`StaticBaselines::measure`] sweep runs
-    /// over: every admissible channel of the scenario's combined map.
-    /// Exposed so experiment harnesses can fan the independent
-    /// [`run_fixed`] calls across a worker pool and reduce with
-    /// [`StaticBaselines::from_runs`].
+    /// over: every admissible channel of the scenario's combined map that
+    /// a background pair's span or an extra incumbent's channel touches,
+    /// plus the lowest untouched channel of each width. The untouched
+    /// channels of one width all run the same foreground-only network,
+    /// so they share one goodput and the lowest stands for the rest
+    /// (DESIGN.md §9, "Equivalent empty candidates"). Exposed so
+    /// experiment harnesses can fan the independent [`run_fixed`] calls
+    /// across a worker pool and reduce with [`StaticBaselines::from_runs`].
     pub fn candidates(scenario: &Scenario) -> Vec<WfChannel> {
-        scenario.combined_map().available_channels()
+        let touched = touched_footprint(scenario);
+        // `available_channels` ascends within each width, so the first
+        // untouched channel seen per width is the lowest.
+        let mut empty_seen = [false; 3];
+        scenario
+            .combined_map()
+            .available_channels()
+            .into_iter()
+            .filter(|c| {
+                c.footprint() & touched != 0
+                    || !std::mem::replace(&mut empty_seen[width_slot(c.width())], true)
+            })
+            .collect()
     }
 
     /// Reduces `(candidate, aggregate goodput)` pairs to the four
@@ -470,11 +515,7 @@ impl StaticBaselines {
     pub fn from_runs(runs: impl IntoIterator<Item = (WfChannel, f64)>) -> Self {
         let mut best: [Option<(WfChannel, f64)>; 3] = [None; 3];
         for (cand, mbps) in runs {
-            let slot = match cand.width() {
-                Width::W5 => 0,
-                Width::W10 => 1,
-                Width::W20 => 2,
-            };
+            let slot = width_slot(cand.width());
             let wins = match best[slot] {
                 None => true,
                 Some((incumbent, b)) => {
@@ -494,8 +535,8 @@ impl StaticBaselines {
         }
     }
 
-    /// Sweeps every admissible channel of the combined map, running the
-    /// fixed-channel network on each, and records the best aggregate
+    /// Runs the fixed-channel network on each of the scenario's
+    /// [`StaticBaselines::candidates`] and records the best aggregate
     /// goodput per width. "OPT is an ideal, omniscient algorithm that for
     /// every experiment run picks the channel with maximum throughput."
     pub fn measure(scenario: &Scenario) -> Self {
@@ -557,6 +598,7 @@ pub fn measure_airtime(scenario: &Scenario, window: SimDuration) -> AirtimeVecto
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whitefi_spectrum::{MicActivity, MicSchedule, WirelessMic};
 
     fn quick(mut s: Scenario) -> Scenario {
         s.duration = SimDuration::from_secs(2);
@@ -693,6 +735,219 @@ mod tests {
         assert_eq!(forward, interleaved);
         // And the sequential `measure` agrees with the reduction.
         assert_eq!(forward, StaticBaselines::measure(&s));
+    }
+
+    /// The §5.4.1 campus map: 17 free UHF channels, 26 admissible
+    /// channels.
+    fn campus() -> SpectrumMap {
+        SpectrumMap::from_free([2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 16, 17, 18, 21, 24, 27, 28])
+    }
+
+    /// A short campus scenario with one 5 MHz pair of `traffic` on each
+    /// of the given UHF channels.
+    fn campus_pairs(seed: u64, channels: &[usize], traffic: BackgroundTraffic) -> Scenario {
+        let mut s = Scenario::new(seed, campus(), 3);
+        s.warmup = SimDuration::from_millis(500);
+        s.duration = SimDuration::from_secs(1);
+        for &c in channels {
+            s.background.push(BackgroundPair {
+                channel: WfChannel::from_parts(c, Width::W5),
+                traffic: traffic.clone(),
+            });
+        }
+        s
+    }
+
+    fn cbr() -> BackgroundTraffic {
+        BackgroundTraffic::Cbr {
+            interval: SimDuration::from_millis(30),
+        }
+    }
+
+    /// Label-free bits of an outcome: everything but the channel labels
+    /// (`samples[].ap_channel` and `oracle.trace_digest`).
+    type Unlabelled = (u64, Vec<u64>, Vec<(SimTime, u64)>, u64, u64, usize, u64);
+
+    fn unlabelled(out: &ScenarioOutcome) -> Unlabelled {
+        (
+            out.aggregate_mbps.to_bits(),
+            out.per_client_mbps.iter().map(|x| x.to_bits()).collect(),
+            out.samples
+                .iter()
+                .map(|smp| (smp.t, smp.bytes_delta))
+                .collect(),
+            out.violations,
+            out.oracle.checked_tx,
+            out.oracle.violations.len(),
+            out.oracle.explained_liveness,
+        )
+    }
+
+    /// The exhaustive sweep as the differential reference: runs every
+    /// admissible channel and asserts that each channel `candidates`
+    /// omits is untouched and runs exactly like the kept untouched
+    /// channel of its width, and that the baselines over all admissible
+    /// channels equal the baselines over `candidates`. Returns the
+    /// number of omitted channels.
+    fn assert_collapse_exact(s: &Scenario, what: &str) -> usize {
+        let all = s.combined_map().available_channels();
+        let kept = StaticBaselines::candidates(s);
+        let touched = touched_footprint(s);
+        let outs: Vec<ScenarioOutcome> = all.iter().map(|&c| run_fixed(s, c)).collect();
+        let out_of = |c: WfChannel| &outs[all.iter().position(|&a| a == c).unwrap()];
+        let mut omitted = 0;
+        for &c in all.iter().filter(|c| !kept.contains(c)) {
+            omitted += 1;
+            assert_eq!(c.footprint() & touched, 0, "{what}: touched {c} omitted");
+            let reps: Vec<WfChannel> = kept
+                .iter()
+                .copied()
+                .filter(|r| r.width() == c.width() && r.footprint() & touched == 0)
+                .collect();
+            assert_eq!(reps.len(), 1, "{what}: {c} has representatives {reps:?}");
+            assert!(reps[0] < c, "{what}: {} is not the lowest", reps[0]);
+            assert_eq!(
+                unlabelled(out_of(c)),
+                unlabelled(out_of(reps[0])),
+                "{what}: {c} differs from its representative {}",
+                reps[0]
+            );
+        }
+        let exhaustive =
+            StaticBaselines::from_runs(all.iter().map(|&c| (c, out_of(c).aggregate_mbps)));
+        let collapsed =
+            StaticBaselines::from_runs(kept.iter().map(|&c| (c, out_of(c).aggregate_mbps)));
+        assert_eq!(exhaustive, collapsed, "{what}");
+        omitted
+    }
+
+    #[test]
+    fn collapsed_candidates_match_exhaustive_sweep_under_cbr() {
+        // Figure 11's shape: 5 MHz CBR pairs on a few free channels.
+        let s = campus_pairs(31, &[3, 11, 27], cbr());
+        assert_eq!(StaticBaselines::candidates(&s).len(), 11);
+        assert_eq!(assert_collapse_exact(&s, "cbr"), 15);
+    }
+
+    #[test]
+    fn collapsed_candidates_match_exhaustive_sweep_under_markov_churn() {
+        // Figure 13's shape: on/off Markov pairs.
+        let traffic = BackgroundTraffic::Markov {
+            interval: SimDuration::from_millis(20),
+            mean_active: SimDuration::from_millis(300),
+            mean_passive: SimDuration::from_millis(200),
+        };
+        let s = campus_pairs(32, &[5, 17], traffic);
+        assert!(assert_collapse_exact(&s, "markov") > 0);
+    }
+
+    #[test]
+    fn collapsed_candidates_match_exhaustive_sweep_under_scripted_windows() {
+        // Figure 14's shape: CBR inside scripted windows.
+        let traffic = BackgroundTraffic::Scripted {
+            interval: SimDuration::from_millis(10),
+            windows: vec![(
+                SimTime::ZERO + SimDuration::from_millis(600),
+                SimTime::ZERO + SimDuration::from_millis(1100),
+            )],
+        };
+        let s = campus_pairs(33, &[12, 24], traffic);
+        assert!(assert_collapse_exact(&s, "scripted") > 0);
+    }
+
+    #[test]
+    fn collapsed_candidates_match_exhaustive_sweep_with_differing_client_maps() {
+        // Figure 12's shape: each client sees a perturbed campus map.
+        let mut s = campus_pairs(34, &[4], cbr());
+        for (i, map) in s.client_maps.iter_mut().enumerate() {
+            map.flip(UhfChannel::from_index([13, 28, 0][i]));
+        }
+        assert_ne!(s.combined_map(), campus());
+        assert!(assert_collapse_exact(&s, "client maps") > 0);
+    }
+
+    #[test]
+    fn collapsed_candidates_match_exhaustive_sweep_with_an_ap_mic() {
+        // A mic on UHF 17 switches on mid-run: every channel spanning 17
+        // is touched and kept; the rest still collapse.
+        let mut s = campus_pairs(35, &[6], cbr());
+        let on = SimTime::ZERO + SimDuration::from_millis(900);
+        s.ap_extra_incumbents = Some(IncumbentSet {
+            tv: Vec::new(),
+            mics: vec![WirelessMic::new(
+                UhfChannel::from_index(17),
+                MicSchedule::scripted(vec![MicActivity {
+                    start: on.as_nanos(),
+                    end: (on + SimDuration::from_secs(10)).as_nanos(),
+                }]),
+            )],
+        });
+        let kept = StaticBaselines::candidates(&s);
+        for c in s.combined_map().available_channels() {
+            if c.contains(UhfChannel::from_index(17)) {
+                assert!(kept.contains(&c), "mic-spanning {c} omitted");
+            }
+        }
+        assert!(assert_collapse_exact(&s, "ap mic") > 0);
+    }
+
+    #[test]
+    fn collapsed_candidates_match_exhaustive_sweep_under_a_lossy_fault_plan() {
+        let mut s = campus_pairs(36, &[10, 21], cbr());
+        s.faults = Some(FaultPlan {
+            drop_prob: 0.1,
+            dup_prob: 0.1,
+            delay_prob: 0.1,
+            max_delay: SimDuration::from_millis(2),
+            max_detection_extra: SimDuration::from_millis(50),
+            history_skew: Some(SimDuration::from_secs(1)),
+            ..FaultPlan::quiet(7)
+        });
+        assert!(assert_collapse_exact(&s, "faults") > 0);
+    }
+
+    #[test]
+    fn collapsed_candidates_match_exhaustive_sweep_on_the_all_free_map() {
+        // No pairs, no incumbents: 84 admissible channels, one run per
+        // width.
+        let mut s = Scenario::new(37, SpectrumMap::all_free(), 2);
+        s.warmup = SimDuration::from_millis(300);
+        s.duration = SimDuration::from_millis(600);
+        assert_eq!(s.combined_map().available_channels().len(), 84);
+        assert_eq!(
+            StaticBaselines::candidates(&s),
+            vec![
+                WfChannel::from_parts(0, Width::W5),
+                WfChannel::from_parts(1, Width::W10),
+                WfChannel::from_parts(2, Width::W20),
+            ]
+        );
+        assert_eq!(assert_collapse_exact(&s, "all free"), 81);
+    }
+
+    #[test]
+    fn untouched_candidate_keeps_no_background_pair() {
+        use rand::{Rng, SeedableRng};
+        for case in 0..64u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(case);
+            let mut s = Scenario::new(case, SpectrumMap::all_free(), rng.gen_range(0..4));
+            for _ in 0..rng.gen_range(0..6) {
+                let w = Width::ALL[rng.gen_range(0..3)];
+                let h = w.half_span();
+                s.background.push(BackgroundPair {
+                    channel: WfChannel::from_parts(rng.gen_range(h..30 - h), w),
+                    traffic: cbr(),
+                });
+            }
+            let touched = touched_footprint(&s);
+            for c in WfChannel::all().filter(|c| c.footprint() & touched == 0) {
+                assert!(
+                    fixed_keep_mask(&s, c).iter().all(|&k| !k),
+                    "case {case}: untouched {c} keeps a pair of {:?}",
+                    s.background
+                );
+            }
+        }
     }
 
     #[test]
