@@ -10,10 +10,10 @@
 //! geometric reach and overlap of the cells' channel *footprints* (the
 //! union of every channel a cell's map could ever admit). Because every
 //! engine coupling — delivery, carrier sense, deferral invalidation,
-//! interference, and (since this change) every scanner query a
-//! behaviour can issue — is gated by reach and channel overlap, and
-//! because no node ever tunes or listens outside its cell's footprint
-//! (asserted at every sync round), two cells in different components
+//! interference, and every scanner query a behaviour can issue — is
+//! gated by reach and channel overlap, and because no node ever tunes
+//! or listens outside its cell's footprint (asserted at every round of
+//! the schedule below), two cells in different components
 //! cannot affect each other through *any* path, no matter how the
 //! protocol retunes. Simulating each component group in its own
 //! [`Simulator`] therefore reproduces the single-simulator run **byte
@@ -30,34 +30,33 @@
 //!    and unsharded builds alike, so each node draws the exact same
 //!    random sequence regardless of which simulator hosts it.
 //! 2. **Stable oracle identities** — each cell has its own
-//!    [`OracleBank`], registered with
-//!    [`OracleBank::add_member_as`] under global node ids, so digests
-//!    and violation details are invariant under sim-local renumbering.
+//!    [`OracleBank`](crate::OracleBank), registered with
+//!    [`add_member_as`](crate::OracleBank::add_member_as) under global
+//!    node ids, so digests and violation details are invariant under
+//!    sim-local renumbering.
 //! 3. **Order-independent merge** — [`merge_city`] sorts cells by
 //!    global index and fault events by `(time, global node)`, so any
 //!    completion order of the shard groups (sequential or parallel)
 //!    reduces to the same outcome.
 //!
-//! The barrier: a real distributed core would block each shard at
-//! `t + L` where `L` is the minimum cross-shard propagation latency.
-//! Components are *fully* decoupled here, so the true `L` is unbounded
-//! and the only rounds are the ones the run needs anyway: the end of
-//! warmup and each sampling tick. The read-only footprint-closure check
-//! runs at every round, and [`GroupOutcome::sync_rounds`] counts them.
-//! Splitting `run_until` calls is equivalent to one long call — the
-//! event loop is time-ordered — so the rounds cannot perturb the
-//! simulation.
+//! Each cell is one basic service set, built and measured by the same
+//! code as the single-AP driver's network ([`crate::driver`] runs the
+//! one-cell case). Every group follows the same warmup/tick schedule:
+//! one round at the end of warmup, then one per sampling tick. At every
+//! round each node's channel must lie inside its cell's footprint, and
+//! [`GroupOutcome::sync_rounds`] counts the rounds. Splitting
+//! `run_until` calls is equivalent to one long call — the event loop is
+//! time-ordered — so the rounds cannot perturb the simulation.
 
-use crate::ap::{ApBehavior, ApConfig};
-use crate::client::{ClientBehavior, ClientConfig};
-use crate::driver::{Sample, Scenario, ScenarioOutcome};
+use crate::ap::ApConfig;
+use crate::bss::{add_bss, measure, rounds, BssSpec};
+use crate::driver::ScenarioOutcome;
 use crate::mcham::NodeReport;
-use crate::oracles::{OracleBank, OracleConfig, OracleSet};
+use crate::oracles::OracleSet;
 use whitefi_mac::{
-    shard_components, EventCounters, FaultEvent, FaultPlan, NodeConfig, NodeId, ShardSite,
-    Simulator,
+    shard_components, EventCounters, FaultEvent, FaultPlan, NodeId, ShardSite, Simulator,
 };
-use whitefi_phy::{SimDuration, SimTime};
+use whitefi_phy::SimDuration;
 use whitefi_spectrum::{AirtimeVector, IncumbentSet, SpectrumMap, UhfChannel, WfChannel};
 
 /// Incumbent density class of one cell's surroundings (§5.1 of the
@@ -148,10 +147,6 @@ impl CityCell {
     pub fn shard_site(&self) -> ShardSite {
         ShardSite::from_channels(self.pos, self.range, self.map.available_channels())
             .add_channel(self.initial_channel())
-    }
-
-    fn footprint(&self) -> u32 {
-        self.shard_site().footprint
     }
 }
 
@@ -389,7 +384,7 @@ pub struct GroupOutcome {
     pub cells: Vec<(usize, ScenarioOutcome)>,
     /// Fault events with node ids remapped to global city ids.
     pub fault_events: Vec<FaultEvent>,
-    /// Barrier rounds executed: the end of warmup plus one per
+    /// Schedule rounds executed: the end of warmup plus one per
     /// sampling tick.
     pub sync_rounds: u64,
     /// Event-loop counters of the group's simulator.
@@ -434,7 +429,7 @@ pub struct CityRunStats {
     pub groups: usize,
     /// Influence-closed components found.
     pub components: usize,
-    /// Total lookahead-barrier rounds across all groups.
+    /// Total schedule rounds across all groups.
     pub sync_rounds: u64,
     /// Summed event-loop counters across all groups.
     pub events: EventCounters,
@@ -447,19 +442,12 @@ pub struct CityRunStats {
     pub load_imbalance: f64,
 }
 
-struct BuiltCell {
-    global_cell: usize,
-    footprint: u32,
-    ap_local: NodeId,
-    clients_local: Vec<NodeId>,
-    bank: OracleBank,
-}
-
-fn channel_in_footprint(ch: WfChannel, footprint: u32) -> bool {
-    ch.footprint() & !footprint == 0
-}
-
-fn build_group(city: &CityScenario, cells: &[usize]) -> (Simulator, Vec<BuiltCell>, Vec<NodeId>) {
+/// Simulates one shard group — the cells with the given global indices
+/// (ascending) — start to finish in a private [`Simulator`], and
+/// returns plain data. Pure function of `(city, cells)`: callers may
+/// run groups sequentially, or fan them out across worker threads and
+/// reduce with [`merge_city`].
+pub fn run_city_group(city: &CityScenario, cells: &[usize]) -> GroupOutcome {
     let mut sim = Simulator::new(city.seed);
     // The fault plan must precede every add_node (fault streams are
     // drawn at registration, keyed on the node's global stream id).
@@ -469,193 +457,35 @@ fn build_group(city: &CityScenario, cells: &[usize]) -> (Simulator, Vec<BuiltCel
     // One observer for the whole group: it routes each member hook to
     // the owning cell's bank and keeps one airtime ledger for the medium.
     let oracles = OracleSet::new();
-    let mut built = Vec::with_capacity(cells.len());
+    let mut bsss = Vec::with_capacity(cells.len());
     let mut local_to_global: Vec<NodeId> = Vec::new();
     for &c in cells {
         let cell = &city.cells[c];
         let base = city.node_base(c);
-        let initial = cell.initial_channel();
-        let ssid = u32::try_from(c + 1).unwrap_or(u32::MAX);
-        let incumbents = Scenario::incumbents_for(cell.map, cell.extra_incumbents.as_ref());
-        let bank = oracles.add_bank(OracleConfig {
-            adaptive: true,
-            ..OracleConfig::default()
-        });
-
-        let mut ap_cfg = city.ap_config.clone();
-        ap_cfg.adaptive = true;
-        ap_cfg.downlink_bytes = Some(city.downlink_bytes);
-        ap_cfg.downlink_interval = None;
-
-        let mut ap_node_cfg = NodeConfig::on_channel(initial)
-            .ap()
-            .in_ssid(ssid)
-            .at(cell.pos.0, cell.pos.1)
-            .rng_stream(base as u64) // stream-map: domain=sim-nodes salt=scenario-seed streams=0..=4294967295 role="city AP (global node base)"
-            .with_incumbents(incumbents.clone());
-        ap_node_cfg.range = cell.range;
-        let ap_detection = ap_node_cfg.detection_delay;
-        let ap_local = sim.add_node(ap_node_cfg, Box::new(ApBehavior::new(ap_cfg)));
-        bank.add_member_as(
-            ap_local,
-            base,
-            true,
-            &incumbents,
-            ap_detection + sim.fault_detection_extra(ap_local),
-        );
-        local_to_global.push(base);
-
-        let mut clients_local = Vec::with_capacity(cell.n_clients);
-        for i in 0..cell.n_clients {
-            let global = base + 1 + i;
-            let mut node_cfg = NodeConfig::on_channel(initial)
-                .in_ssid(ssid)
-                .at(cell.pos.0, cell.pos.1)
-                .rng_stream(global as u64) // stream-map: domain=sim-nodes salt=scenario-seed streams=1..=4294967295 role="city clients (global node id)"
-                .with_incumbents(incumbents.clone());
-            node_cfg.range = cell.range;
-            let detection = node_cfg.detection_delay;
-            let slot = u8::try_from(i % 16).unwrap_or(0); // i % 16 < 16, always fits
-            let mut ccfg = ClientConfig::new(ap_local, slot);
-            if let Some(bytes) = city.uplink_bytes {
-                ccfg = ccfg.saturating_uplink(bytes);
-            }
-            let local = sim.add_node(node_cfg, Box::new(ClientBehavior::new(ccfg)));
-            bank.add_member_as(
-                local,
-                global,
-                false,
-                &incumbents,
-                detection + sim.fault_detection_extra(local),
-            );
-            local_to_global.push(global);
-            clients_local.push(local);
-        }
-
-        built.push(BuiltCell {
-            global_cell: c,
-            footprint: cell.footprint(),
-            ap_local,
-            clients_local,
-            bank,
-        });
-    }
-    sim.set_observer(oracles.observer());
-    (sim, built, local_to_global)
-}
-
-/// One barrier round of the city's global schedule: advance to `to`,
-/// then reset stats (the round ending warmup) or take the timeline
-/// sample (every other round).
-#[derive(Debug, Clone, Copy)]
-struct CityRound {
-    /// Absolute target time of this round (offset from `SimTime::ZERO`).
-    to: SimDuration,
-    /// Reset statistics after advancing (the round that ends warmup).
-    reset: bool,
-}
-
-/// The global barrier schedule every shard group follows in lockstep:
-/// one round at the end of warmup (none for a zero warmup), then one
-/// per sampling tick, the last clamped to the end of the run. A pure
-/// function of the scenario's durations, hence identical across groups
-/// and shardings.
-fn city_rounds(city: &CityScenario) -> Vec<CityRound> {
-    let mut rounds = Vec::new();
-    if city.warmup > SimDuration::ZERO {
-        rounds.push(CityRound {
-            to: city.warmup,
-            reset: true,
-        });
-    }
-    let end = city.warmup + city.duration;
-    let mut t = city.warmup;
-    while t < end {
-        t += city.sample_interval;
-        if t > end {
-            t = end;
-        }
-        rounds.push(CityRound {
-            to: t,
-            reset: false,
-        });
-    }
-    rounds
-}
-
-/// Simulates one shard group — the cells with the given global indices
-/// (ascending) — start to finish in a private [`Simulator`], and
-/// returns plain data. Pure function of `(city, cells)`: callers may
-/// run groups sequentially, or fan them out across worker threads and
-/// reduce with [`merge_city`].
-pub fn run_city_group(city: &CityScenario, cells: &[usize]) -> GroupOutcome {
-    let (mut sim, built, local_to_global) = build_group(city, cells);
-    let mut samples: Vec<Vec<Sample>> = vec![Vec::new(); built.len()];
-    let mut last_total = vec![0u64; built.len()];
-    let rounds = city_rounds(city);
-    for round in &rounds {
-        sim.run_until(SimTime::ZERO + round.to);
-        // No node may escape its cell's channel footprint: the
-        // load-bearing soundness condition of influence sharding.
-        for bc in &built {
-            for &n in std::iter::once(&bc.ap_local).chain(bc.clients_local.iter()) {
-                let ch = sim.node_channel(n);
-                assert!(
-                    channel_in_footprint(ch, bc.footprint),
-                    "node {n} (cell {}) on {ch} escaped its cell footprint {:#010x} — \
-                     influence sharding would be unsound",
-                    bc.global_cell,
-                    bc.footprint,
-                );
-            }
-        }
-        if round.reset {
-            sim.reset_stats();
-        } else {
-            for (k, bc) in built.iter().enumerate() {
-                let total: u64 = bc
-                    .clients_local
-                    .iter()
-                    .map(|&c| sim.stats(c).rx_data_bytes + sim.stats(c).tx_acked_bytes)
-                    .sum();
-                samples[k].push(Sample {
-                    t: SimTime::ZERO + round.to,
-                    ap_channel: sim.node_channel(bc.ap_local),
-                    bytes_delta: total - last_total[k],
-                });
-                last_total[k] = total;
-            }
-        }
-    }
-
-    let span = city.duration;
-    let mut cell_outcomes = Vec::with_capacity(built.len());
-    for (bc, samples) in built.iter().zip(samples) {
-        let per_client_mbps: Vec<f64> = bc
-            .clients_local
-            .iter()
-            .map(|&c| {
-                let s = sim.stats(c);
-                (s.rx_data_bytes + s.tx_acked_bytes) as f64 * 8.0 / span.as_secs_f64() / 1e6
-            })
-            .collect();
-        let aggregate_mbps = per_client_mbps.iter().sum();
-        let mut violations = sim.stats(bc.ap_local).incumbent_violations;
-        for &c in &bc.clients_local {
-            violations += sim.stats(c).incumbent_violations;
-        }
-        cell_outcomes.push((
-            bc.global_cell,
-            ScenarioOutcome {
-                per_client_mbps,
-                aggregate_mbps,
-                samples,
-                violations,
-                oracle: bc.bank.finish(&sim),
+        let env = (cell.map, cell.extra_incumbents.as_ref());
+        bsss.push(add_bss(
+            &mut sim,
+            &oracles,
+            BssSpec {
+                ap_config: &city.ap_config,
+                downlink_bytes: city.downlink_bytes,
+                uplink_bytes: city.uplink_bytes,
+                ap_env: env,
+                client_envs: vec![env; cell.n_clients],
+                base,
+                ssid: u32::try_from(c + 1).unwrap_or(u32::MAX),
+                initial: cell.initial_channel(),
+                site: cell.shard_site(),
+                adaptive: true,
             },
         ));
+        // `add_bss` adds the AP and then its clients, in role order.
+        local_to_global.extend(base..=base + cell.n_clients);
     }
+    sim.set_observer(oracles.observer());
 
+    let rounds = rounds(city.warmup, city.duration, city.sample_interval);
+    let outcomes = measure(&mut sim, &bsss, &rounds, city.duration);
     let fault_events = sim
         .fault_events()
         .iter()
@@ -665,9 +495,8 @@ pub fn run_city_group(city: &CityScenario, cells: &[usize]) -> GroupOutcome {
             kind: e.kind,
         })
         .collect();
-
     GroupOutcome {
-        cells: cell_outcomes,
+        cells: cells.iter().copied().zip(outcomes).collect(),
         fault_events,
         sync_rounds: rounds.len() as u64,
         events: sim.event_counters(),
@@ -757,6 +586,7 @@ pub fn run_city(city: &CityScenario, shards: usize) -> (CityOutcome, CityRunStat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{run_whitefi, Scenario};
     use whitefi_mac::potential_influences;
 
     fn quick_city(seed: u64, n_aps: usize, spacing: f64, range: f64) -> CityScenario {
@@ -867,28 +697,57 @@ mod tests {
     }
 
     /// One round ends warmup (and resets stats); one per sampling tick
-    /// follows, the last clamped to the end of the run.
+    /// follows, the last clamped to the end of the run. A city group and
+    /// the single-AP driver both follow it: the group runs exactly its
+    /// rounds, both sample at exactly its tick rounds, and a zero warmup
+    /// has no reset round.
     #[test]
     fn city_rounds_follow_the_tick_schedule() {
-        let mut city = quick_city(3, 2, 150.0, 60.0);
-        city.warmup = SimDuration::from_millis(500);
+        let mut city = quick_city(3, 1, 150.0, 60.0);
         city.duration = SimDuration::from_millis(450);
         city.sample_interval = SimDuration::from_millis(200);
-        let targets = |city: &CityScenario| -> Vec<(u64, bool)> {
-            city_rounds(city)
+        let ms = |d: SimDuration| d.as_nanos() / 1_000_000;
+        for (warmup, expected) in [
+            (
+                500,
+                vec![(500, true), (700, false), (900, false), (950, false)],
+            ),
+            (0, vec![(200, false), (400, false), (450, false)]),
+        ] {
+            city.warmup = SimDuration::from_millis(warmup);
+            let schedule = rounds(city.warmup, city.duration, city.sample_interval);
+            let targets: Vec<(u64, bool)> = schedule.iter().map(|r| (ms(r.to), r.reset)).collect();
+            assert_eq!(targets, expected, "warmup {warmup} ms");
+            let ticks: Vec<u64> = schedule
                 .iter()
-                .map(|r| (r.to.as_nanos() / 1_000_000, r.reset))
-                .collect()
-        };
-        assert_eq!(
-            targets(&city),
-            vec![(500, true), (700, false), (900, false), (950, false)]
-        );
-        city.warmup = SimDuration::ZERO;
-        assert_eq!(
-            targets(&city),
-            vec![(200, false), (400, false), (450, false)]
-        );
+                .filter(|r| !r.reset)
+                .map(|r| ms(r.to))
+                .collect();
+            let sample_ticks = |out: &ScenarioOutcome| -> Vec<u64> {
+                out.samples
+                    .iter()
+                    .map(|x| x.t.as_nanos() / 1_000_000)
+                    .collect()
+            };
+
+            let group = run_city_group(&city, &[0]);
+            assert_eq!(
+                group.sync_rounds,
+                schedule.len() as u64,
+                "warmup {warmup} ms"
+            );
+            assert_eq!(sample_ticks(&group.cells[0].1), ticks, "warmup {warmup} ms");
+
+            let cell = &city.cells[0];
+            let mut s = Scenario::new(city.seed, cell.map, cell.n_clients);
+            (s.warmup, s.duration, s.sample_interval) =
+                (city.warmup, city.duration, city.sample_interval);
+            assert_eq!(
+                sample_ticks(&run_whitefi(&s, None)),
+                ticks,
+                "warmup {warmup} ms"
+            );
+        }
     }
 
     #[test]

@@ -26,18 +26,18 @@
 //! a pruned build draws exactly the random sequences the unpruned build
 //! would — the foundation of the pruned == unpruned equality contract.
 
-use crate::ap::{ApBehavior, ApConfig};
-use crate::client::{ClientBehavior, ClientConfig};
+use crate::ap::ApConfig;
+use crate::bss::{add_bss, measure, rounds, BssSpec};
 use crate::mcham::NodeReport;
-use crate::oracles::{OracleBank, OracleConfig, OracleReport, OracleSet};
+use crate::oracles::{OracleReport, OracleSet};
 use whitefi_mac::traffic::Sink;
 use whitefi_mac::{
-    influence_closure, CbrSender, FaultPlan, MarkovOnOffSender, NodeConfig, NodeId, NodeSite,
-    ScriptedCbrSender, Simulator,
+    influence_closure, Behavior, CbrSender, FaultPlan, MarkovOnOffSender, NodeConfig, NodeSite,
+    ScriptedCbrSender, ShardSite, Simulator,
 };
 use whitefi_phy::{SimDuration, SimTime};
 use whitefi_spectrum::{
-    AirtimeVector, ChannelLoad, IncumbentSet, SpectrumMap, TvStation, UhfChannel, WfChannel, Width,
+    AirtimeVector, ChannelLoad, IncumbentSet, SpectrumMap, UhfChannel, WfChannel, Width,
 };
 
 /// Load shape of one background AP/client pair.
@@ -139,14 +139,6 @@ impl Scenario {
     pub fn combined_map(&self) -> SpectrumMap {
         SpectrumMap::union_all(std::iter::once(self.ap_map).chain(self.client_maps.iter().copied()))
     }
-
-    pub(crate) fn incumbents_for(map: SpectrumMap, extra: Option<&IncumbentSet>) -> IncumbentSet {
-        let mut set = extra.cloned().unwrap_or_default();
-        for ch in map.occupied_channels() {
-            set.tv.push(TvStation::strong(ch));
-        }
-        set
-    }
 }
 
 /// One timeline sample of a run.
@@ -181,31 +173,26 @@ pub struct ScenarioOutcome {
     pub oracle: OracleReport,
 }
 
-struct BuiltNetwork {
-    sim: Simulator,
-    ap: NodeId,
-    clients: Vec<NodeId>,
-    oracle: OracleBank,
-}
-
-/// Builds the network. `keep_background` (`None` = keep all) is a mask
-/// over the scenario's background pairs; skipped pairs are not added to
-/// the simulation at all. RNG stream ids are assigned by role — AP `0`,
-/// client `i` `1 + i`, pair `k` `FG + 2k` (rx) / `FG + 2k + 1` (tx)
-/// with `FG = 1 + n_clients` — so they are invariant under pruning.
-fn build(
+/// Builds and measures the network: one BSS at node base 0, SSID 1, on
+/// the default co-located site (the city's cell 0), plus the background
+/// pairs. `keep_background` (`None` = keep all) is a mask over the
+/// scenario's background pairs; skipped pairs are not added to the
+/// simulation at all. RNG stream ids are assigned by role — AP `0`,
+/// client `i` `1 + i`, pair `k` `FG + 2k` (rx) / `FG + 2k + 1` (tx) with
+/// `FG = 1 + n_clients` — so they are invariant under pruning.
+fn run(
     scenario: &Scenario,
     initial: WfChannel,
     adaptive: bool,
     keep_background: Option<&[bool]>,
-) -> BuiltNetwork {
+) -> ScenarioOutcome {
     let mut sim = Simulator::new(scenario.seed);
     if !adaptive {
         // Fixed-channel runs issue no scanner queries (SCAN/BACKUP_SCAN
-        // timers are disabled below), so the only history consumer left
-        // is the carrier-sense interferer check, which never looks back
-        // further than one frame duration (≲ 8 ms at W5). 300 ms keeps a
-        // wide margin while making trace retention pay-as-you-go.
+        // timers are disabled in `add_bss`), so the only history consumer
+        // left is the carrier-sense interferer check, which never looks
+        // back further than one frame duration (≲ 8 ms at W5). 300 ms
+        // keeps a wide margin while making trace retention pay-as-you-go.
         sim.medium_mut().history_horizon = SimDuration::from_millis(300);
     }
     // The fault plan must be installed before any node registers (each
@@ -215,167 +202,65 @@ fn build(
         sim.set_fault_plan(plan.clone());
     }
     let oracles = OracleSet::new();
-    let bank = oracles.add_bank(OracleConfig {
-        adaptive,
-        ..OracleConfig::default()
+    let site = NodeSite::on_channel(initial);
+    let client_envs = scenario.client_maps.iter().enumerate().map(|(i, &map)| {
+        let extra = scenario.client_extra_incumbents.get(i);
+        (map, extra.and_then(Option::as_ref))
     });
-
-    let mut ap_cfg = scenario.ap_config.clone();
-    ap_cfg.adaptive = adaptive;
-    ap_cfg.downlink_bytes = Some(scenario.downlink_bytes);
-    ap_cfg.downlink_interval = None;
-
-    let ap_incumbents =
-        Scenario::incumbents_for(scenario.ap_map, scenario.ap_extra_incumbents.as_ref());
-    let ap_node_cfg = NodeConfig::on_channel(initial)
-        .ap()
-        .in_ssid(1)
-        .rng_stream(0) // stream-map: domain=sim-nodes salt=scenario-seed streams=0..=0 role="single-BSS AP"
-        .with_incumbents(ap_incumbents.clone());
-    let ap_detection = ap_node_cfg.detection_delay;
-    let ap = sim.add_node(ap_node_cfg, Box::new(ApBehavior::new(ap_cfg)));
-    bank.add_member(
-        ap,
-        true,
-        &ap_incumbents,
-        ap_detection + sim.fault_detection_extra(ap),
+    let bss = add_bss(
+        &mut sim,
+        &oracles,
+        BssSpec {
+            ap_config: &scenario.ap_config,
+            downlink_bytes: scenario.downlink_bytes,
+            uplink_bytes: scenario.uplink_bytes,
+            ap_env: (scenario.ap_map, scenario.ap_extra_incumbents.as_ref()),
+            client_envs: client_envs.collect(),
+            base: 0,
+            ssid: 1,
+            initial,
+            site: ShardSite::from_channels(site.pos, site.range, WfChannel::all()),
+            adaptive,
+        },
     );
-
-    let mut clients = Vec::new();
-    for (i, &map) in scenario.client_maps.iter().enumerate() {
-        let extra = scenario
-            .client_extra_incumbents
-            .get(i)
-            .and_then(|o| o.as_ref());
-        let incumbents = Scenario::incumbents_for(map, extra);
-        let node_cfg = NodeConfig::on_channel(initial)
-            .in_ssid(1)
-            .rng_stream(1 + i as u64) // stream-map: domain=sim-nodes salt=scenario-seed streams=1..=65535 role="single-BSS clients (1 + client index)"
-            .with_incumbents(incumbents.clone());
-        let detection = node_cfg.detection_delay;
-        let slot = u8::try_from(i % 16).unwrap_or(0); // i % 16 < 16, always fits
-        let mut ccfg = ClientConfig::new(ap, slot);
-        if let Some(bytes) = scenario.uplink_bytes {
-            ccfg = ccfg.saturating_uplink(bytes);
-        }
-        // Fixed-channel baselines must not run the disconnection
-        // protocol either (they model a dumb static network), and their
-        // airtime scanner output is never consulted.
-        if !adaptive {
-            ccfg.disconnect_timeout = SimDuration::from_secs(1_000_000);
-            ccfg.scan_enabled = false;
-        }
-        let id = sim.add_node(node_cfg, Box::new(ClientBehavior::new(ccfg)));
-        bank.add_member(
-            id,
-            false,
-            &incumbents,
-            detection + sim.fault_detection_extra(id),
-        );
-        clients.push(id);
-    }
 
     let fg = 1 + scenario.client_maps.len() as u64;
     for (k, pair) in scenario.background.iter().enumerate() {
-        if let Some(mask) = keep_background {
-            if !mask[k] {
-                continue;
-            }
-        }
-        let rx_cfg = NodeConfig::on_channel(pair.channel).rng_stream(fg + 2 * k as u64); // stream-map: domain=sim-nodes salt=scenario-seed streams=2..=4294967295 role="background pair rx (fg + 2*pair)"
-        let rx = sim.add_node(rx_cfg, Box::new(Sink));
-        let tx_cfg = NodeConfig::on_channel(pair.channel)
-            .ap()
-            .rng_stream(fg + 2 * k as u64 + 1); // stream-map: domain=sim-nodes salt=scenario-seed streams=3..=4294967295 role="background pair tx (fg + 2*pair + 1)"
-        match &pair.traffic {
-            BackgroundTraffic::Cbr { interval } => {
-                sim.add_node(tx_cfg, Box::new(CbrSender::new(rx, *interval)));
-            }
-            BackgroundTraffic::Markov {
-                interval,
-                mean_active,
-                mean_passive,
-            } => {
-                sim.add_node(
-                    tx_cfg,
-                    Box::new(MarkovOnOffSender::new(
-                        rx,
-                        *interval,
-                        *mean_active,
-                        *mean_passive,
-                    )),
-                );
-            }
-            BackgroundTraffic::Scripted { interval, windows } => {
-                sim.add_node(
-                    tx_cfg,
-                    Box::new(ScriptedCbrSender::new(rx, *interval, windows.clone())),
-                );
-            }
+        if keep_background.is_none_or(|mask| mask[k]) {
+            add_background_pair(&mut sim, pair, fg + 2 * k as u64, fg + 2 * k as u64 + 1);
         }
     }
 
     sim.set_observer(oracles.observer());
-    BuiltNetwork {
-        sim,
-        ap,
-        clients,
-        oracle: bank,
-    }
+    let rounds = rounds(scenario.warmup, scenario.duration, scenario.sample_interval);
+    measure(&mut sim, &[bss], &rounds, scenario.duration).swap_remove(0)
 }
 
-fn measure(scenario: &Scenario, net: &mut BuiltNetwork) -> ScenarioOutcome {
-    let BuiltNetwork {
-        sim,
-        ap,
-        clients,
-        oracle,
-    } = net;
-    sim.run_until(SimTime::ZERO + scenario.warmup);
-    sim.reset_stats();
-
-    let mut samples = Vec::new();
-    let mut last_total: u64 = 0;
-    let end = scenario.warmup + scenario.duration;
-    let mut t = scenario.warmup;
-    while t < end {
-        t += scenario.sample_interval;
-        if t > end {
-            t = end;
+/// Adds one background pair — a sink and a sender of the pair's traffic
+/// shape on its channel — with the given RNG stream ids.
+fn add_background_pair(sim: &mut Simulator, pair: &BackgroundPair, rx_stream: u64, tx_stream: u64) {
+    let rx_cfg = NodeConfig::on_channel(pair.channel).rng_stream(rx_stream); // stream-map: domain=sim-nodes salt=scenario-seed streams=0..=4294967295 role="background pair rx (fg + 2*pair; 2*pair in measure_airtime)"
+    let rx = sim.add_node(rx_cfg, Box::new(Sink));
+    let tx_cfg = NodeConfig::on_channel(pair.channel)
+        .ap()
+        .rng_stream(tx_stream); // stream-map: domain=sim-nodes salt=scenario-seed streams=1..=4294967295 role="background pair tx (fg + 2*pair + 1; 2*pair + 1 in measure_airtime)"
+    let tx: Box<dyn Behavior> = match &pair.traffic {
+        BackgroundTraffic::Cbr { interval } => Box::new(CbrSender::new(rx, *interval)),
+        BackgroundTraffic::Markov {
+            interval,
+            mean_active,
+            mean_passive,
+        } => Box::new(MarkovOnOffSender::new(
+            rx,
+            *interval,
+            *mean_active,
+            *mean_passive,
+        )),
+        BackgroundTraffic::Scripted { interval, windows } => {
+            Box::new(ScriptedCbrSender::new(rx, *interval, windows.clone()))
         }
-        sim.run_until(SimTime::ZERO + t);
-        let total: u64 = clients
-            .iter()
-            .map(|&c| sim.stats(c).rx_data_bytes + sim.stats(c).tx_acked_bytes)
-            .sum();
-        samples.push(Sample {
-            t: SimTime::ZERO + t,
-            ap_channel: sim.node_channel(*ap),
-            bytes_delta: total - last_total,
-        });
-        last_total = total;
-    }
-
-    let span = scenario.duration;
-    let per_client_mbps: Vec<f64> = clients
-        .iter()
-        .map(|&c| {
-            let s = sim.stats(c);
-            (s.rx_data_bytes + s.tx_acked_bytes) as f64 * 8.0 / span.as_secs_f64() / 1e6
-        })
-        .collect();
-    let aggregate_mbps = per_client_mbps.iter().sum();
-    let mut violations = sim.stats(*ap).incumbent_violations;
-    for &c in clients.iter() {
-        violations += sim.stats(c).incumbent_violations;
-    }
-    ScenarioOutcome {
-        per_client_mbps,
-        aggregate_mbps,
-        samples,
-        violations,
-        oracle: oracle.finish(sim),
-    }
+    };
+    sim.add_node(tx_cfg, tx);
 }
 
 /// Runs the adaptive WhiteFi network. `initial` overrides the bootstrap
@@ -395,14 +280,13 @@ pub fn run_whitefi(scenario: &Scenario, initial: Option<WfChannel>) -> ScenarioO
         })
         // lint:allow(unwrap, a scenario whose map admits no channel at all cannot be driven; documented precondition)
         .expect("scenario has no admissible channel");
-    let mut net = build(scenario, initial, true, None);
-    measure(scenario, &mut net)
+    run(scenario, initial, true, None)
 }
 
 /// The spectral keep-mask for a fixed run on `channel`: pair `k` is kept
 /// iff its nodes can (transitively) influence the foreground AP/clients
 /// through channel-span overlap × range — see [`whitefi_mac::interference`].
-/// Sites mirror `build` exactly: every driver node uses the default
+/// Sites mirror `run` exactly: every driver node uses the default
 /// co-located geometry, the foreground on the candidate channel, each
 /// pair on its own channel.
 fn fixed_keep_mask(scenario: &Scenario, channel: WfChannel) -> Vec<bool> {
@@ -427,17 +311,19 @@ fn fixed_keep_mask(scenario: &Scenario, channel: WfChannel) -> Vec<bool> {
 /// is exactly equal to [`run_fixed_unpruned`] (the pruning differential
 /// tests enforce this, DESIGN.md §9 states why it holds).
 pub fn run_fixed(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
-    let keep = fixed_keep_mask(scenario, channel);
-    let mut net = build(scenario, channel, false, Some(&keep));
-    measure(scenario, &mut net)
+    run(
+        scenario,
+        channel,
+        false,
+        Some(&fixed_keep_mask(scenario, channel)),
+    )
 }
 
 /// [`run_fixed`] without the spectral slicing: every background pair is
 /// simulated. Reference implementation for the differential tests and
 /// the `fixed_run_pruned_vs_full` bench.
 pub fn run_fixed_unpruned(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
-    let mut net = build(scenario, channel, false, None);
-    measure(scenario, &mut net)
+    run(scenario, channel, false, None)
 }
 
 /// The UHF channels some background pair spans or some AP/client extra
@@ -554,35 +440,8 @@ impl StaticBaselines {
 /// Figure 10 microbenchmark.
 pub fn measure_airtime(scenario: &Scenario, window: SimDuration) -> AirtimeVector {
     let mut sim = Simulator::new(scenario.seed);
-    for pair in &scenario.background {
-        let rx = sim.add_node(NodeConfig::on_channel(pair.channel), Box::new(Sink));
-        let tx_cfg = NodeConfig::on_channel(pair.channel).ap();
-        match &pair.traffic {
-            BackgroundTraffic::Cbr { interval } => {
-                sim.add_node(tx_cfg, Box::new(CbrSender::new(rx, *interval)));
-            }
-            BackgroundTraffic::Markov {
-                interval,
-                mean_active,
-                mean_passive,
-            } => {
-                sim.add_node(
-                    tx_cfg,
-                    Box::new(MarkovOnOffSender::new(
-                        rx,
-                        *interval,
-                        *mean_active,
-                        *mean_passive,
-                    )),
-                );
-            }
-            BackgroundTraffic::Scripted { interval, windows } => {
-                sim.add_node(
-                    tx_cfg,
-                    Box::new(ScriptedCbrSender::new(rx, *interval, windows.clone())),
-                );
-            }
-        }
+    for (k, pair) in (0u64..).zip(&scenario.background) {
+        add_background_pair(&mut sim, pair, 2 * k, 2 * k + 1);
     }
     let end = scenario.warmup + window;
     sim.run_until(SimTime::ZERO + end);

@@ -28,6 +28,7 @@
 
 pub mod ap;
 pub mod assignment;
+mod bss;
 pub mod chirp;
 pub mod city;
 pub mod client;

@@ -579,23 +579,12 @@ pub struct OracleBank {
 impl OracleBank {
     /// Registers a foreground member with its incumbent environment and
     /// *total* detection latency (configured delay plus any faulted
-    /// extra). Non-registered nodes are background: they feed only the
+    /// extra), under a scenario-stable identity `stable` that may differ
+    /// from the sim-local node id. Digests and violation details fold
+    /// `stable`, so a member produces byte-identical reports regardless
+    /// of which simulator — global or shard-local — hosts it (DESIGN.md
+    /// §13). Non-registered nodes are background: they feed only the
     /// airtime conservation check.
-    pub fn add_member(
-        &self,
-        node: NodeId,
-        is_ap: bool,
-        incumbents: &IncumbentSet,
-        detection_total: SimDuration,
-    ) {
-        self.add_member_as(node, node, is_ap, incumbents, detection_total);
-    }
-
-    /// [`Self::add_member`], registering the member under a
-    /// scenario-stable identity that may differ from the sim-local node
-    /// id. Digests and violation details fold `stable`, so a member
-    /// produces byte-identical reports regardless of which simulator —
-    /// global or shard-local — hosts it (DESIGN.md §13).
     pub fn add_member_as(
         &self,
         node: NodeId,

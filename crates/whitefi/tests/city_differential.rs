@@ -11,9 +11,11 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use whitefi::driver::{run_whitefi, Scenario};
 use whitefi::{merge_city, run_city, run_city_group, shard_plan, CityScenario, Locale};
-use whitefi_mac::FaultPlan;
-use whitefi_phy::SimDuration;
+use whitefi_mac::{FaultPlan, NodeConfig};
+use whitefi_phy::{SimDuration, SimTime};
+use whitefi_spectrum::{IncumbentSet, MicActivity, MicSchedule, WirelessMic};
 
 fn quick(mut city: CityScenario) -> CityScenario {
     city.warmup = SimDuration::from_millis(300);
@@ -116,5 +118,62 @@ fn random_topology_sharded_equals_unsharded() {
             run_city(&city, shards).0,
             "{ctx} shards {shards}"
         );
+    }
+}
+
+/// The single-AP driver is the one-cell city: a one-cell `CityScenario`
+/// at the default node site and range runs exactly like `run_whitefi` on
+/// the matching `Scenario`, outcome for outcome (stream ids, SSID and
+/// oracle identities all coincide at cell 0). 24 cases: seeds 1–3 ×
+/// warmup 0 / 500 ms × with and without a lossy fault plan × with and
+/// without a scripted mic on the cell's bootstrap channel.
+#[test]
+fn one_cell_city_equals_run_whitefi() {
+    for seed in 1..=3u64 {
+        for warmup_ms in [0, 500] {
+            for with_faults in [false, true] {
+                for with_mic in [false, true] {
+                    let mut city = CityScenario::grid(seed, 1, 2, 100.0, 50.0);
+                    city.warmup = SimDuration::from_millis(warmup_ms);
+                    city.duration = SimDuration::from_millis(1000);
+                    city.sample_interval = SimDuration::from_millis(200);
+                    let initial = city.cells[0].initial_channel();
+                    let site = NodeConfig::on_channel(initial);
+                    city.cells[0].pos = site.pos;
+                    city.cells[0].range = site.range;
+                    if with_faults {
+                        city.faults = Some(torture_plan(seed));
+                    }
+                    if with_mic {
+                        let on =
+                            (SimTime::ZERO + SimDuration::from_millis(warmup_ms + 300)).as_nanos();
+                        city.cells[0].extra_incumbents = Some(IncumbentSet {
+                            tv: Vec::new(),
+                            mics: vec![WirelessMic::new(
+                                initial.center(),
+                                MicSchedule::scripted(vec![MicActivity {
+                                    start: on,
+                                    end: on + SimDuration::from_secs(10).as_nanos(),
+                                }]),
+                            )],
+                        });
+                    }
+                    let cell = &city.cells[0];
+                    let mut s = Scenario::new(seed, cell.map, cell.n_clients);
+                    s.ap_extra_incumbents = cell.extra_incumbents.clone();
+                    s.client_extra_incumbents = vec![cell.extra_incumbents.clone(); cell.n_clients];
+                    s.duration = city.duration;
+                    s.warmup = city.warmup;
+                    s.sample_interval = city.sample_interval;
+                    s.faults = city.faults.clone();
+                    let ctx = format!(
+                        "seed {seed} warmup {warmup_ms} ms faults {with_faults} mic {with_mic}"
+                    );
+                    let (out, _) = run_city(&city, 1);
+                    assert_eq!(out.cells.len(), 1, "{ctx}");
+                    assert_eq!(out.cells[0], run_whitefi(&s, None), "{ctx}");
+                }
+            }
+        }
     }
 }
