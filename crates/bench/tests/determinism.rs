@@ -53,7 +53,7 @@ fn user_seed_perturbs_trial_seeds() {
 /// A driver-based experiment (full `run_whitefi` network sims, the
 /// fig11 seeding scheme) is byte-equal between `--jobs 1` and
 /// `--jobs 4` — the event-core fast paths (reachability bitsets,
-/// channel indexes, the CSMA deadline heap, windowed history) must not leak
+/// channel indexes, the CSMA deadline slots, windowed history) must not leak
 /// scheduling into results.
 #[test]
 fn driver_trials_parallel_match_sequential() {

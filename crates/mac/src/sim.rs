@@ -32,7 +32,7 @@ use crate::faults::{FaultEvent, FaultPlan, FaultState};
 use crate::frames::{Frame, FrameKind, NodeId};
 use crate::medium::{Medium, Transmission};
 use crate::stats::NodeStats;
-use crate::timers::{Deadline, TimerHeap, TimerKind};
+use crate::timers::{Deadline, DeadlineSlots, TimerKind};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BinaryHeap, VecDeque};
@@ -53,9 +53,9 @@ pub const SCANNER_SENSITIVITY_DBM: f64 = -114.0;
 /// never influence simulation behaviour.
 ///
 /// `stale_tentative`, `stale_ack_timeout` and `lazy_elided` are zero by
-/// construction: CSMA timers live in an indexed deadline heap that
-/// removes a cancelled timer outright (DESIGN.md §8), so no timer pop
-/// is ever stale and no push is ever elided. The fields remain for
+/// construction: CSMA timers live in per-node deadline slots, and
+/// disarming one empties its slot (DESIGN.md §8), so no timer pop is
+/// ever stale and no arm is ever elided. The fields remain for
 /// readers of the counter record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounters {
@@ -67,7 +67,7 @@ pub struct EventCounters {
     pub stale_tentative: u64,
     /// Stale ACK-timeout pops; always 0.
     pub stale_ack_timeout: u64,
-    /// Elided timer heap pushes; always 0.
+    /// Elided timer arms; always 0.
     pub lazy_elided: u64,
 }
 
@@ -380,7 +380,7 @@ pub struct Core {
     /// Every live CSMA timer: at most one per node, a `Tentative`
     /// deadline while the node is `Pending` and an `Ack` deadline while
     /// it is `WaitAck` (DESIGN.md §8).
-    timers: TimerHeap,
+    timers: DeadlineSlots,
     nodes: Vec<Node>,
     /// The shared medium (public for scanner-style queries).
     pub medium: Medium,
@@ -427,9 +427,9 @@ impl Core {
         self.queue.push(Queued { time: at, seq, ev });
     }
 
-    /// Arms node `n`'s CSMA timer. It takes the next global `seq`,
-    /// exactly like [`Core::schedule`], so the deadline heap and the
-    /// event queue share one `(time, seq)` order.
+    /// Arms node `n`'s CSMA timer in its deadline slot. It takes the
+    /// next global `seq`, exactly like [`Core::schedule`], so the
+    /// deadline slots and the event queue share one `(time, seq)` order.
     fn arm(&mut self, n: NodeId, at: SimTime, kind: TimerKind) {
         debug_assert!(at >= self.now, "scheduling into the past");
         self.counters.scheduled += 1;
@@ -833,7 +833,7 @@ impl Simulator {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
-                timers: TimerHeap::default(),
+                timers: DeadlineSlots::default(),
                 nodes: Vec::new(),
                 medium: Medium::new(),
                 seed,
@@ -1028,9 +1028,9 @@ impl Simulator {
     /// Handles the next event if it is due at or before `end`; returns
     /// whether there was one.
     ///
-    /// The next event is whichever of the event queue's and the deadline
-    /// heap's heads has the smaller `(time, seq)`; both draw `seq` from
-    /// one counter, so there are no ties.
+    /// The next event is whichever of the event queue's head and the
+    /// earliest armed deadline slot has the smaller `(time, seq)`; both
+    /// draw `seq` from one counter, so there are no ties.
     fn step(&mut self, end: SimTime) -> bool {
         let next_event = self.core.queue.peek().map(|q| (q.time, q.seq));
         let next_timer = self.core.timers.peek().map(|d| (d.time, d.seq));
@@ -1837,7 +1837,7 @@ mod tests {
     /// Contended traffic — three saturating senders on overlapping
     /// widths, unicast with ACKs, one mid-run retune — interrupts
     /// deferrals and disarms ACK timeouts all the time, yet no pop is
-    /// ever stale: a disarmed timer leaves the deadline heap, so it is
+    /// ever stale: disarming a timer empties its deadline slot, so it is
     /// scheduled and never handled.
     #[test]
     fn event_counters_track_traffic() {

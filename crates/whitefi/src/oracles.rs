@@ -161,11 +161,29 @@ struct MemberEnv {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a_word(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME_POW[k]` = `FNV_PRIME^k` (mod 2^64).
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    h
+    pow
+};
+
+/// FNV-1a over the eight little-endian bytes of `v`. Only the low bytes
+/// up to the highest non-zero one are hashed byte by byte: each higher
+/// byte is zero, so its XOR is a no-op and its step is a bare multiply
+/// by `FNV_PRIME`, and the `k` of them fold into one multiply by
+/// `FNV_PRIME^k`. Wrapping multiplication is associative, so the result
+/// equals the byte loop bit for bit.
+fn fnv1a_word(mut h: u64, v: u64) -> u64 {
+    let len = (u64::BITS - v.leading_zeros()).div_ceil(8) as usize;
+    for b in &v.to_le_bytes()[..len] {
+        h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
+    }
+    h.wrapping_mul(FNV_PRIME_POW[8 - len])
 }
 
 fn kind_tag(kind: &FrameKind) -> u64 {
@@ -193,6 +211,9 @@ struct BankState {
     cfg: OracleConfig,
     /// Member environments, ascending by sim-local node id.
     members: Vec<MemberEnv>,
+    /// `index[n]`: the position of member `n` in `members` (`None` for a
+    /// non-member); rebuilt whenever a member is added.
+    index: Vec<Option<usize>>,
     violations: Vec<Violation>,
     checked_tx: u64,
     digest: u64,
@@ -213,7 +234,21 @@ struct BankState {
 impl BankState {
     /// Index of member `n` in `members`, if `n` is a member.
     fn slot(&self, n: NodeId) -> Option<usize> {
-        self.members.binary_search_by_key(&n, |e| e.node).ok()
+        self.index.get(n).copied().flatten()
+    }
+
+    /// Registers (or re-registers) member `env` and rebuilds `index`.
+    fn add_member(&mut self, env: MemberEnv) {
+        match self.members.binary_search_by_key(&env.node, |e| e.node) {
+            Ok(k) => self.members[k] = env,
+            Err(k) => self.members.insert(k, env),
+        }
+        let len = self.members.last().map_or(0, |e| e.node + 1);
+        self.index.clear();
+        self.index.resize(len, None);
+        for (k, e) in self.members.iter().enumerate() {
+            self.index[e.node] = Some(k);
+        }
     }
 
     fn is_member(&self, n: NodeId) -> bool {
@@ -543,6 +578,7 @@ impl OracleSet {
         hub.banks.push(BankState {
             cfg,
             members: Vec::new(),
+            index: Vec::new(),
             violations: Vec::new(),
             checked_tx: 0,
             digest: FNV_OFFSET,
@@ -631,11 +667,7 @@ impl OracleBank {
             last_tx_channel: None,
             last_tx_time: SimTime::ZERO,
         };
-        let members = &mut hub.banks[self.bank].members;
-        match members.binary_search_by_key(&node, |e| e.node) {
-            Ok(k) => members[k] = env,
-            Err(k) => members.insert(k, env),
-        }
+        hub.banks[self.bank].add_member(env);
     }
 
     /// Finalizes the bank against the finished simulation: runs the
@@ -774,5 +806,93 @@ impl SimObserver for OracleObserver {
         if let Some(bank) = self.hub.borrow_mut().bank_of(node) {
             bank.last_marker = now;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The reference: FNV-1a over all eight little-endian bytes.
+    fn fnv1a_word_bytes(mut h: u64, v: u64) -> u64 {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// The zero-byte collapse equals the byte loop on zero, every value
+    /// below 256, each `256^k` boundary (and its neighbours), words with
+    /// interior zero bytes, `u64::MAX` and 10,000 seeded random words,
+    /// from both the offset basis and a random running hash.
+    #[test]
+    fn fnv1a_word_equals_the_byte_loop() {
+        let mut words: Vec<u64> = (0..256).collect();
+        for k in 1..8 {
+            let p = 1u64 << (8 * k);
+            words.extend([p - 1, p, p + 1]);
+        }
+        words.extend([0x0100, 0x00ff_0000_0001, 0x0100_0000_0000_0001, u64::MAX]);
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        words.extend((0..10_000).map(|_| {
+            // Spread the significant length over 1..=8 bytes.
+            let v: u64 = rng.gen();
+            v >> (8 * rng.gen_range(0..8))
+        }));
+        for v in words {
+            for h in [FNV_OFFSET, rng.gen()] {
+                assert_eq!(
+                    fnv1a_word(h, v),
+                    fnv1a_word_bytes(h, v),
+                    "h {h:#x}, v {v:#x}"
+                );
+            }
+        }
+    }
+
+    /// The O(1) member index agrees with a binary search of `members`
+    /// for every node id — members, non-members and ids past the end of
+    /// the table — after registrations in descending, then interleaved
+    /// order, and after re-registering existing members.
+    #[test]
+    fn member_index_agrees_with_binary_search() {
+        let set = OracleSet::new();
+        let bank = set.add_bank(OracleConfig::default());
+        let none = IncumbentSet::default();
+        let add = |node: NodeId, stable: NodeId| {
+            bank.add_member_as(node, stable, node == 9, &none, SimDuration::ZERO);
+        };
+        let check = |ctx: &str| {
+            let hub = set.hub.borrow();
+            let b = &hub.banks[bank.bank];
+            for n in 0..40 {
+                let want = b.members.binary_search_by_key(&n, |e| e.node).ok();
+                assert_eq!(b.slot(n), want, "{ctx}: node {n}");
+                assert_eq!(b.is_member(n), want.is_some(), "{ctx}: node {n}");
+                let stable = want.map_or(n, |k| b.members[k].stable);
+                assert_eq!(b.stable_of(n), stable, "{ctx}: node {n}");
+            }
+        };
+        check("empty");
+        for node in [9, 7, 4, 2] {
+            add(node, 100 + node);
+            check(&format!("descending, after {node}"));
+        }
+        for node in [3, 12, 0, 8, 20] {
+            add(node, 100 + node);
+            check(&format!("interleaved, after {node}"));
+        }
+        // The `Ok(k)` branch: re-registering replaces in place.
+        add(7, 207);
+        add(20, 220);
+        check("re-registered");
+        let hub = set.hub.borrow();
+        let b = &hub.banks[bank.bank];
+        assert_eq!(b.members.len(), 9);
+        assert_eq!(b.stable_of(7), 207);
+        assert_eq!(b.stable_of(20), 220);
+        assert_eq!(b.index.len(), 21, "the table ends at the largest member");
     }
 }
