@@ -18,14 +18,7 @@
 //! splitmix64.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The splitmix64 finalizer — a cheap, well-dispersed u64 mixer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use whitefi_mac::splitmix64;
 
 /// Work-pool state shared by every trial of one experiment run.
 #[derive(Debug)]

@@ -28,10 +28,10 @@ use whitefi_phy::{SimDuration, SimTime};
 /// (which is seeded directly from the simulator seed).
 const FAULT_SEED_SALT: u64 = 0x57_46_69_46_61_75_6c_74; // "WFiFault"
 
-/// SplitMix64: decorrelates the fault seed from the simulator seed so
-/// the two ChaCha families never share a seed even when a plan reuses
-/// the scenario seed.
-fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer, the workspace's one seed mixer. Here it
+/// decorrelates the fault seed from the simulator seed, so the two
+/// ChaCha families never share a seed even when a plan reuses it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -286,6 +286,14 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference SplitMix64 outputs: the generator's first two
+    /// outputs from state 0 are the finalizer of its first two states.
+    #[test]
+    fn splitmix64_matches_reference_outputs() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(0x9e37_79b9_7f4a_7c15), 0x6e78_9e6a_a1b9_65f4);
+    }
 
     #[test]
     fn quiet_plan_never_fires() {

@@ -1,112 +1,42 @@
-//! Spectral interference graph over static node sites, for pruning
-//! provably non-interacting nodes from fixed-channel runs.
+//! The spectral interference graph: which nodes can ever couple.
 //!
-//! A directed edge `u → v` means "a transmission by `u` can influence
-//! `v`": their `(F, W)` channels share at least one UHF channel *and*
-//! `v` lies within `u`'s transmission/carrier-sense range. This is the
-//! union of every inter-node coupling in the engine — delivery,
-//! carrier sense, deferral invalidation, and interference all test
-//! channel-span overlap plus the same range predicate (`sim.rs`
-//! `in_range_geom`), so a node with no edge into a set `S` can neither
-//! deliver to, defer, nor corrupt frames at any node of `S`.
+//! A [`ShardSite`] is a node's static footprint — position, range, and
+//! the bitmask of UHF channels it could ever span. Two sites are joined
+//! ([`potential_influences`]) iff their footprints share a UHF channel
+//! and either one's range covers the distance between them. This is the
+//! union of every inter-node coupling in the engine: delivery, carrier
+//! sense, deferral invalidation and interference all test channel-span
+//! overlap plus the same range predicate, which the simulator's
+//! reachability table evaluates through the one function below.
 //!
-//! [`influence_closure`] computes which nodes can influence a root set
-//! transitively (reverse reachability): node `u` is kept iff some path
-//! `u → … → r` of influence edges reaches a root `r`. Dropping every
-//! non-kept node from a simulation cannot change what the roots
-//! observe — provided nodes hold their channels and make no draws that
-//! route through other nodes' RNGs, which fixed-mode driver runs
-//! guarantee (scanners disabled, per-node RNG streams; DESIGN.md §9).
+//! [`shard_components`] labels the connected components of that graph.
+//! Nodes in different components can never deliver to, defer or corrupt
+//! frames at each other, so each component can be simulated on its own
+//! and exactly. The city shards its cells this way (DESIGN.md §13.1);
+//! a fixed-channel driver run simulates only its foreground's component
+//! (DESIGN.md §9).
 
 use whitefi_spectrum::WfChannel;
 
-/// A node's static spectral/geometric footprint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeSite {
-    /// The `(F, W)` channel the node is tuned to (fixed for the run).
-    pub channel: WfChannel,
-    /// Position in metres.
-    pub pos: (f64, f64),
-    /// Transmission/carrier-sense range in metres.
-    pub range: f64,
+/// Does a node at `from` with radio range `range` reach a node at `to`?
+/// The engine's one range predicate, evaluated exactly as written
+/// (`d².sqrt() <= range`, no algebraic rewrite that could flip at a
+/// rounding boundary); `d == range` counts as in range.
+pub(crate) fn within_range(from: (f64, f64), to: (f64, f64), range: f64) -> bool {
+    let d2 = (from.0 - to.0).powi(2) + (from.1 - to.1).powi(2);
+    d2.sqrt() <= range
 }
 
-impl NodeSite {
-    /// A co-located site with the engine's default geometry (matches
-    /// [`crate::NodeConfig::on_channel`]: pos `(0,0)`, range 1e6 m).
-    pub fn on_channel(channel: WfChannel) -> Self {
-        Self {
-            channel,
-            pos: (0.0, 0.0),
-            range: 1.0e6,
-        }
-    }
-
-    /// Sets the position.
-    pub fn at(mut self, x: f64, y: f64) -> Self {
-        self.pos = (x, y);
-        self
-    }
-
-    /// Sets the range.
-    pub fn with_range(mut self, range: f64) -> Self {
-        self.range = range;
-        self
-    }
-}
-
-/// Can a transmission by `a` influence `b`? Channel spans must overlap
-/// and `b` must be within `a`'s range — the exact float predicate the
-/// engine evaluates (`d².sqrt() <= range`, no algebraic rewrite that
-/// could flip at rounding boundaries).
-pub fn influences(a: &NodeSite, b: &NodeSite) -> bool {
-    if !a.channel.overlaps(b.channel) {
-        return false;
-    }
-    let d2 = (a.pos.0 - b.pos.0).powi(2) + (a.pos.1 - b.pos.1).powi(2);
-    d2.sqrt() <= a.range
-}
-
-/// Reverse reachability to `roots` over the influence graph: `keep[i]`
-/// is true iff node `i` is a root or can influence a kept node —
-/// i.e. there is a directed path of [`influences`] edges from `i` to
-/// some root. Everything with `keep[i] == false` is spectrally sliced
-/// away from the roots and can be omitted from the simulation without
-/// changing anything the roots observe.
+/// A node's *potential* spectral/geometric footprint.
 ///
-/// O(n²) worklist; sites are static so this runs once per scenario.
-pub fn influence_closure(sites: &[NodeSite], roots: &[usize]) -> Vec<bool> {
-    let mut keep = vec![false; sites.len()];
-    let mut work: Vec<usize> = Vec::with_capacity(sites.len());
-    for &r in roots {
-        assert!(r < sites.len(), "root {r} out of bounds");
-        if !keep[r] {
-            keep[r] = true;
-            work.push(r);
-        }
-    }
-    while let Some(v) = work.pop() {
-        for u in 0..sites.len() {
-            if !keep[u] && influences(&sites[u], &sites[v]) {
-                keep[u] = true;
-                work.push(u);
-            }
-        }
-    }
-    keep
-}
-
-/// A node's *potential* spectral/geometric footprint, for sharding
-/// adaptive multi-network simulations (DESIGN.md §13).
-///
-/// Where [`NodeSite`] pins one `(F, W)` channel (valid for fixed-channel
-/// runs), a `ShardSite` carries the set of UHF channels the node could
-/// ever span across *all* its admissible retunes, as a bitmask over
-/// `NUM_UHF_CHANNELS`. Two sites whose footprints share no UHF channel
-/// can never couple through the engine — on any channel either of them
-/// is allowed to occupy, now or after any sequence of retunes — so a
-/// partition into footprint-disjoint (or out-of-range) groups stays
-/// influence-closed for the whole run, not just the initial placement.
+/// The footprint is the set of UHF channels the node could ever span
+/// across *all* its admissible retunes, as a bitmask over
+/// `NUM_UHF_CHANNELS` (a fixed-channel node's is its channel's span).
+/// Two sites whose footprints share no UHF channel can never couple
+/// through the engine — on any channel either of them is allowed to
+/// occupy, now or after any sequence of retunes — so a partition into
+/// footprint-disjoint (or out-of-range) groups stays influence-closed
+/// for the whole run, not just the initial placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardSite {
     /// Bitmask of potentially spanned UHF channels (bit `i` = UHF `i`).
@@ -143,25 +73,15 @@ impl ShardSite {
             .into_iter()
             .fold(Self::new(pos, range), Self::add_channel)
     }
-
-    /// The single-channel footprint of a fixed [`NodeSite`].
-    pub fn from_site(site: &NodeSite) -> Self {
-        Self::new(site.pos, site.range).add_channel(site.channel)
-    }
 }
 
 /// Can `a` and `b` ever couple, on any admissible channel of either?
 /// True iff their potential footprints share a UHF channel *and* either
 /// lies within the other's range (the symmetrized influence predicate —
-/// an edge in either direction keeps the pair in one shard). Uses the
-/// same exact float predicate as [`influences`].
+/// an edge in either direction keeps the pair in one component).
 pub fn potential_influences(a: &ShardSite, b: &ShardSite) -> bool {
-    if a.footprint & b.footprint == 0 {
-        return false;
-    }
-    let d2 = (a.pos.0 - b.pos.0).powi(2) + (a.pos.1 - b.pos.1).powi(2);
-    let d = d2.sqrt();
-    d <= a.range || d <= b.range
+    a.footprint & b.footprint != 0
+        && (within_range(a.pos, b.pos, a.range) || within_range(b.pos, a.pos, b.range))
 }
 
 /// Connected components of the symmetrized potential-influence graph:
@@ -217,77 +137,82 @@ pub fn shard_components(sites: &[ShardSite]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::Sink;
+    use crate::{NodeConfig, Simulator};
     use whitefi_spectrum::Width;
 
     fn ch(center: usize, w: Width) -> WfChannel {
         WfChannel::from_parts(center, w)
     }
 
+    /// A simulator holding one sink per `(x, range)` on the x axis, all
+    /// on `channel`, so `reaches` answers from the engine's table.
+    fn sim_with(channel: WfChannel, nodes: &[(f64, f64)]) -> Simulator {
+        let mut sim = Simulator::new(1);
+        for &(x, range) in nodes {
+            let mut cfg = NodeConfig::on_channel(channel).at(x, 0.0);
+            cfg.range = range;
+            sim.add_node(cfg, Box::new(Sink));
+        }
+        sim
+    }
+
     #[test]
     fn disjoint_channels_never_influence() {
-        let a = NodeSite::on_channel(ch(3, Width::W5));
-        let b = NodeSite::on_channel(ch(9, Width::W5));
-        assert!(!influences(&a, &b));
-        assert!(!influences(&b, &a));
+        let a = ShardSite::from_channels((0.0, 0.0), 1e6, [ch(3, Width::W5)]);
+        let b = ShardSite::from_channels((0.0, 0.0), 1e6, [ch(9, Width::W5)]);
+        assert!(!potential_influences(&a, &b));
+        assert!(!potential_influences(&b, &a));
     }
 
     #[test]
     fn overlapping_spans_influence_when_in_range() {
         // A W20 at 10 spans 8..=12; a W5 at 11 sits inside it.
-        let a = NodeSite::on_channel(ch(10, Width::W20));
-        let b = NodeSite::on_channel(ch(11, Width::W5));
-        assert!(influences(&a, &b));
-        assert!(influences(&b, &a));
+        let a = ShardSite::from_channels((0.0, 0.0), 1e6, [ch(10, Width::W20)]);
+        let b = ShardSite::from_channels((0.0, 0.0), 1e6, [ch(11, Width::W5)]);
+        assert!(potential_influences(&a, &b));
+        assert!(potential_influences(&b, &a));
     }
 
+    /// The range predicate is directed — the engine's reach table says
+    /// only the long-range node reaches the other — while
+    /// `potential_influences` joins the pair both ways.
     #[test]
     fn range_is_directional() {
         let c = ch(5, Width::W5);
-        let near = NodeSite::on_channel(c).with_range(100.0);
-        let far = NodeSite::on_channel(c).at(150.0, 0.0).with_range(1000.0);
-        // far reaches near, near does not reach far.
-        assert!(influences(&far, &near));
-        assert!(!influences(&near, &far));
+        assert!(within_range((150.0, 0.0), (0.0, 0.0), 1000.0));
+        assert!(!within_range((0.0, 0.0), (150.0, 0.0), 100.0));
+        let sim = sim_with(c, &[(0.0, 100.0), (150.0, 1000.0)]);
+        assert!(sim.reaches(1, 0), "far reaches near");
+        assert!(!sim.reaches(0, 1), "near does not reach far");
+        let near = ShardSite::from_channels((0.0, 0.0), 100.0, [c]);
+        let far = ShardSite::from_channels((150.0, 0.0), 1000.0, [c]);
+        assert!(potential_influences(&near, &far));
+        assert!(potential_influences(&far, &near));
     }
 
     #[test]
     fn boundary_distance_is_inclusive() {
         let c = ch(5, Width::W5);
-        let a = NodeSite::on_channel(c).with_range(100.0);
-        let b = NodeSite::on_channel(c).at(100.0, 0.0);
-        assert!(influences(&a, &b), "d == range must count as in range");
-    }
-
-    #[test]
-    fn closure_keeps_transitive_influencers() {
-        let c = ch(5, Width::W5);
-        // Chain: 2 → 1 → 0(root), each hop 100 m with 120 m range, so
-        // 2 cannot reach 0 directly but influences it through 1.
-        let sites = vec![
-            NodeSite::on_channel(c).with_range(120.0),
-            NodeSite::on_channel(c).at(100.0, 0.0).with_range(120.0),
-            NodeSite::on_channel(c).at(200.0, 0.0).with_range(120.0),
-            // 3: same geometry, disjoint channel — pruned.
-            NodeSite::on_channel(ch(20, Width::W5)).with_range(120.0),
-        ];
-        let keep = influence_closure(&sites, &[0]);
-        assert_eq!(keep, vec![true, true, true, false]);
-    }
-
-    #[test]
-    fn closure_without_roots_keeps_nothing() {
-        let sites = vec![NodeSite::on_channel(ch(5, Width::W5))];
-        assert_eq!(influence_closure(&sites, &[]), vec![false]);
-    }
-
-    #[test]
-    fn closure_handles_duplicate_roots() {
-        let sites = vec![
-            NodeSite::on_channel(ch(5, Width::W5)),
-            NodeSite::on_channel(ch(5, Width::W5)),
-        ];
-        let keep = influence_closure(&sites, &[0, 0]);
-        assert_eq!(keep, vec![true, true]);
+        assert!(within_range((0.0, 0.0), (100.0, 0.0), 100.0));
+        // Both nodes' range is exactly their distance: d == range.
+        let sim = sim_with(c, &[(0.0, 100.0), (100.0, 100.0)]);
+        assert!(
+            sim.reaches(0, 1) && sim.reaches(1, 0),
+            "d == range must reach"
+        );
+        let a = ShardSite::from_channels((0.0, 0.0), 100.0, [c]);
+        let b = ShardSite::from_channels((100.0, 0.0), 100.0, [c]);
+        assert!(
+            potential_influences(&a, &b),
+            "d == range must count as in range"
+        );
+        // One ulp further and neither direction reaches.
+        let beyond = f64::from_bits(100.0f64.to_bits() + 1);
+        let sim = sim_with(c, &[(0.0, 100.0), (beyond, 100.0)]);
+        assert!(!sim.reaches(0, 1) && !sim.reaches(1, 0));
+        let b = ShardSite::from_channels((beyond, 0.0), 100.0, [c]);
+        assert!(!potential_influences(&a, &b));
     }
 
     #[test]
@@ -300,7 +225,7 @@ mod tests {
         let expected: u32 = (8..=12).chain(std::iter::once(20)).map(|i| 1 << i).sum();
         assert_eq!(s.footprint, expected);
         assert_eq!(
-            ShardSite::from_site(&NodeSite::on_channel(ch(20, Width::W5)).with_range(7.0)),
+            ShardSite::new((0.0, 0.0), 7.0).add_channel(ch(20, Width::W5)),
             ShardSite::from_channels((0.0, 0.0), 7.0, [ch(20, Width::W5)])
         );
     }
@@ -324,8 +249,9 @@ mod tests {
     fn components_group_transitive_chains() {
         let c = ch(5, Width::W5);
         let mk = |x: f64| ShardSite::from_channels((x, 0.0), 120.0, [c]);
-        // 0—1—2 form a chain (each hop 100 m); 3 is 500 m away (own
-        // component); 4 is co-located with 3 but spectrally disjoint.
+        // 0—1—2 form a chain (each hop 100 m, so 2 reaches 0 only
+        // through 1); 3 is 500 m away (own component); 4 is co-located
+        // with 3 but spectrally disjoint.
         let sites = vec![
             mk(0.0),
             mk(100.0),
@@ -336,6 +262,42 @@ mod tests {
         assert_eq!(shard_components(&sites), vec![0, 0, 0, 1, 2]);
     }
 
+    /// Components are closed under the engine's own directed coupling:
+    /// wherever the simulator's reach table says `u` reaches `v` and
+    /// their channel spans overlap, both sit in one component.
+    #[test]
+    fn components_are_influence_closed() {
+        let c5 = ch(5, Width::W5);
+        let c20 = ch(20, Width::W10);
+        let nodes = [
+            (c5, 0.0, 120.0),
+            (c5, 100.0, 120.0),
+            (c20, 100.0, 120.0),
+            (c20, 900.0, 120.0),
+            (c5, 950.0, 120.0),
+            (c5, 1300.0, 400.0),
+        ];
+        let mut sim = Simulator::new(1);
+        for &(c, x, range) in &nodes {
+            let mut cfg = NodeConfig::on_channel(c).at(x, 0.0);
+            cfg.range = range;
+            sim.add_node(cfg, Box::new(Sink));
+        }
+        let sites: Vec<ShardSite> = nodes
+            .iter()
+            .map(|&(c, x, range)| ShardSite::from_channels((x, 0.0), range, [c]))
+            .collect();
+        let comp = shard_components(&sites);
+        assert_eq!(comp, vec![0, 0, 1, 2, 3, 3]);
+        for (u, &(cu, ..)) in nodes.iter().enumerate() {
+            for (v, &(cv, ..)) in nodes.iter().enumerate() {
+                if sim.reaches(u, v) && cu.overlaps(cv) {
+                    assert_eq!(comp[u], comp[v], "{u} reaches {v} across components");
+                }
+            }
+        }
+    }
+
     #[test]
     fn component_labels_are_first_appearance_order() {
         let c = ch(5, Width::W5);
@@ -344,37 +306,5 @@ mod tests {
         // Interleaved placement: labels follow site order, not geometry.
         let sites = vec![b, a, b, a];
         assert_eq!(shard_components(&sites), vec![0, 1, 0, 1]);
-    }
-
-    /// Components agree with [`influence_closure`] over single-channel
-    /// sites: the closure of any root never escapes the root's
-    /// component (closedness), and every same-component pair is
-    /// connected through the symmetrized closure (minimality is not
-    /// required for soundness, but this guards against over-merging
-    /// bugs like an always-true predicate).
-    #[test]
-    fn components_are_influence_closed() {
-        let c5 = ch(5, Width::W5);
-        let c20 = ch(20, Width::W10);
-        let sites: Vec<NodeSite> = vec![
-            NodeSite::on_channel(c5).with_range(120.0),
-            NodeSite::on_channel(c5).at(100.0, 0.0).with_range(120.0),
-            NodeSite::on_channel(c20).at(100.0, 0.0).with_range(120.0),
-            NodeSite::on_channel(c20).at(900.0, 0.0).with_range(120.0),
-            NodeSite::on_channel(c5).at(950.0, 0.0).with_range(120.0),
-        ];
-        let shard_sites: Vec<ShardSite> = sites.iter().map(ShardSite::from_site).collect();
-        let comp = shard_components(&shard_sites);
-        for r in 0..sites.len() {
-            let keep = influence_closure(&sites, &[r]);
-            for (i, &k) in keep.iter().enumerate() {
-                if k {
-                    assert_eq!(
-                        comp[i], comp[r],
-                        "site {i} influences root {r} across a component boundary"
-                    );
-                }
-            }
-        }
     }
 }

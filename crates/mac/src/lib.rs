@@ -43,11 +43,9 @@ mod timers;
 pub mod traffic;
 
 pub use analysis::{bianchi_saturation_goodput_mbps, bianchi_tau, single_flow_goodput_mbps};
-pub use faults::{FaultDecision, FaultEvent, FaultEventKind, FaultPlan, FaultStats};
+pub use faults::{splitmix64, FaultDecision, FaultEvent, FaultEventKind, FaultPlan, FaultStats};
 pub use frames::{Frame, FrameKind, NodeId};
-pub use interference::{
-    influence_closure, influences, potential_influences, shard_components, NodeSite, ShardSite,
-};
+pub use interference::{potential_influences, shard_components, ShardSite};
 pub use medium::{Medium, Transmission};
 pub use sim::{
     global_event_totals, Behavior, Ctx, EventCounters, NodeConfig, SimObserver, Simulator,

@@ -30,6 +30,7 @@
 
 use crate::faults::{FaultEvent, FaultPlan, FaultState};
 use crate::frames::{Frame, FrameKind, NodeId};
+use crate::interference::within_range;
 use crate::medium::{Medium, Transmission};
 use crate::stats::NodeStats;
 use crate::timers::{Deadline, DeadlineSlots, TimerKind};
@@ -84,6 +85,17 @@ impl EventCounters {
                 .wrapping_sub(earlier.stale_ack_timeout),
             lazy_elided: self.lazy_elided.wrapping_sub(earlier.lazy_elided),
         }
+    }
+}
+
+/// Counter-wise sum, for totalling the counters of several simulators.
+impl std::ops::AddAssign for EventCounters {
+    fn add_assign(&mut self, other: EventCounters) {
+        self.scheduled += other.scheduled;
+        self.handled += other.handled;
+        self.stale_tentative += other.stale_tentative;
+        self.stale_ack_timeout += other.stale_ack_timeout;
+        self.lazy_elided += other.lazy_elided;
     }
 }
 
@@ -518,10 +530,8 @@ impl Core {
     /// The underlying float range predicate, evaluated once per node
     /// pair at `add_node` time to fill the `reach` bitsets.
     fn in_range_geom(&self, from: NodeId, to: NodeId) -> bool {
-        let a = self.nodes[from].cfg.pos;
-        let b = self.nodes[to].cfg.pos;
-        let d2 = (a.0 - b.0).powi(2) + (a.1 - b.1).powi(2);
-        d2.sqrt() <= self.nodes[from].cfg.range
+        let from = &self.nodes[from].cfg;
+        within_range(from.pos, self.nodes[to].cfg.pos, from.range)
     }
 
     fn is_transmitting(&self, n: NodeId) -> bool {
@@ -1889,6 +1899,12 @@ mod tests {
         assert_eq!(ev.stale_tentative, 0, "{ev:?}");
         assert_eq!(ev.stale_ack_timeout, 0, "{ev:?}");
         assert_eq!(ev.lazy_elided, 0, "{ev:?}");
+        // Summing is counter-wise and undone by `delta_since`.
+        let mut twice = ev;
+        twice += ev;
+        assert_eq!(twice.handled, 2 * ev.handled);
+        assert_eq!(twice.scheduled, 2 * ev.scheduled);
+        assert_eq!(twice.delta_since(ev), ev);
     }
 
     /// The proof obligation behind the narrowed `tx_end` re-plan sweep,

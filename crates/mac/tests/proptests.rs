@@ -5,8 +5,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use whitefi_mac::traffic::Sink;
 use whitefi_mac::{
-    influence_closure, influences, potential_influences, shard_components, Behavior, CbrSender,
-    NodeConfig, NodeId, NodeSite, SaturatingSender, ShardSite, Simulator,
+    potential_influences, shard_components, Behavior, CbrSender, NodeConfig, NodeId,
+    SaturatingSender, ShardSite, Simulator,
 };
 use whitefi_phy::{PhyTiming, SimDuration, SimTime};
 use whitefi_spectrum::{UhfChannel, WfChannel, Width};
@@ -159,70 +159,6 @@ fn no_spurious_violations() {
             let violations = sim.stats(n).incumbent_violations;
             assert_eq!(violations, 0, "case {case}: seed {seed} {w:?} node {n}");
         }
-    }
-}
-
-/// Pruning soundness: the interference graph's reverse-reachability
-/// closure agrees with a brute-force "could node `u` ever interact
-/// with the root set?" check over random channels, positions, and
-/// ranges. Brute force builds the full edge matrix from first
-/// principles (spanned UHF index sets intersect AND the engine's
-/// range predicate) and saturates reachability by fixpoint.
-#[test]
-fn influence_closure_matches_bruteforce() {
-    for case in 0..CASES {
-        let mut rng = ChaCha8Rng::seed_from_u64(case);
-        let n_nodes = rng.gen_range(1..24);
-        let sites: Vec<NodeSite> = (0..n_nodes)
-            .map(|_| {
-                let (w, center, (x, y, range)) = (
-                    arb_width(&mut rng),
-                    rng.gen_range(0..30),
-                    arb_place(&mut rng),
-                );
-                NodeSite::on_channel(channel_for(center, w))
-                    .at(x, y)
-                    .with_range(range)
-            })
-            .collect();
-        let n_roots = rng.gen_range(1usize..5);
-        let roots: Vec<usize> = (0..n_roots.min(sites.len())).collect();
-        let ctx = format!("case {case}: sites {sites:?} roots {roots:?}");
-
-        // Brute-force edge matrix.
-        let n = sites.len();
-        let edge = |u: usize, v: usize| -> bool {
-            let su: Vec<usize> = sites[u].channel.spanned().map(|c| c.index()).collect();
-            let overlap = sites[v].channel.spanned().any(|c| su.contains(&c.index()));
-            let dx = sites[u].pos.0 - sites[v].pos.0;
-            let dy = sites[u].pos.1 - sites[v].pos.1;
-            overlap && (dx * dx + dy * dy).sqrt() <= sites[u].range
-        };
-        // `influences` is exactly that edge relation.
-        for u in 0..n {
-            for v in 0..n {
-                let (a, b) = (&sites[u], &sites[v]);
-                assert_eq!(influences(a, b), edge(u, v), "{ctx}: edge ({u}, {v})");
-            }
-        }
-        // Fixpoint reverse reachability.
-        let mut brute = vec![false; n];
-        for &r in &roots {
-            brute[r] = true;
-        }
-        loop {
-            let mut changed = false;
-            for u in 0..n {
-                if !brute[u] && (0..n).any(|v| brute[v] && edge(u, v)) {
-                    brute[u] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        assert_eq!(influence_closure(&sites, &roots), brute, "{ctx}");
     }
 }
 

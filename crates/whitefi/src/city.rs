@@ -54,7 +54,8 @@ use crate::driver::ScenarioOutcome;
 use crate::mcham::NodeReport;
 use crate::oracles::OracleSet;
 use whitefi_mac::{
-    shard_components, EventCounters, FaultEvent, FaultPlan, NodeId, ShardSite, Simulator,
+    shard_components, splitmix64, EventCounters, FaultEvent, FaultPlan, NodeId, ShardSite,
+    Simulator,
 };
 use whitefi_phy::SimDuration;
 use whitefi_spectrum::{AirtimeVector, IncumbentSet, SpectrumMap, UhfChannel, WfChannel};
@@ -174,13 +175,6 @@ pub struct CityScenario {
     /// Deterministic fault plan, installed identically in every shard
     /// simulator (fault streams key on the global node id).
     pub faults: Option<FaultPlan>,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl CityScenario {
@@ -503,16 +497,6 @@ pub fn run_city_group(city: &CityScenario, cells: &[usize]) -> GroupOutcome {
     }
 }
 
-fn add_counters(a: EventCounters, b: EventCounters) -> EventCounters {
-    EventCounters {
-        scheduled: a.scheduled + b.scheduled,
-        handled: a.handled + b.handled,
-        stale_tentative: a.stale_tentative + b.stale_tentative,
-        stale_ack_timeout: a.stale_ack_timeout + b.stale_ack_timeout,
-        lazy_elided: a.lazy_elided + b.lazy_elided,
-    }
-}
-
 /// Reduces the shard groups' outcomes — in *any* order — into the
 /// canonical [`CityOutcome`]: cells sorted by global index (and checked
 /// to cover the city exactly once), fault events stably sorted by
@@ -528,7 +512,7 @@ pub fn merge_city(
     let mut fault_events: Vec<FaultEvent> = Vec::new();
     for g in groups {
         sync_rounds += g.sync_rounds;
-        events = add_counters(events, g.events);
+        events += g.events;
         cells.extend(g.cells);
         fault_events.extend(g.fault_events);
     }

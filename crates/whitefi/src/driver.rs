@@ -32,7 +32,7 @@ use crate::mcham::NodeReport;
 use crate::oracles::{OracleReport, OracleSet};
 use whitefi_mac::traffic::Sink;
 use whitefi_mac::{
-    influence_closure, Behavior, CbrSender, FaultPlan, MarkovOnOffSender, NodeConfig, NodeSite,
+    shard_components, Behavior, CbrSender, FaultPlan, MarkovOnOffSender, NodeConfig,
     ScriptedCbrSender, ShardSite, Simulator,
 };
 use whitefi_phy::{SimDuration, SimTime};
@@ -202,7 +202,6 @@ fn run(
         sim.set_fault_plan(plan.clone());
     }
     let oracles = OracleSet::new();
-    let site = NodeSite::on_channel(initial);
     let client_envs = scenario.client_maps.iter().enumerate().map(|(i, &map)| {
         let extra = scenario.client_extra_incumbents.get(i);
         (map, extra.and_then(Option::as_ref))
@@ -219,7 +218,7 @@ fn run(
             base: 0,
             ssid: 1,
             initial,
-            site: ShardSite::from_channels(site.pos, site.range, WfChannel::all()),
+            site: WfChannel::all().fold(co_located(initial), ShardSite::add_channel),
             adaptive,
         },
     );
@@ -283,25 +282,24 @@ pub fn run_whitefi(scenario: &Scenario, initial: Option<WfChannel>) -> ScenarioO
     run(scenario, initial, true, None)
 }
 
+/// The site of a node on `channel` at [`NodeConfig::on_channel`]'s
+/// default geometry, which every driver node uses (they are co-located).
+fn co_located(channel: WfChannel) -> ShardSite {
+    let NodeConfig { pos, range, .. } = NodeConfig::on_channel(channel);
+    ShardSite::new(pos, range).add_channel(channel)
+}
+
 /// The spectral keep-mask for a fixed run on `channel`: pair `k` is kept
-/// iff its nodes can (transitively) influence the foreground AP/clients
-/// through channel-span overlap × range — see [`whitefi_mac::interference`].
-/// Sites mirror `run` exactly: every driver node uses the default
-/// co-located geometry, the foreground on the candidate channel, each
-/// pair on its own channel.
+/// iff it lies in the foreground's component of the interference graph
+/// ([`whitefi_mac::shard_components`]). Sites mirror `run`: one for the
+/// foreground with the candidate's span, one per pair with its own (a
+/// pair's sink and sender share a channel and a place, so they share
+/// a site).
 fn fixed_keep_mask(scenario: &Scenario, channel: WfChannel) -> Vec<bool> {
-    let fg = 1 + scenario.client_maps.len();
-    let mut sites: Vec<NodeSite> = Vec::with_capacity(fg + 2 * scenario.background.len());
-    sites.resize(fg, NodeSite::on_channel(channel));
-    for pair in &scenario.background {
-        sites.push(NodeSite::on_channel(pair.channel)); // rx
-        sites.push(NodeSite::on_channel(pair.channel)); // tx
-    }
-    let roots: Vec<usize> = (0..fg).collect();
-    let keep = influence_closure(&sites, &roots);
-    (0..scenario.background.len())
-        .map(|k| keep[fg + 2 * k] || keep[fg + 2 * k + 1])
-        .collect()
+    let channels = std::iter::once(channel).chain(scenario.background.iter().map(|p| p.channel));
+    let sites: Vec<ShardSite> = channels.map(co_located).collect();
+    let labels = shard_components(&sites);
+    labels[1..].iter().map(|&l| l == labels[0]).collect()
 }
 
 /// Runs the network pinned to `channel` (no adaptation, no disconnection
@@ -571,6 +569,27 @@ mod tests {
             fixed_keep_mask(&s, WfChannel::from_parts(12, Width::W20)),
             vec![false, false, true, false, false]
         );
+    }
+
+    /// Pair B shares no UHF channel with the candidate but overlaps pair
+    /// A, which does: B can defer A, which defers the foreground, so the
+    /// mask keeps it through A. Pair C touches neither and is dropped.
+    #[test]
+    fn keep_mask_keeps_pairs_reached_through_another_pair() {
+        let mut s = quick(Scenario::new(31, SpectrumMap::all_free(), 2));
+        for (c, w) in [(6usize, Width::W10), (7, Width::W5), (20, Width::W5)] {
+            s.background.push(BackgroundPair {
+                channel: WfChannel::from_parts(c, w),
+                traffic: BackgroundTraffic::Cbr {
+                    interval: SimDuration::from_millis(4),
+                },
+            });
+        }
+        // W5 at 5 spans 5; A (W10 at 6) spans 5..=7; B (W5 at 7) spans 7.
+        let cand = WfChannel::from_parts(5, Width::W5);
+        assert!(!cand.overlaps(s.background[1].channel));
+        assert_eq!(fixed_keep_mask(&s, cand), vec![true, true, false]);
+        assert_eq!(run_fixed(&s, cand), run_fixed_unpruned(&s, cand));
     }
 
     #[test]

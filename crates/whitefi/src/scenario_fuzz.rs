@@ -22,7 +22,7 @@ use crate::scenario_file::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use whitefi_mac::FaultPlan;
+use whitefi_mac::{splitmix64, FaultPlan};
 use whitefi_phy::{SimDuration, SimTime};
 use whitefi_spectrum::{UhfChannel, NUM_UHF_CHANNELS};
 
@@ -46,13 +46,6 @@ const STREAM_BACKGROUND: u64 = 5;
 const STREAM_FAULTS: u64 = 6;
 /// Stream id: run mode.
 const STREAM_RUN: u64 = 7;
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One per-family RNG of the fuzz seed's stream family.
 fn stream(seed: u64, id: u64) -> ChaCha8Rng {

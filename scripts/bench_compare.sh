@@ -14,9 +14,13 @@
 # `workload=<name>` line above it (a file of bare JSON lines is one
 # unnamed workload). Per workload and metric it prints the parent
 # median, the change median and change/parent; direction and bound come
-# from BENCHMARK.json. Exits 1 if an end-to-end metric worsens by more
-# than its bound (relative to the parent median), and 2 if either file
-# holds no result lines.
+# from BENCHMARK.json. Then, per workload, it counts the seeds that both
+# files ran whose `digest=` values (on the `workload=… seed=…` lines)
+# are equal on both sides, and lists the seeds whose digests differ.
+# The digest count is informational: a change to numerics legitimately
+# moves digests. Exits 1 if an end-to-end metric worsens by more than
+# its bound (relative to the parent median), and 2 if either file holds
+# no result lines.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -54,6 +58,31 @@ def result_lines(path):
     return runs
 
 
+def digests(path):
+    """{workload: {seed: set of digests}} from `workload=` lines."""
+    seen = {}
+    with open(path) as f:
+        for line in f:
+            if not line.startswith("workload="):
+                continue
+            fields = dict(kv.split("=", 1) for kv in line.split() if "=" in kv)
+            if "seed" in fields and "digest" in fields:
+                seeds = seen.setdefault(fields["workload"], {})
+                seeds.setdefault(fields["seed"], set()).add(fields["digest"])
+    return seen
+
+
+def compare_digests(base, cand):
+    for workload in sorted(set(base) & set(cand)):
+        shared = sorted(set(base[workload]) & set(cand[workload]), key=int)
+        differ = [s for s in shared if base[workload][s] != cand[workload][s]]
+        print(f"digests {workload}: {len(shared) - len(differ)} of {len(shared)} shared seed(s) equal")
+        for s in differ:
+            b = ",".join(sorted(base[workload][s]))
+            c = ",".join(sorted(cand[workload][s]))
+            print(f"  seed {s} differs: parent {b} change {c}")
+
+
 def compare_layerbench(base, cand):
     with open(spec_path) as f:
         spec = json.load(f)
@@ -84,6 +113,8 @@ def compare_layerbench(base, cand):
                     flag = f"  <-- worse by {rel:.1%} (bound {entry['bound']:.0%})"
                     regressions.append((workload, name, bm, cm))
             print(f"{workload:13} {name:32} {bm:12.6g} {cm:12.6g} {ratio}  {better}{flag}")
+    print()
+    compare_digests(digests(base_path), digests(cand_path))
     if regressions:
         print(f"\n{len(regressions)} end-to-end metric(s) worse than their bound:", file=sys.stderr)
         for workload, name, bm, cm in regressions:
