@@ -14,7 +14,7 @@ use crate::json;
 use crate::report::{mean, round4, ExperimentReport};
 use crate::runner::RunCtx;
 use rand::Rng;
-use whitefi::driver::{run_whitefi, BackgroundPair, BackgroundTraffic, Scenario, StaticBaselines};
+use whitefi::driver::{BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi_phy::SimDuration;
 use whitefi_repro::campus_sim_map;
 use whitefi_spectrum::{WfChannel, Width};
@@ -43,31 +43,24 @@ pub fn scenario(pairs: usize, seed: u64, quick: bool) -> Scenario {
     s
 }
 
-/// One simulated run at `(pairs, seed)`: per-client
-/// `(whitefi, opt5, opt10, opt20, opt)` in Mbps.
-pub fn one_run(pairs: usize, seed: u64, quick: bool) -> (f64, f64, f64, f64, f64) {
-    let s = scenario(pairs, seed, quick);
-    let n = s.client_maps.len() as f64;
-    let wf = run_whitefi(&s, None);
-    let base = StaticBaselines::measure(&s);
-    (
-        wf.aggregate_mbps / n,
-        base.opt5 / n,
-        base.opt10 / n,
-        base.opt20 / n,
-        base.opt / n,
-    )
-}
-
-/// Measured per-client throughputs for one point, averaged over seeds:
-/// `(whitefi, opt5, opt10, opt20, opt)` in Mbps per client.
-pub fn point(pairs: usize, seeds: &[u64], quick: bool) -> (f64, f64, f64, f64, f64) {
-    mean_runs(
-        &seeds
-            .iter()
-            .map(|&s| one_run(pairs, s, quick))
-            .collect::<Vec<_>>(),
-    )
+/// Per-client throughputs `(whitefi, opt5, opt10, opt20, opt)` in Mbps
+/// of each scenario, measured through the sweep fan-out.
+fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<(f64, f64, f64, f64, f64)> {
+    super::sweep::measure_all(ctx, scenarios)
+        .iter()
+        .zip(scenarios)
+        .map(|(out, s)| {
+            let n = s.client_maps.len() as f64;
+            let b = out.baselines;
+            (
+                out.whitefi_aggregate_mbps / n,
+                b.opt5 / n,
+                b.opt10 / n,
+                b.opt20 / n,
+                b.opt / n,
+            )
+        })
+        .collect()
 }
 
 fn mean_runs(runs: &[(f64, f64, f64, f64, f64)]) -> (f64, f64, f64, f64, f64) {
@@ -112,21 +105,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let scenarios: Vec<Scenario> = (0..points.len() * seeds.len())
         .map(|k| scenario(points[k / seeds.len()], seeds[k % seeds.len()], quick))
         .collect();
-    let runs: Vec<(f64, f64, f64, f64, f64)> = super::sweep::measure_all(ctx, &scenarios)
-        .iter()
-        .zip(&scenarios)
-        .map(|(out, s)| {
-            let n = s.client_maps.len() as f64;
-            let b = out.baselines;
-            (
-                out.whitefi_aggregate_mbps / n,
-                b.opt5 / n,
-                b.opt10 / n,
-                b.opt20 / n,
-                b.opt / n,
-            )
-        })
-        .collect();
+    let runs = per_client(ctx, &scenarios);
     let mut worst_frac: f64 = 1.0;
     for (pi, &pairs) in points.iter().enumerate() {
         let (w, o5, o10, o20, o) = mean_runs(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
@@ -154,6 +133,12 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whitefi::driver::StaticBaselines;
+
+    /// The sequential measurement of one quick trial.
+    fn trial(pairs: usize, seed: u64) -> (f64, f64, f64, f64, f64) {
+        per_client(&RunCtx::sequential(true), &[scenario(pairs, seed, true)])[0]
+    }
 
     #[test]
     fn fig11_trial_candidate_count_is_pinned() {
@@ -170,14 +155,14 @@ mod tests {
 
     #[test]
     fn no_background_whitefi_matches_opt20() {
-        let (w, _o5, _o10, o20, o) = point(0, &[9000], true);
+        let (w, _o5, _o10, o20, o) = trial(0, 9000);
         assert!(w > 0.8 * o20, "whitefi {w} vs opt20 {o20}");
         assert!(w > 0.8 * o, "whitefi {w} vs opt {o}");
     }
 
     #[test]
     fn heavy_background_still_near_opt() {
-        let (w, _, _, o20, o) = point(14, &[9100], true);
+        let (w, _, _, o20, o) = trial(14, 9100);
         assert!(w > 0.7 * o, "whitefi {w} vs opt {o}");
         // And the widest static choice is no longer clearly dominant.
         assert!(o20 < 1.3 * o, "opt20 {o20} opt {o}");

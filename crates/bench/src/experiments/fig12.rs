@@ -15,7 +15,7 @@
 use crate::json;
 use crate::report::{mean, round4, ExperimentReport};
 use crate::runner::RunCtx;
-use whitefi::driver::{run_whitefi, BackgroundPair, BackgroundTraffic, Scenario, StaticBaselines};
+use whitefi::driver::{BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi_phy::SimDuration;
 use whitefi_repro::campus_sim_map;
 use whitefi_spectrum::{flip_map, WfChannel, Width};
@@ -48,31 +48,28 @@ pub fn scenario(p: f64, seed: u64, quick: bool) -> Scenario {
     s
 }
 
-/// One simulated run at `(p, seed)`:
-/// `(whitefi, opt, opt20, widest_remaining_fragment)`.
-pub fn one_run(p: f64, seed: u64, quick: bool) -> (f64, f64, f64, f64) {
-    let s = scenario(p, seed, quick);
-    let combined = s.combined_map();
-    if combined.available_channels().is_empty() {
-        // Fully blocked at this seed: zero throughput for everyone.
-        return (0.0, 0.0, 0.0, 0.0);
-    }
-    let widest = combined.widest_fragment() as f64;
-    let n = s.client_maps.len() as f64;
-    let w = run_whitefi(&s, None).aggregate_mbps / n;
-    let base = StaticBaselines::measure(&s);
-    (w, base.opt / n, base.opt20 / n, widest)
-}
-
-/// One sweep point averaged over seeds:
-/// `(whitefi, opt, opt20, widest_remaining_fragment)`.
-pub fn point(p: f64, seeds: &[u64], quick: bool) -> (f64, f64, f64, f64) {
-    mean_runs(
-        &seeds
-            .iter()
-            .map(|&s| one_run(p, s, quick))
-            .collect::<Vec<_>>(),
-    )
+/// Per-client throughputs `(whitefi, opt, opt20)` in Mbps plus the
+/// widest remaining fragment of each scenario, measured through the
+/// sweep fan-out. A fully blocked trial contributes no units and comes
+/// back as zeros for everyone.
+fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<(f64, f64, f64, f64)> {
+    super::sweep::measure_all(ctx, scenarios)
+        .iter()
+        .zip(scenarios)
+        .map(|(out, s)| {
+            let combined = s.combined_map();
+            if combined.available_channels().is_empty() {
+                return (0.0, 0.0, 0.0, 0.0);
+            }
+            let n = s.client_maps.len() as f64;
+            (
+                out.whitefi_aggregate_mbps / n,
+                out.baselines.opt / n,
+                out.baselines.opt20 / n,
+                combined.widest_fragment() as f64,
+            )
+        })
+        .collect()
 }
 
 fn mean_runs(runs: &[(f64, f64, f64, f64)]) -> (f64, f64, f64, f64) {
@@ -97,29 +94,11 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         &["p", "whitefi", "opt", "opt20", "widest_fragment"],
     );
     // Sweep fan-out: each trial's WhiteFi run and each OPT candidate's
-    // fixed run is its own work unit; fully blocked trials contribute
-    // no units and come back as zeros (as the sequential early-return
-    // always did).
+    // fixed run is its own work unit.
     let scenarios: Vec<Scenario> = (0..ps.len() * seeds.len())
         .map(|k| scenario(ps[k / seeds.len()], seeds[k % seeds.len()], quick))
         .collect();
-    let runs: Vec<(f64, f64, f64, f64)> = super::sweep::measure_all(ctx, &scenarios)
-        .iter()
-        .zip(&scenarios)
-        .map(|(out, s)| {
-            let combined = s.combined_map();
-            if combined.available_channels().is_empty() {
-                return (0.0, 0.0, 0.0, 0.0);
-            }
-            let n = s.client_maps.len() as f64;
-            (
-                out.whitefi_aggregate_mbps / n,
-                out.baselines.opt / n,
-                out.baselines.opt20 / n,
-                combined.widest_fragment() as f64,
-            )
-        })
-        .collect();
+    let runs = per_client(ctx, &scenarios);
     let mut first = None;
     let mut last = None;
     for (pi, &p) in ps.iter().enumerate() {
@@ -149,10 +128,15 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 mod tests {
     use super::*;
 
+    /// The sequential measurement of one quick trial.
+    fn trial(p: f64, seed: u64) -> (f64, f64, f64, f64) {
+        per_client(&RunCtx::sequential(true), &[scenario(p, seed, true)])[0]
+    }
+
     #[test]
     fn throughput_decreases_with_spatial_variation() {
-        let (w0, ..) = point(0.0, &[7000], true);
-        let (w14, ..) = point(0.14, &[7000], true);
+        let (w0, ..) = trial(0.0, 7000);
+        let (w14, ..) = trial(0.14, 7000);
         assert!(
             w14 < 0.75 * w0,
             "P=0.14 ({w14}) should be well below P=0 ({w0})"
@@ -161,14 +145,14 @@ mod tests {
 
     #[test]
     fn whitefi_near_opt_at_moderate_variation() {
-        let (w, o, ..) = point(0.05, &[7001], true);
+        let (w, o, ..) = trial(0.05, 7001);
         assert!(w > 0.7 * o, "whitefi {w} vs opt {o}");
     }
 
     #[test]
     fn high_variation_shrinks_common_fragments() {
-        let (_, _, _, widest0) = point(0.0, &[7002], true);
-        let (_, _, _, widest14) = point(0.14, &[7002], true);
+        let (_, _, _, widest0) = trial(0.0, 7002);
+        let (_, _, _, widest14) = trial(0.14, 7002);
         assert!(
             widest14 < widest0,
             "widest fragment should shrink: {widest0} -> {widest14}"

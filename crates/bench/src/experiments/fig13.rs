@@ -10,7 +10,7 @@
 //! (iii) all nodes are always in state A. … For high churn … always
 //! picking the widest channel (OPT 20 MHz) becomes the worst performing
 //! algorithm. Instead, WhiteFi is better than any static channel width
-//! choice. In fact, WhiteFi even outperforms OPT [because] OPT is the
+//! choice. In fact, WhiteFi even outperforms OPT \[because\] OPT is the
 //! optimal *static* channel selection throughout the entire execution …
 //! WhiteFi is adaptive and can adjust to the current values of
 //! background traffic."
@@ -18,7 +18,7 @@
 use crate::json;
 use crate::report::{mean, round4, ExperimentReport};
 use crate::runner::RunCtx;
-use whitefi::driver::{run_whitefi, BackgroundPair, BackgroundTraffic, Scenario, StaticBaselines};
+use whitefi::driver::{BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi_phy::SimDuration;
 use whitefi_repro::campus_sim_map;
 use whitefi_spectrum::{WfChannel, Width};
@@ -95,23 +95,22 @@ pub fn scenario(pt: ChurnPoint, seed: u64, quick: bool) -> Scenario {
     s
 }
 
-/// One simulated run at `(pt, seed)`: `(whitefi, opt, opt20, opt5)`.
-pub fn one_run(pt: ChurnPoint, seed: u64, quick: bool) -> (f64, f64, f64, f64) {
-    let s = scenario(pt, seed, quick);
-    let n = s.client_maps.len() as f64;
-    let w = run_whitefi(&s, None).aggregate_mbps / n;
-    let base = StaticBaselines::measure(&s);
-    (w, base.opt / n, base.opt20 / n, base.opt5 / n)
-}
-
-/// One churn point averaged over seeds: `(whitefi, opt, opt20, opt5)`.
-pub fn point(pt: ChurnPoint, seeds: &[u64], quick: bool) -> (f64, f64, f64, f64) {
-    mean_runs(
-        &seeds
-            .iter()
-            .map(|&s| one_run(pt, s, quick))
-            .collect::<Vec<_>>(),
-    )
+/// Per-client throughputs `(whitefi, opt, opt20, opt5)` in Mbps of each
+/// scenario, measured through the sweep fan-out.
+fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<(f64, f64, f64, f64)> {
+    super::sweep::measure_all(ctx, scenarios)
+        .iter()
+        .zip(scenarios)
+        .map(|(out, s)| {
+            let n = s.client_maps.len() as f64;
+            (
+                out.whitefi_aggregate_mbps / n,
+                out.baselines.opt / n,
+                out.baselines.opt20 / n,
+                out.baselines.opt5 / n,
+            )
+        })
+        .collect()
 }
 
 fn mean_runs(runs: &[(f64, f64, f64, f64)]) -> (f64, f64, f64, f64) {
@@ -142,19 +141,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let scenarios: Vec<Scenario> = (0..sweep.len() * seeds.len())
         .map(|k| scenario(sweep[k / seeds.len()], seeds[k % seeds.len()], quick))
         .collect();
-    let runs: Vec<(f64, f64, f64, f64)> = super::sweep::measure_all(ctx, &scenarios)
-        .iter()
-        .zip(&scenarios)
-        .map(|(out, s)| {
-            let n = s.client_maps.len() as f64;
-            (
-                out.whitefi_aggregate_mbps / n,
-                out.baselines.opt / n,
-                out.baselines.opt20 / n,
-                out.baselines.opt5 / n,
-            )
-        })
-        .collect();
+    let runs = per_client(ctx, &scenarios);
     for (pi, pt) in sweep.iter().enumerate() {
         let (w, o, o20, o5) = mean_runs(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
         report.push_row(&[
@@ -174,9 +161,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 mod tests {
     use super::*;
 
+    /// The sequential measurement of one quick trial.
+    fn trial(pt: ChurnPoint, seed: u64) -> (f64, f64, f64, f64) {
+        per_client(&RunCtx::sequential(true), &[scenario(pt, seed, true)])[0]
+    }
+
     #[test]
     fn all_passive_equals_clean_spectrum() {
-        let (w, _, o20, _) = point(SWEEP[0], &[8100], true);
+        let (w, _, o20, _) = trial(SWEEP[0], 8100);
         // With silent background, WhiteFi rides the widest channel.
         assert!(w > 0.8 * o20, "whitefi {w} vs opt20 {o20}");
         // Per-client share of a clean ~5 Mbps 20 MHz channel across 4
@@ -189,14 +181,14 @@ mod tests {
 
     #[test]
     fn whitefi_competitive_under_churn() {
-        let (w, o, ..) = point(SWEEP[3], &[8101], true);
+        let (w, o, ..) = trial(SWEEP[3], 8101);
         assert!(w > 0.75 * o, "whitefi {w} vs opt {o}");
     }
 
     #[test]
     fn all_active_reduces_everyones_throughput() {
-        let (w_quiet, ..) = point(SWEEP[0], &[8102], true);
-        let (w_busy, ..) = point(SWEEP[5], &[8102], true);
+        let (w_quiet, ..) = trial(SWEEP[0], 8102);
+        let (w_busy, ..) = trial(SWEEP[5], 8102);
         assert!(w_busy < w_quiet, "{w_busy} !< {w_quiet}");
     }
 }

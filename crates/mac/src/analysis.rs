@@ -12,15 +12,15 @@
 //!   residual differences (per-attempt DIFS accounting, no slot
 //!   synchronization) leave a modest gap that the tests bound.
 
-use crate::sim::MacParams;
+use crate::sim::{contention_timing, CW_MAX, CW_MIN};
 use whitefi_phy::PhyTiming;
 use whitefi_spectrum::Width;
 
 /// Goodput of a single saturated sender on a clean channel, Mbps.
-pub fn single_flow_goodput_mbps(width: Width, bytes: usize, params: &MacParams) -> f64 {
+pub fn single_flow_goodput_mbps(width: Width, bytes: usize) -> f64 {
     let t = PhyTiming::for_width(width);
-    let ct = params.contention_timing(width);
-    let mean_backoff_slots = (params.cw_min as f64 - 1.0) / 2.0;
+    let ct = contention_timing();
+    let mean_backoff_slots = (CW_MIN as f64 - 1.0) / 2.0;
     let cycle_ns = ct.difs().as_nanos() as f64
         + mean_backoff_slots * ct.slot().as_nanos() as f64
         + t.frame_duration(bytes).as_nanos() as f64
@@ -66,16 +66,11 @@ pub fn bianchi_tau(n: usize, w: u32, m: u32) -> f64 {
 // backoff-stage count is a small nonnegative integer by construction, so
 // rounding it into a u32 is exact too.
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-pub fn bianchi_saturation_goodput_mbps(
-    n: usize,
-    width: Width,
-    bytes: usize,
-    params: &MacParams,
-) -> f64 {
+pub fn bianchi_saturation_goodput_mbps(n: usize, width: Width, bytes: usize) -> f64 {
     let t = PhyTiming::for_width(width);
-    let ct = params.contention_timing(width);
-    let m = (params.cw_max as f64 / params.cw_min as f64).log2().round() as u32;
-    let tau = bianchi_tau(n, params.cw_min, m);
+    let ct = contention_timing();
+    let m = (CW_MAX as f64 / CW_MIN as f64).log2().round() as u32;
+    let tau = bianchi_tau(n, CW_MIN, m);
     let p_tr = 1.0 - (1.0 - tau).powi(n as i32); // some transmission
     let p_s = if p_tr > 0.0 {
         n as f64 * tau * (1.0 - tau).powi(n as i32 - 1) / p_tr
@@ -132,9 +127,8 @@ mod tests {
 
     #[test]
     fn single_flow_matches_deterministic_cycle() {
-        let params = MacParams::default();
         for width in [Width::W5, Width::W10, Width::W20] {
-            let analytic = single_flow_goodput_mbps(width, 1000, &params);
+            let analytic = single_flow_goodput_mbps(width, 1000);
             let simulated = simulate(1, width, 1000, 11);
             let err = (simulated / analytic - 1.0).abs();
             assert!(
@@ -148,19 +142,10 @@ mod tests {
     fn single_flow_width_ratio_near_two() {
         // With uniform contention timing the DIFS+backoff overhead is a
         // fixed cost per frame, so doubling the width slightly less than
-        // doubles goodput; with width-scaled contention the ratio is
-        // exactly 2.
-        let params = MacParams::default();
-        let g20 = single_flow_goodput_mbps(Width::W20, 1000, &params);
-        let g10 = single_flow_goodput_mbps(Width::W10, 1000, &params);
+        // doubles goodput.
+        let g20 = single_flow_goodput_mbps(Width::W20, 1000);
+        let g10 = single_flow_goodput_mbps(Width::W10, 1000);
         assert!(g20 / g10 > 1.6 && g20 / g10 < 2.0, "ratio {}", g20 / g10);
-        let scaled = MacParams {
-            uniform_contention: false,
-            ..MacParams::default()
-        };
-        let g20 = single_flow_goodput_mbps(Width::W20, 1000, &scaled);
-        let g10 = single_flow_goodput_mbps(Width::W10, 1000, &scaled);
-        assert!((g20 / g10 - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -177,17 +162,15 @@ mod tests {
 
     #[test]
     fn bianchi_reduces_to_single_flow_at_n1() {
-        let params = MacParams::default();
-        let b = bianchi_saturation_goodput_mbps(1, Width::W20, 1000, &params);
-        let s = single_flow_goodput_mbps(Width::W20, 1000, &params);
+        let b = bianchi_saturation_goodput_mbps(1, Width::W20, 1000);
+        let s = single_flow_goodput_mbps(Width::W20, 1000);
         assert!((b / s - 1.0).abs() < 0.02, "bianchi {b} single {s}");
     }
 
     #[test]
     fn simulator_tracks_bianchi_under_contention() {
-        let params = MacParams::default();
         for n in [2usize, 4] {
-            let analytic = bianchi_saturation_goodput_mbps(n, Width::W20, 1000, &params);
+            let analytic = bianchi_saturation_goodput_mbps(n, Width::W20, 1000);
             let simulated = simulate(n, Width::W20, 1000, 13 + n as u64);
             let err = (simulated / analytic - 1.0).abs();
             // Bianchi's slotted model and our unslotted simulator differ
@@ -201,9 +184,8 @@ mod tests {
 
     #[test]
     fn aggregate_goodput_declines_gently_with_contention() {
-        let params = MacParams::default();
-        let g1 = bianchi_saturation_goodput_mbps(1, Width::W20, 1000, &params);
-        let g8 = bianchi_saturation_goodput_mbps(8, Width::W20, 1000, &params);
+        let g1 = bianchi_saturation_goodput_mbps(1, Width::W20, 1000);
+        let g8 = bianchi_saturation_goodput_mbps(8, Width::W20, 1000);
         assert!(g8 < g1, "{g8} !< {g1}");
         assert!(g8 > 0.6 * g1, "collapse too steep: {g8} vs {g1}");
     }

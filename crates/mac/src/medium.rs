@@ -107,7 +107,7 @@ impl SourceHistory {
 ///
 /// Every finished transmission gets a *finish sequence number* (0 for
 /// the first one finished, then 1, 2, …), so history order is finish
-/// sequence order. A per-source index of [`HistoryKey`]s lets the
+/// sequence order. A per-source index of `HistoryKey`s lets the
 /// scanner queries visit only the transmitters a node hears: each
 /// source's entries are a subsequence of `history`, hence also sorted by
 /// `end`, and the same backwards scan applies per source.

@@ -115,45 +115,29 @@ pub fn global_event_totals() -> EventCounters {
     }
 }
 
-/// DCF contention parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct MacParams {
-    /// Initial contention window (slots).
-    pub cw_min: u32,
-    /// Maximum contention window (slots).
-    pub cw_max: u32,
-    /// Retransmissions before a frame is dropped.
-    pub retry_limit: u32,
-    /// Use the narrowest width's slot/DIFS for *contention* at every
-    /// width (default). PLL scaling stretches all PHY timing, but a
-    /// wide-channel node contending with 4x-shorter DIFS/slots would
-    /// all but starve overlapping narrow channels — against WhiteFi's
-    /// §6 coexistence goal. Uniform contention timing restores
-    /// cross-width fairness; PHY SIFS and frame durations remain
-    /// width-scaled (SIFT's signatures are untouched).
-    pub uniform_contention: bool,
-}
+/// Initial DCF contention window, slots.
+pub(crate) const CW_MIN: u32 = 16;
+/// Maximum DCF contention window, slots.
+pub(crate) const CW_MAX: u32 = 1024;
+/// Retransmissions before a frame is dropped.
+const RETRY_LIMIT: u32 = 7;
 
-impl Default for MacParams {
-    fn default() -> Self {
-        Self {
-            cw_min: 16,
-            cw_max: 1024,
-            retry_limit: 7,
-            uniform_contention: true,
-        }
-    }
-}
+/// Lag between an incumbent transition and a node noticing it.
+pub const DETECTION_DELAY: SimDuration = SimDuration::from_millis(50);
 
-impl MacParams {
-    /// The timing used for DIFS/slot contention at the given width.
-    pub fn contention_timing(&self, width: whitefi_spectrum::Width) -> PhyTiming {
-        if self.uniform_contention {
-            PhyTiming::for_width(whitefi_spectrum::Width::W5)
-        } else {
-            PhyTiming::for_width(width)
-        }
-    }
+/// Received amplitude of every node's transmissions at its peers
+/// (linear units; drives SIFT visibility of captured traces).
+const TX_AMPLITUDE: f64 = 1000.0;
+
+/// The timing used for DIFS/slot contention: the narrowest width's, at
+/// every width. PLL scaling stretches all PHY timing, but a
+/// wide-channel node contending with 4x-shorter DIFS/slots would all but
+/// starve overlapping narrow channels — against WhiteFi's §6
+/// coexistence goal. Uniform contention timing restores cross-width
+/// fairness; PHY SIFS and frame durations remain width-scaled (SIFT's
+/// signatures are untouched).
+pub(crate) fn contention_timing() -> PhyTiming {
+    PhyTiming::for_width(Width::W5)
 }
 
 /// Static configuration of a node.
@@ -169,11 +153,6 @@ pub struct NodeConfig {
     pub range: f64,
     /// The primary users audible at this node.
     pub incumbents: IncumbentSet,
-    /// Lag between an incumbent transition and the node noticing it.
-    pub detection_delay: SimDuration,
-    /// Received amplitude of this node's transmissions at its peers
-    /// (linear units; drives SIFT visibility of captured traces).
-    pub tx_amplitude: f64,
     /// The network (SSID) the node belongs to, if any. Scanner queries
     /// from [`Ctx`] exclude the node's own SSID, because Equation 1's
     /// airtime and AP counts measure *other* networks.
@@ -188,7 +167,7 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// A default configuration on the given channel: co-located nodes in a
-    /// single collision domain, no incumbents, 50 ms detection delay.
+    /// single collision domain, no incumbents.
     pub fn on_channel(channel: WfChannel) -> Self {
         Self {
             channel,
@@ -196,8 +175,6 @@ impl NodeConfig {
             pos: (0.0, 0.0),
             range: 1.0e6,
             incumbents: IncumbentSet::default(),
-            detection_delay: SimDuration::from_millis(50),
-            tx_amplitude: 1000.0,
             ssid: None,
             rng_stream: None,
         }
@@ -399,7 +376,6 @@ pub struct Core {
     /// Master seed; each node derives its own `ChaCha8Rng` from it on a
     /// distinct stream (see [`NodeConfig::rng_stream`]).
     seed: u64,
-    params: MacParams,
     counters: EventCounters,
     /// `reach[i]` is a bitset over node ids: bit `j` set iff node `i`'s
     /// transmissions reach node `j`. Positions and ranges never change
@@ -600,7 +576,7 @@ impl Core {
             }
         };
         let node = &mut self.nodes[n];
-        let timing = self.params.contention_timing(node.channel.width());
+        let timing = contention_timing();
         let at = self.now + timing.difs() + timing.slot() * slots;
         node.state = CsmaState::Pending;
         node.pending_since = self.now;
@@ -614,7 +590,6 @@ impl Core {
         let timing = PhyTiming::for_width(channel.width());
         let duration = timing.frame_duration(frame.bytes());
         let end = self.now + duration;
-        let amplitude = node.cfg.tx_amplitude;
         let is_ap = node.cfg.is_ap;
         let ssid = node.cfg.ssid;
 
@@ -630,7 +605,7 @@ impl Core {
 
         let id = self
             .medium
-            .start(n, is_ap, ssid, channel, self.now, end, frame, amplitude);
+            .start(n, is_ap, ssid, channel, self.now, end, frame, TX_AMPLITUDE);
         let node = &mut self.nodes[n];
         node.stats.tx_attempts += 1;
         node.active_tx += 1;
@@ -664,7 +639,7 @@ impl Core {
             }
             self.nodes[m].sensed += 1;
             if self.nodes[m].state == CsmaState::Pending {
-                let timing = self.params.contention_timing(self.nodes[m].channel.width());
+                let timing = contention_timing();
                 let elapsed = self.now.saturating_since(self.nodes[m].pending_since);
                 let idle_after_difs = elapsed.as_nanos().saturating_sub(timing.difs().as_nanos());
                 let consumed = idle_after_difs / timing.slot().as_nanos().max(1);
@@ -847,7 +822,6 @@ impl Simulator {
                 nodes: Vec::new(),
                 medium: Medium::new(),
                 seed,
-                params: MacParams::default(),
                 counters: EventCounters::default(),
                 reach: Vec::new(),
                 hears: Vec::new(),
@@ -910,13 +884,12 @@ impl Simulator {
             .incumbents
             .map_at(self.core.now.as_nanos(), SCANNER_SENSITIVITY_DBM);
         let first_change = cfg.incumbents.next_change(self.core.now.as_nanos());
-        let detection_delay = cfg.detection_delay;
         let stream = cfg.rng_stream.unwrap_or(id as u64);
         let mut rng = ChaCha8Rng::seed_from_u64(self.core.seed);
         rng.set_stream(stream); // stream-map: domain=sim-nodes salt=scenario-seed streams=0..=4294967295 role="node MAC/traffic draws (stream = NodeConfig::rng_stream or node id)"
         self.core.nodes.push(Node {
             channel: cfg.channel,
-            cw: self.core.params.cw_min,
+            cw: CW_MIN,
             cfg,
             queue: VecDeque::new(),
             state: CsmaState::Idle,
@@ -943,7 +916,7 @@ impl Simulator {
         self.core.schedule(now, Ev::Start { node: id });
         if let Some(t) = first_change {
             self.core.schedule(
-                SimTime::from_nanos(t) + detection_delay + extra,
+                SimTime::from_nanos(t) + DETECTION_DELAY + extra,
                 Ev::IncumbentCheck { node: id },
             );
         }
@@ -1093,14 +1066,13 @@ impl Simulator {
                     .map_at(now_ns, SCANNER_SENSITIVITY_DBM);
                 let next = self.core.nodes[node].cfg.incumbents.next_change(now_ns);
                 if let Some(t) = next {
-                    let delay = self.core.nodes[node].cfg.detection_delay;
                     let extra = self
                         .core
                         .faults
                         .as_ref()
                         .map_or(SimDuration::ZERO, |fs| fs.detection_extra(node));
                     self.core.schedule(
-                        SimTime::from_nanos(t) + delay + extra,
+                        SimTime::from_nanos(t) + DETECTION_DELAY + extra,
                         Ev::IncumbentCheck { node },
                     );
                 }
@@ -1152,24 +1124,22 @@ impl Simulator {
     /// drop the frame at the retry limit.
     fn ack_timeout(&mut self, node: NodeId) {
         debug_assert_eq!(self.core.nodes[node].state, CsmaState::WaitAck);
-        let retry_limit = self.core.params.retry_limit;
-        let cw_max = self.core.params.cw_max;
         let n = &mut self.core.nodes[node];
         n.retries += 1;
-        if n.retries > retry_limit {
+        if n.retries > RETRY_LIMIT {
             let Some(frame) = n.queue.pop_front() else {
                 n.retries = 0;
                 n.state = CsmaState::Idle;
                 return;
             };
             n.retries = 0;
-            n.cw = self.core.params.cw_min;
+            n.cw = CW_MIN;
             n.state = CsmaState::Idle;
             n.stats.tx_failures += 1;
             self.core.plan(node);
             self.dispatch(node, |b, ctx| b.on_send_result(&frame, false, ctx));
         } else {
-            n.cw = (n.cw * 2).min(cw_max);
+            n.cw = (n.cw * 2).min(CW_MAX);
             n.slots_left = None; // redraw from the doubled window
             n.state = CsmaState::Idle;
             self.core.plan(node);
@@ -1277,7 +1247,7 @@ impl Simulator {
                     node.stats.tx_acked_bytes += frame.bytes() as u64;
                     node.stats.tx_acked_frames += 1;
                     node.retries = 0;
-                    node.cw = self.core.params.cw_min;
+                    node.cw = CW_MIN;
                     node.state = CsmaState::Idle;
                     self.core.plan(m);
                     self.dispatch(m, |b, ctx| b.on_send_result(&frame, true, ctx));

@@ -1,7 +1,7 @@
 //! Width-scaled PHY and MAC timing.
 //!
 //! WhiteFi uses the channel-width adaptation technique of Chandra et al.
-//! (SIGCOMM 2008 — the paper's reference [15]): the Wi-Fi card's PLL clock
+//! (SIGCOMM 2008 — the paper's reference \[15\]): the Wi-Fi card's PLL clock
 //! is scaled so the same 802.11 OFDM PHY runs at 5, 10 or 20 MHz. Scaling
 //! the clock by `s = 20 MHz / W` stretches *every* PHY time constant by
 //! `s` and divides the data rate by `s`:

@@ -122,7 +122,7 @@ impl Width {
     ///
     /// Halving the channel width doubles symbol period, SIFS, slot time and
     /// packet durations, and halves the effective data rate (Chandra et
-    /// al., SIGCOMM 2008 — reference [15] of the paper).
+    /// al., SIGCOMM 2008 — reference \[15\] of the paper).
     pub fn scale(self) -> u32 {
         match self {
             Width::W5 => 4,

@@ -15,13 +15,13 @@
 //!   chirps there, collects the chirped spectrum maps, reassigns, and
 //!   announces on the backup channel;
 //! * scans the backup channel for client chirps every
-//!   `backup_scan_interval` (3 s in the paper's §5.3 experiment) using
+//!   `BACKUP_SCAN_INTERVAL` (3 s, as in the paper's §5.3 experiment) using
 //!   SIFT burst-length matching on the scanner's view — only when a chirp
 //!   is detected does the main radio visit the backup channel.
 
-use crate::assignment::{Assigner, AssignerConfig, Decision};
+use crate::assignment::{clears_hysteresis, Assigner, Decision};
 use crate::chirp::{choose_backup, choose_secondary_backup, ChirpDetector};
-use crate::mcham::NodeReport;
+use crate::mcham::{objective_score, NodeReport, Objective};
 use whitefi_mac::{Behavior, Ctx, Frame, FrameKind, NodeId};
 use whitefi_phy::synth::duration_to_samples;
 use whitefi_phy::{SimDuration, SimTime};
@@ -39,32 +39,33 @@ mod keys {
     pub const PUMP: u64 = 8;
 }
 
+/// Beacon period (100 ms, as in Wi-Fi).
+const BEACON_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Scanner dwell per UHF channel for airtime measurement, at the AP and
+/// at every client.
+pub(crate) const SCAN_DWELL: SimDuration = SimDuration::from_millis(200);
+/// Interval between voluntary re-evaluations of the assignment.
+const REASSESS_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Interval between SIFT scans of the backup channel for chirps ("the
+/// AP switched to the backup channel once every 3 seconds", §5.3).
+const BACKUP_SCAN_INTERVAL: SimDuration = SimDuration::from_secs(3);
+/// Time spent on the backup channel collecting chirped maps (the
+/// threshold interval `T_c` of §4.3).
+const CHIRP_COLLECT: SimDuration = SimDuration::from_millis(300);
+
+// Every backup excursion must end before the watchdog of a client left
+// on the main channel fires, or each one would knock connected clients
+// into disconnection.
+const _: () = assert!(CHIRP_COLLECT.as_nanos() < crate::client::DISCONNECT_TIMEOUT.as_nanos());
+
 /// AP configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApConfig {
-    /// Beacon period (100 ms, as in Wi-Fi).
-    pub beacon_interval: SimDuration,
-    /// Scanner dwell per UHF channel for airtime measurement.
-    pub scan_dwell: SimDuration,
-    /// Interval between voluntary re-evaluations of the assignment.
-    pub reassess_interval: SimDuration,
-    /// Interval between SIFT scans of the backup channel for chirps
-    /// ("the AP switched to the backup channel once every 3 seconds",
-    /// §5.3).
-    pub backup_scan_interval: SimDuration,
-    /// Time spent on the backup channel collecting chirped maps (the
-    /// threshold interval `T_c` of §4.3).
-    pub chirp_collect: SimDuration,
     /// When `false`, the AP never changes channel (the OPT-x baselines).
     pub adaptive: bool,
-    /// Downlink payload bytes per frame; `None` disables downlink
-    /// traffic.
+    /// Payload bytes per frame of backlogged round-robin downlink
+    /// traffic to all associated clients; `None` disables downlink.
     pub downlink_bytes: Option<usize>,
-    /// Downlink CBR interval; `None` with `downlink_bytes` set means
-    /// backlogged round-robin across clients.
-    pub downlink_interval: Option<SimDuration>,
-    /// Assignment hysteresis knobs.
-    pub assigner: AssignerConfig,
     /// Network security key: chirp payloads are processed "only if …
     /// encoded with the network's security key" (§4.3). Fake chirps
     /// still cost the brief main-radio visit to the backup channel.
@@ -74,17 +75,8 @@ pub struct ApConfig {
 impl Default for ApConfig {
     fn default() -> Self {
         Self {
-            beacon_interval: SimDuration::from_millis(100),
-            scan_dwell: SimDuration::from_millis(200),
-            reassess_interval: SimDuration::from_secs(2),
-            backup_scan_interval: SimDuration::from_secs(3),
-            // Must stay well below the client watchdog, or every backup
-            // excursion would knock connected clients into disconnection.
-            chirp_collect: SimDuration::from_millis(300),
             adaptive: true,
             downlink_bytes: None,
-            downlink_interval: None,
-            assigner: AssignerConfig::default(),
             key: 0,
         }
     }
@@ -94,7 +86,6 @@ impl ApConfig {
     /// Enables backlogged downlink traffic to all associated clients.
     pub fn saturating_downlink(mut self, bytes: usize) -> Self {
         self.downlink_bytes = Some(bytes);
-        self.downlink_interval = None;
         self
     }
 
@@ -161,7 +152,7 @@ impl ApBehavior {
     /// An AP with the given configuration.
     pub fn new(cfg: ApConfig) -> Self {
         Self {
-            assigner: Assigner::new(cfg.assigner),
+            assigner: Assigner::new(),
             cfg,
             mode: Mode::Main,
             backup: None,
@@ -207,7 +198,7 @@ impl ApBehavior {
         let Some(bytes) = self.cfg.downlink_bytes else {
             return;
         };
-        if self.cfg.downlink_interval.is_none() && !self.clients.is_empty() {
+        if !self.clients.is_empty() {
             while ctx.queue_len() < 2 {
                 let dst = self.clients[self.rr_cursor % self.clients.len()];
                 self.rr_cursor += 1;
@@ -241,7 +232,7 @@ impl ApBehavior {
                         // with the fresh map at the next BACKUP_DONE.
                         self.mode = Mode::OnBackup;
                         ctx.set_timer(SimDuration::ZERO, keys::AP_CHIRP);
-                        ctx.set_timer(self.cfg.chirp_collect, keys::BACKUP_DONE);
+                        ctx.set_timer(CHIRP_COLLECT, keys::BACKUP_DONE);
                     }
                     _ => {
                         // Voluntary switch aborted mid-flight: stay put.
@@ -303,7 +294,7 @@ impl ApBehavior {
         let Some(b) = backup else {
             // Nowhere to go: fall silent and retry at the next reassess.
             self.mode = Mode::OnBackup;
-            ctx.set_timer(self.cfg.chirp_collect, keys::BACKUP_DONE);
+            ctx.set_timer(CHIRP_COLLECT, keys::BACKUP_DONE);
             return;
         };
         self.backup = Some(b);
@@ -315,7 +306,7 @@ impl ApBehavior {
         // "switches to the backup channel and transmits a series of
         // chirps").
         ctx.set_timer(SimDuration::ZERO, keys::AP_CHIRP);
-        ctx.set_timer(self.cfg.chirp_collect, keys::BACKUP_DONE);
+        ctx.set_timer(CHIRP_COLLECT, keys::BACKUP_DONE);
     }
 
     /// Finds a channel carrying chirps in the scanner's view of the last
@@ -338,7 +329,7 @@ impl ApBehavior {
     fn chirp_channel(&self, ctx: &Ctx) -> Option<WfChannel> {
         let floor = self.chirp_scan_floor;
         let map = ctx.spectrum_map();
-        let chirps = ctx.visible_bursts(self.cfg.backup_scan_interval, |channel, start, end| {
+        let chirps = ctx.visible_bursts(BACKUP_SCAN_INTERVAL, |channel, start, end| {
             start >= floor && map.admits(channel) && is_chirp(channel.width(), end.since(start))
         });
         if let Some(backup) = self.backup {
@@ -391,8 +382,8 @@ impl ApBehavior {
                 let current = ctx.channel();
                 let mut fresh = self.airtime;
                 for u in target.spanned().chain(current.spanned()) {
-                    let busy = ctx.airtime(u, self.cfg.scan_dwell);
-                    let aps = ctx.ap_count(u, self.cfg.scan_dwell);
+                    let busy = ctx.airtime(u, SCAN_DWELL);
+                    let aps = ctx.ap_count(u, SCAN_DWELL);
                     fresh.set_load(u, ChannelLoad::new(busy, aps));
                 }
                 self.airtime = fresh;
@@ -400,15 +391,10 @@ impl ApBehavior {
                     map: ap_report.map,
                     airtime: fresh,
                 };
-                let obj = self.cfg.assigner.objective;
-                let t_score = crate::mcham::objective_score(obj, &fresh_report, &clients, target);
-                let c_score = crate::mcham::objective_score(obj, &fresh_report, &clients, current);
-                let still_better = if c_score > 0.0 {
-                    t_score > c_score * (1.0 + self.cfg.assigner.hysteresis)
-                } else {
-                    t_score > c_score + self.cfg.assigner.hysteresis
-                };
-                if !still_better {
+                let obj = Objective::Aggregate;
+                let t_score = objective_score(obj, &fresh_report, &clients, target);
+                let c_score = objective_score(obj, &fresh_report, &clients, current);
+                if !clears_hysteresis(t_score, c_score) {
                     // The probe contradicted the stale vector: stay.
                     self.assigner.set_current(Some(current));
                 } else if ap_report.map.admits(current) {
@@ -438,7 +424,7 @@ impl Behavior for ApBehavior {
         // their handlers draw no RNG and only update airtime/backup
         // state that `reassess` reads behind the same `adaptive` gate.
         if self.cfg.adaptive {
-            ctx.set_timer(self.cfg.scan_dwell, keys::SCAN);
+            ctx.set_timer(SCAN_DWELL, keys::SCAN);
         }
         // Random phase: co-located APs must not re-evaluate in lockstep,
         // or they herd onto the same channels forever. The REASSESS timer
@@ -447,15 +433,13 @@ impl Behavior for ApBehavior {
         // any other node's random sequence (DESIGN.md §9).
         let jitter = SimDuration::from_nanos(rand::Rng::gen_range(
             ctx.rng(),
-            0..self.cfg.reassess_interval.as_nanos().max(1),
+            0..REASSESS_INTERVAL.as_nanos().max(1),
         ));
-        ctx.set_timer(self.cfg.reassess_interval + jitter, keys::REASSESS);
+        ctx.set_timer(REASSESS_INTERVAL + jitter, keys::REASSESS);
         if self.cfg.adaptive {
-            ctx.set_timer(self.cfg.backup_scan_interval, keys::BACKUP_SCAN);
+            ctx.set_timer(BACKUP_SCAN_INTERVAL, keys::BACKUP_SCAN);
         }
-        if let Some(interval) = self.cfg.downlink_interval {
-            ctx.set_timer(interval, keys::PUMP);
-        } else if self.cfg.downlink_bytes.is_some() {
+        if self.cfg.downlink_bytes.is_some() {
             ctx.set_timer(SimDuration::from_millis(50), keys::PUMP);
         }
     }
@@ -475,18 +459,18 @@ impl Behavior for ApBehavior {
                         },
                     });
                 }
-                ctx.set_timer(self.cfg.beacon_interval, keys::BEACON);
+                ctx.set_timer(BEACON_INTERVAL, keys::BEACON);
             }
             keys::SCAN => {
                 let map = ctx.spectrum_map();
                 let ch = UhfChannel::from_index(self.scan_cursor);
                 if map.is_free(ch) {
-                    let busy = ctx.airtime(ch, self.cfg.scan_dwell);
-                    let aps = ctx.ap_count(ch, self.cfg.scan_dwell);
+                    let busy = ctx.airtime(ch, SCAN_DWELL);
+                    let aps = ctx.ap_count(ch, SCAN_DWELL);
                     self.airtime.set_load(ch, ChannelLoad::new(busy, aps));
                 }
                 self.scan_cursor = (self.scan_cursor + 1) % whitefi_spectrum::NUM_UHF_CHANNELS;
-                ctx.set_timer(self.cfg.scan_dwell, keys::SCAN);
+                ctx.set_timer(SCAN_DWELL, keys::SCAN);
             }
             keys::REASSESS => {
                 self.reassess(ctx);
@@ -494,9 +478,9 @@ impl Behavior for ApBehavior {
                 // to align drift apart again.
                 let jitter = SimDuration::from_nanos(rand::Rng::gen_range(
                     ctx.rng(),
-                    0..(self.cfg.reassess_interval.as_nanos() / 4).max(1),
+                    0..(REASSESS_INTERVAL.as_nanos() / 4).max(1),
                 ));
-                ctx.set_timer(self.cfg.reassess_interval + jitter, keys::REASSESS);
+                ctx.set_timer(REASSESS_INTERVAL + jitter, keys::REASSESS);
             }
             keys::BACKUP_SCAN => {
                 if matches!(self.mode, Mode::Main) && self.cfg.adaptive {
@@ -507,10 +491,10 @@ impl Behavior for ApBehavior {
                         ctx.set_channel(ch);
                         self.mode = Mode::OnBackup;
                         self.chirp_maps.clear();
-                        ctx.set_timer(self.cfg.chirp_collect, keys::BACKUP_DONE);
+                        ctx.set_timer(CHIRP_COLLECT, keys::BACKUP_DONE);
                     }
                 }
-                ctx.set_timer(self.cfg.backup_scan_interval, keys::BACKUP_SCAN);
+                ctx.set_timer(BACKUP_SCAN_INTERVAL, keys::BACKUP_SCAN);
             }
             keys::BACKUP_DONE => {
                 if !matches!(self.mode, Mode::OnBackup) {
@@ -537,7 +521,7 @@ impl Behavior for ApBehavior {
                     None => {
                         // No channel free anywhere: keep waiting on the
                         // backup channel and retry.
-                        ctx.set_timer(self.cfg.chirp_collect, keys::BACKUP_DONE);
+                        ctx.set_timer(CHIRP_COLLECT, keys::BACKUP_DONE);
                     }
                 }
             }
@@ -566,22 +550,8 @@ impl Behavior for ApBehavior {
                 }
             }
             keys::PUMP => {
-                if let (Some(bytes), Some(interval)) =
-                    (self.cfg.downlink_bytes, self.cfg.downlink_interval)
-                {
-                    if matches!(self.mode, Mode::Main)
-                        && !self.clients.is_empty()
-                        && ctx.queue_len() < 4
-                    {
-                        let dst = self.clients[self.rr_cursor % self.clients.len()];
-                        self.rr_cursor += 1;
-                        ctx.send(Frame::data(ctx.id(), dst, bytes));
-                    }
-                    ctx.set_timer(interval, keys::PUMP);
-                } else {
-                    self.pump_downlink(ctx);
-                    ctx.set_timer(SimDuration::from_millis(50), keys::PUMP);
-                }
+                self.pump_downlink(ctx);
+                ctx.set_timer(SimDuration::from_millis(50), keys::PUMP);
             }
             _ => {}
         }
@@ -696,7 +666,7 @@ impl Behavior for ApBehavior {
                         // re-select with the fresh map.
                         self.mode = Mode::OnBackup;
                         ctx.set_timer(SimDuration::ZERO, keys::AP_CHIRP);
-                        ctx.set_timer(self.cfg.chirp_collect, keys::BACKUP_DONE);
+                        ctx.set_timer(CHIRP_COLLECT, keys::BACKUP_DONE);
                     }
                 }
                 if !map.admits(ctx.channel()) {
@@ -826,7 +796,7 @@ mod tests {
         let floor = ap.chirp_scan_floor;
         let map = ctx.spectrum_map();
         let bursts: Vec<whitefi_phy::VisibleBurst> = ctx
-            .visible_bursts(ap.cfg.backup_scan_interval, |_, _, _| true)
+            .visible_bursts(BACKUP_SCAN_INTERVAL, |_, _, _| true)
             .into_iter()
             .filter(|vb| vb.burst.start >= floor && map.admits(vb.channel))
             .collect();
@@ -889,7 +859,7 @@ mod tests {
         }
         fn on_timer(&mut self, _key: u64, ctx: &mut Ctx) {
             use rand::Rng;
-            let window = self.ap.cfg.backup_scan_interval;
+            let window = BACKUP_SCAN_INTERVAL;
             let back = SimDuration::from_nanos(ctx.rng().gen_range(0..window.as_nanos()));
             self.ap.chirp_scan_floor =
                 SimTime::ZERO + ctx.now().saturating_since(SimTime::ZERO + back);

@@ -18,28 +18,21 @@
 use crate::mcham::{objective_score, select_channel_with, NodeReport, Objective};
 use whitefi_spectrum::WfChannel;
 
-/// Tuning knobs for the assigner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AssignerConfig {
-    /// Relative score margin a challenger must exceed for a voluntary
-    /// switch (0.1 = 10%).
-    pub hysteresis: f64,
-    /// Relative goodput shortfall after a voluntary switch that triggers
-    /// a revert recommendation.
-    pub revert_margin: f64,
-    /// The selection objective (aggregate throughput by default; the
-    /// paper notes fairness objectives "can easily be implemented
-    /// instead").
-    pub objective: Objective,
-}
+/// Relative score margin a challenger must exceed for a voluntary
+/// switch (0.1 = 10%).
+const HYSTERESIS: f64 = 0.10;
+/// Relative goodput shortfall after a voluntary switch that triggers a
+/// revert recommendation.
+const REVERT_MARGIN: f64 = 0.10;
 
-impl Default for AssignerConfig {
-    fn default() -> Self {
-        Self {
-            hysteresis: 0.10,
-            revert_margin: 0.10,
-            objective: Objective::Aggregate,
-        }
+/// Whether a challenger scoring `challenger` beats the current
+/// channel's `current` score past hysteresis. The margin is relative,
+/// or absolute when the current score is not positive.
+pub(crate) fn clears_hysteresis(challenger: f64, current: f64) -> bool {
+    if current > 0.0 {
+        challenger > current * (1.0 + HYSTERESIS)
+    } else {
+        challenger > current + HYSTERESIS
     }
 }
 
@@ -55,10 +48,11 @@ pub enum Decision {
     NoChannel,
 }
 
-/// The spectrum-assignment state machine (one per AP).
-#[derive(Debug, Clone)]
+/// The spectrum-assignment state machine (one per AP). It selects with
+/// the aggregate-throughput objective ([`Objective::Aggregate`]; the paper
+/// notes fairness objectives "can easily be implemented instead").
+#[derive(Debug, Clone, Default)]
 pub struct Assigner {
-    config: AssignerConfig,
     current: Option<WfChannel>,
     /// Goodput measured on the previous channel before the last
     /// voluntary switch, for the post-switch evaluation.
@@ -67,12 +61,8 @@ pub struct Assigner {
 
 impl Assigner {
     /// A fresh assigner (no channel selected yet).
-    pub fn new(config: AssignerConfig) -> Self {
-        Self {
-            config,
-            current: None,
-            pre_switch_goodput: None,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The currently assigned channel.
@@ -97,7 +87,7 @@ impl Assigner {
         clients: &[NodeReport],
         current_goodput: Option<f64>,
     ) -> Decision {
-        let Some((best, best_score)) = select_channel_with(self.config.objective, ap, clients)
+        let Some((best, best_score)) = select_channel_with(Objective::Aggregate, ap, clients)
         else {
             self.current = None;
             return Decision::NoChannel;
@@ -123,16 +113,9 @@ impl Assigner {
             return Decision::Stay;
         }
 
-        // Voluntary: challenger must clear hysteresis. (For objectives
-        // whose scores can be non-positive — log-sum proportional
-        // fairness — fall back to an absolute margin.)
-        let cur_score = objective_score(self.config.objective, ap, clients, cur);
-        let margin_cleared = if cur_score > 0.0 {
-            best_score > cur_score * (1.0 + self.config.hysteresis)
-        } else {
-            best_score > cur_score + self.config.hysteresis
-        };
-        if margin_cleared {
+        // Voluntary: challenger must clear hysteresis.
+        let cur_score = objective_score(Objective::Aggregate, ap, clients, cur);
+        if clears_hysteresis(best_score, cur_score) {
             self.current = Some(best);
             self.pre_switch_goodput = current_goodput;
             return Decision::Switch(best);
@@ -146,15 +129,9 @@ impl Assigner {
     /// (the caller should re-run [`Assigner::evaluate`] after acting).
     pub fn should_revert(&mut self, new_goodput: f64) -> bool {
         match self.pre_switch_goodput.take() {
-            Some(old) => new_goodput < old * (1.0 - self.config.revert_margin),
+            Some(old) => new_goodput < old * (1.0 - REVERT_MARGIN),
             None => false,
         }
-    }
-}
-
-impl Default for Assigner {
-    fn default() -> Self {
-        Self::new(AssignerConfig::default())
     }
 }
 

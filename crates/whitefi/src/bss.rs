@@ -15,7 +15,8 @@
 use crate::ap::{ApBehavior, ApConfig};
 use crate::client::{ClientBehavior, ClientConfig};
 use crate::driver::{Sample, ScenarioOutcome};
-use crate::oracles::{OracleBank, OracleConfig, OracleSet};
+use crate::oracles::{OracleBank, OracleSet};
+use whitefi_mac::sim::DETECTION_DELAY;
 use whitefi_mac::{Behavior, NodeConfig, NodeId, ShardSite, Simulator};
 use whitefi_phy::{SimDuration, SimTime};
 use whitefi_spectrum::{IncumbentSet, SpectrumMap, TvStation, WfChannel};
@@ -26,8 +27,6 @@ pub(crate) type NodeEnv<'a> = (SpectrumMap, Option<&'a IncumbentSet>);
 
 /// Everything [`add_bss`] builds one BSS from.
 pub(crate) struct BssSpec<'a> {
-    /// AP protocol template; `adaptive` and the traffic fields override it.
-    pub ap_config: &'a ApConfig,
     /// Downlink payload bytes (backlogged).
     pub downlink_bytes: usize,
     /// Uplink payload bytes (backlogged); `None` disables uplink.
@@ -66,14 +65,11 @@ fn incumbents_for((map, extra): NodeEnv<'_>) -> IncumbentSet {
 }
 
 /// Adds the AP, then its clients, to `sim`, and registers each in a new
-/// bank of `oracles` under its stream id, with its detection delay plus
+/// bank of `oracles` under its stream id, with the detection delay plus
 /// any faulted extra. Install the fault plan first: each node's fault
 /// stream is drawn when it registers.
 pub(crate) fn add_bss(sim: &mut Simulator, oracles: &OracleSet, spec: BssSpec<'_>) -> Bss {
-    let bank = oracles.add_bank(OracleConfig {
-        adaptive: spec.adaptive,
-        ..OracleConfig::default()
-    });
+    let bank = oracles.add_bank(spec.adaptive);
     // Places one node at the BSS's site in its SSID and registers it.
     let mut add = |cfg: NodeConfig, env, stable: usize, behavior: Box<dyn Behavior>| {
         let incumbents = incumbents_for(env);
@@ -82,17 +78,15 @@ pub(crate) fn add_bss(sim: &mut Simulator, oracles: &OracleSet, spec: BssSpec<'_
             .at(spec.site.pos.0, spec.site.pos.1)
             .with_incumbents(incumbents.clone());
         cfg.range = spec.site.range;
-        let (is_ap, detection) = (cfg.is_ap, cfg.detection_delay);
+        let is_ap = cfg.is_ap;
         let id = sim.add_node(cfg, behavior);
-        let detection_total = detection + sim.fault_detection_extra(id);
+        let detection_total = DETECTION_DELAY + sim.fault_detection_extra(id);
         bank.add_member_as(id, stable, is_ap, &incumbents, detection_total);
         id
     };
 
-    let mut ap_cfg = spec.ap_config.clone();
+    let mut ap_cfg = ApConfig::default().saturating_downlink(spec.downlink_bytes);
     ap_cfg.adaptive = spec.adaptive;
-    ap_cfg.downlink_bytes = Some(spec.downlink_bytes);
-    ap_cfg.downlink_interval = None;
     let cfg = NodeConfig::on_channel(spec.initial)
         .ap()
         .rng_stream(spec.base as u64); // stream-map: domain=sim-nodes salt=scenario-seed streams=0..=4294967295 role="BSS AP (node base: 0 single-AP, global in a city)"

@@ -95,7 +95,7 @@ impl ChirpDetector {
     /// The burst's end is exact, so slots are tried longest first as "the
     /// frame began `expected_samples` before the end". A slot is accepted
     /// when SIFT's start agrees within tolerance, or lies at most one head
-    /// later with signal in the skipped samples ([`carries_signal`]), and
+    /// later with signal in the skipped samples (`carries_signal`), and
     /// receiver noise surrounds the frame.
     pub fn detect(&self, samples: &[f32]) -> Vec<ChirpDetection> {
         let tol = self.sift.config.match_tolerance;

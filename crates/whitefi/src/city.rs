@@ -48,7 +48,6 @@
 //! `run_until` calls is equivalent to one long call — the event loop is
 //! time-ordered — so the rounds cannot perturb the simulation.
 
-use crate::ap::ApConfig;
 use crate::bss::{add_bss, measure, rounds, BssSpec};
 use crate::driver::ScenarioOutcome;
 use crate::mcham::NodeReport;
@@ -170,8 +169,6 @@ pub struct CityScenario {
     pub warmup: SimDuration,
     /// Timeline sampling period.
     pub sample_interval: SimDuration,
-    /// AP protocol configuration template.
-    pub ap_config: ApConfig,
     /// Deterministic fault plan, installed identically in every shard
     /// simulator (fault streams key on the global node id).
     pub faults: Option<FaultPlan>,
@@ -221,7 +218,6 @@ impl CityScenario {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::from_secs(1),
             sample_interval: SimDuration::from_millis(100),
-            ap_config: ApConfig::default(),
             faults: None,
         }
     }
@@ -461,7 +457,6 @@ pub fn run_city_group(city: &CityScenario, cells: &[usize]) -> GroupOutcome {
             &mut sim,
             &oracles,
             BssSpec {
-                ap_config: &city.ap_config,
                 downlink_bytes: city.downlink_bytes,
                 uplink_bytes: city.uplink_bytes,
                 ap_env: env,

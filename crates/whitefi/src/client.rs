@@ -10,7 +10,7 @@
 //!   using SIFT", §5.4.2),
 //! * periodically sends its spectrum map and airtime vector to the AP as
 //!   a control message (§4.1),
-//! * optionally sources uplink traffic.
+//! * optionally sources backlogged uplink traffic.
 //!
 //! On losing the AP — either because an incumbent appeared on the main
 //! channel at the client ("if a client detects an incumbent, it will
@@ -22,6 +22,7 @@
 //! announcement. It never transmits a single frame on a channel its own
 //! map marks as incumbent-occupied.
 
+use crate::ap::SCAN_DWELL;
 use crate::chirp::{choose_backup, choose_secondary_backup};
 use crate::discovery::{sift_match_bursts, JSiftMachine, ScanStep};
 use whitefi_mac::{Behavior, Ctx, Frame, FrameKind, NodeId};
@@ -38,6 +39,18 @@ mod keys {
     pub const DISCOVER: u64 = 6;
 }
 
+/// Interval between control reports to the AP.
+const REPORT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Interval between chirps while disconnected.
+const CHIRP_INTERVAL: SimDuration = SimDuration::from_millis(200);
+/// Dwell per discovery step (long enough to catch one 100 ms-period
+/// beacon).
+const DISCOVERY_DWELL: SimDuration = SimDuration::from_millis(120);
+/// Default silence from the AP after which the client declares
+/// disconnection: longer than the AP's absence on a legitimate
+/// backup-channel excursion (its chirp collection plus announcements).
+pub(crate) const DISCONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(600);
+
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -45,19 +58,11 @@ pub struct ClientConfig {
     pub ap: NodeId,
     /// Identity slot encoded in chirp lengths (§4.3's OOK extension).
     pub slot: u8,
-    /// Interval between control reports to the AP.
-    pub report_interval: SimDuration,
-    /// Scanner dwell per UHF channel for airtime measurement.
-    pub scan_dwell: SimDuration,
     /// Silence from the AP after which the client declares disconnection.
     pub disconnect_timeout: SimDuration,
-    /// Interval between chirps while disconnected.
-    pub chirp_interval: SimDuration,
-    /// Uplink payload bytes per frame; `None` disables uplink traffic.
+    /// Payload bytes per frame of backlogged (saturating) uplink traffic;
+    /// `None` disables uplink.
     pub uplink_bytes: Option<usize>,
-    /// Uplink CBR interval; `None` with `uplink_bytes` set means
-    /// backlogged (saturating).
-    pub uplink_interval: Option<SimDuration>,
     /// Network security key carried in chirps (§4.3's anti-hijack check).
     pub key: u32,
     /// How the client starts: pre-associated on the AP's channel, or
@@ -69,9 +74,6 @@ pub struct ClientConfig {
     /// when the AP never re-selects channels. Report frames stay a
     /// constant 64 bytes on air either way.
     pub scan_enabled: bool,
-    /// Dwell per discovery step (long enough to catch one 100 ms-period
-    /// beacon).
-    pub discovery_dwell: SimDuration,
 }
 
 /// Client bootstrap mode.
@@ -86,24 +88,17 @@ pub enum ClientStart {
 }
 
 impl ClientConfig {
-    /// Default protocol timers for simulation scale: 200 ms scanner
-    /// dwells, 1 s reports, 600 ms watchdog.
+    /// A pre-associated client of AP `ap` with the default 600 ms
+    /// watchdog, its airtime scanner on and no uplink traffic.
     pub fn new(ap: NodeId, slot: u8) -> Self {
         Self {
             ap,
             slot,
-            report_interval: SimDuration::from_secs(1),
-            scan_dwell: SimDuration::from_millis(200),
-            // Longer than the AP's worst-case absence on a legitimate
-            // backup-channel excursion (chirp_collect + announcements).
-            disconnect_timeout: SimDuration::from_millis(600),
-            chirp_interval: SimDuration::from_millis(200),
+            disconnect_timeout: DISCONNECT_TIMEOUT,
             uplink_bytes: None,
-            uplink_interval: None,
             key: 0,
             start: ClientStart::Associated,
             scan_enabled: true,
-            discovery_dwell: SimDuration::from_millis(120),
         }
     }
 
@@ -116,7 +111,6 @@ impl ClientConfig {
     /// Enables a backlogged uplink flow.
     pub fn saturating_uplink(mut self, bytes: usize) -> Self {
         self.uplink_bytes = Some(bytes);
-        self.uplink_interval = None;
         self
     }
 }
@@ -192,10 +186,8 @@ impl ClientBehavior {
         let Some(bytes) = self.cfg.uplink_bytes else {
             return;
         };
-        if self.cfg.uplink_interval.is_none() {
-            while ctx.queue_len() < 2 {
-                ctx.send(Frame::data(ctx.id(), self.ap, bytes));
-            }
+        while ctx.queue_len() < 2 {
+            ctx.send(Frame::data(ctx.id(), self.ap, bytes));
         }
     }
 
@@ -237,18 +229,16 @@ impl ClientBehavior {
 impl Behavior for ClientBehavior {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.last_heard = ctx.now();
-        ctx.set_timer(self.cfg.report_interval, keys::REPORT);
+        ctx.set_timer(REPORT_INTERVAL, keys::REPORT);
         if self.cfg.scan_enabled {
-            ctx.set_timer(self.cfg.scan_dwell, keys::SCAN);
+            ctx.set_timer(SCAN_DWELL, keys::SCAN);
         }
         ctx.set_timer(self.cfg.disconnect_timeout, keys::WATCHDOG);
-        if let Some(interval) = self.cfg.uplink_interval {
-            ctx.set_timer(interval, keys::PUMP);
-        } else if self.cfg.uplink_bytes.is_some() {
+        if self.cfg.uplink_bytes.is_some() {
             ctx.set_timer(SimDuration::from_millis(50), keys::PUMP);
         }
         if self.mode == Mode::Discovering {
-            ctx.set_timer(self.cfg.discovery_dwell, keys::DISCOVER);
+            ctx.set_timer(DISCOVERY_DWELL, keys::DISCOVER);
         }
         self.pump_uplink(ctx);
     }
@@ -267,19 +257,19 @@ impl Behavior for ClientBehavior {
                     };
                     ctx.send(frame);
                 }
-                ctx.set_timer(self.cfg.report_interval, keys::REPORT);
+                ctx.set_timer(REPORT_INTERVAL, keys::REPORT);
             }
             keys::SCAN => {
                 // Round-robin airtime measurement over free channels.
                 let map = ctx.spectrum_map();
                 let ch = UhfChannel::from_index(self.scan_cursor);
                 if map.is_free(ch) {
-                    let busy = ctx.airtime(ch, self.cfg.scan_dwell);
-                    let aps = ctx.ap_count(ch, self.cfg.scan_dwell);
+                    let busy = ctx.airtime(ch, SCAN_DWELL);
+                    let aps = ctx.ap_count(ch, SCAN_DWELL);
                     self.airtime.set_load(ch, ChannelLoad::new(busy, aps));
                 }
                 self.scan_cursor = (self.scan_cursor + 1) % whitefi_spectrum::NUM_UHF_CHANNELS;
-                ctx.set_timer(self.cfg.scan_dwell, keys::SCAN);
+                ctx.set_timer(SCAN_DWELL, keys::SCAN);
             }
             keys::WATCHDOG => {
                 if self.mode == Mode::Connected
@@ -297,7 +287,7 @@ impl Behavior for ClientBehavior {
                     if let Some(next) = choose_secondary_backup(map, None, ctx.channel()) {
                         ctx.set_channel(next);
                     } else {
-                        ctx.set_timer(self.cfg.chirp_interval, keys::CHIRP);
+                        ctx.set_timer(CHIRP_INTERVAL, keys::CHIRP);
                         return;
                     }
                 }
@@ -314,7 +304,7 @@ impl Behavior for ClientBehavior {
                         },
                     });
                 }
-                ctx.set_timer(self.cfg.chirp_interval, keys::CHIRP);
+                ctx.set_timer(CHIRP_INTERVAL, keys::CHIRP);
             }
             keys::DISCOVER if self.mode == Mode::Discovering => {
                 // Resolve an armed decode dwell first.
@@ -350,7 +340,7 @@ impl Behavior for ClientBehavior {
                     Some(ScanStep::Sift(ch)) => {
                         // The scanner dwelled on `ch` for the last
                         // interval: match SIFT signatures in its view.
-                        let bursts = ctx.visible_bursts(self.cfg.discovery_dwell, |_, _, _| true);
+                        let bursts = ctx.visible_bursts(DISCOVERY_DWELL, |_, _, _| true);
                         let found = sift_match_bursts(&bursts, ch);
                         machine.on_sift_result(found);
                     }
@@ -366,24 +356,11 @@ impl Behavior for ClientBehavior {
                         self.discovery = Some(JSiftMachine::new(map));
                     }
                 }
-                ctx.set_timer(self.cfg.discovery_dwell, keys::DISCOVER);
+                ctx.set_timer(DISCOVERY_DWELL, keys::DISCOVER);
             }
             keys::PUMP => {
-                if self.mode == Mode::Connected {
-                    if let (Some(bytes), Some(interval)) =
-                        (self.cfg.uplink_bytes, self.cfg.uplink_interval)
-                    {
-                        if ctx.queue_len() < 4 {
-                            ctx.send(Frame::data(ctx.id(), self.ap, bytes));
-                        }
-                        ctx.set_timer(interval, keys::PUMP);
-                        return;
-                    }
-                }
                 self.pump_uplink(ctx);
-                if self.cfg.uplink_interval.is_none() && self.cfg.uplink_bytes.is_some() {
-                    ctx.set_timer(SimDuration::from_millis(50), keys::PUMP);
-                }
+                ctx.set_timer(SimDuration::from_millis(50), keys::PUMP);
             }
             _ => {}
         }

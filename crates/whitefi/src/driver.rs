@@ -26,7 +26,6 @@
 //! a pruned build draws exactly the random sequences the unpruned build
 //! would — the foundation of the pruned == unpruned equality contract.
 
-use crate::ap::ApConfig;
 use crate::bss::{add_bss, measure, rounds, BssSpec};
 use crate::mcham::NodeReport;
 use crate::oracles::{OracleReport, OracleSet};
@@ -104,9 +103,6 @@ pub struct Scenario {
     pub warmup: SimDuration,
     /// Timeline sampling period.
     pub sample_interval: SimDuration,
-    /// AP protocol configuration template (traffic fields are overridden
-    /// from the scenario).
-    pub ap_config: ApConfig,
     /// Deterministic fault plan injected at the medium boundary
     /// (`None` = the fault layer is bypassed entirely and the run is
     /// byte-identical to a pre-fault-layer build — DESIGN.md §10).
@@ -129,7 +125,6 @@ impl Scenario {
             duration: SimDuration::from_secs(5),
             warmup: SimDuration::from_secs(2),
             sample_interval: SimDuration::from_millis(100),
-            ap_config: ApConfig::default(),
             faults: None,
         }
     }
@@ -210,7 +205,6 @@ fn run(
         &mut sim,
         &oracles,
         BssSpec {
-            ap_config: &scenario.ap_config,
             downlink_bytes: scenario.downlink_bytes,
             uplink_bytes: scenario.uplink_bytes,
             ap_env: (scenario.ap_map, scenario.ap_extra_incumbents.as_ref()),

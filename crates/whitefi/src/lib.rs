@@ -5,7 +5,7 @@
 //! top of the `whitefi-spectrum` band model, the `whitefi-phy` signal
 //! substrate, and the `whitefi-mac` discrete-event simulator:
 //!
-//! * [`mcham`] — the **multichannel airtime metric** (Equations 1–2) and
+//! * [`mcham`](mod@mcham) — the **multichannel airtime metric** (Equations 1–2) and
 //!   the client-aware channel-selection objective
 //!   `N·MCham_AP + Σ_n MCham_n`;
 //! * [`assignment`] — the adaptive **spectrum assignment** algorithm:
@@ -40,7 +40,7 @@ pub mod scenario_file;
 pub mod scenario_fuzz;
 
 pub use ap::{ApBehavior, ApConfig};
-pub use assignment::{Assigner, AssignerConfig};
+pub use assignment::Assigner;
 pub use chirp::{backup_candidates, choose_backup, choose_secondary_backup, ChirpDetector};
 pub use city::{
     largest_component_fraction, load_imbalance, merge_city, run_city, run_city_group, shard_plan,
@@ -56,8 +56,7 @@ pub use driver::{
     run_fixed, run_whitefi, BackgroundTraffic, Scenario, ScenarioOutcome, StaticBaselines,
 };
 pub use oracles::{
-    global_oracle_totals, OracleBank, OracleConfig, OracleKind, OracleReport, OracleSet,
-    OracleTotals, Violation,
+    global_oracle_totals, OracleBank, OracleKind, OracleReport, OracleSet, OracleTotals, Violation,
 };
 pub use scenario_file::{
     load, parse_str, CaseOutcome, CompiledCase, CompiledCity, CompiledSingleAp, LoadError,

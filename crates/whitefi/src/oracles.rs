@@ -98,31 +98,14 @@ impl OracleReport {
     }
 }
 
-/// Tunables of the oracle bank.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OracleConfig {
-    /// Disconnection → reassociation bound. The protocol's own budget —
-    /// client watchdog (600 ms) + a full backup-scan period (3 s) +
-    /// chirp collection (300 ms) + switch fallback — sums well under
-    /// 5 s; 10 s leaves headroom for contention without masking hangs.
-    pub liveness_bound: SimDuration,
-    /// How long after an observable transition (control frame, retune,
-    /// observed-map change) split-channel operation is tolerated.
-    pub transition_grace: SimDuration,
-    /// Whether the run is the adaptive protocol (true) or a pinned
-    /// baseline (false) — routes the global violation counters.
-    pub adaptive: bool,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        Self {
-            liveness_bound: SimDuration::from_secs(10),
-            transition_grace: SimDuration::from_secs(1),
-            adaptive: true,
-        }
-    }
-}
+/// Disconnection → reassociation bound. The protocol's own budget —
+/// client watchdog (600 ms) + a full backup-scan period (3 s) + chirp
+/// collection (300 ms) + switch fallback — sums well under 5 s; 10 s
+/// leaves headroom for contention without masking hangs.
+const LIVENESS_BOUND: SimDuration = SimDuration::from_secs(10);
+/// How long after an observable transition (control frame, retune,
+/// observed-map change) split-channel operation is tolerated.
+const TRANSITION_GRACE: SimDuration = SimDuration::from_secs(1);
 
 /// One mic activity interval, precompiled against a member's detection
 /// latency.
@@ -208,7 +191,9 @@ fn width_tag(ch: WfChannel) -> u64 {
 
 /// One bank's invariant state: the members of one network.
 struct BankState {
-    cfg: OracleConfig,
+    /// Whether the network runs the adaptive protocol: only its
+    /// violations feed the process-wide total.
+    adaptive: bool,
     /// Member environments, ascending by sim-local node id.
     members: Vec<MemberEnv>,
     /// `index[n]`: the position of member `n` in `members` (`None` for a
@@ -278,8 +263,8 @@ impl BankState {
         };
         let src_stable = self.members[k].stable;
         self.checked_tx += 1;
-        let grace = self.cfg.transition_grace;
-        let bound = self.cfg.liveness_bound;
+        let grace = TRANSITION_GRACE;
+        let bound = LIVENESS_BOUND;
 
         // A chirp or switch announcement is itself an observable
         // transition: refresh the marker before judging occupancy.
@@ -508,10 +493,6 @@ impl Hub {
 }
 
 static ADAPTIVE_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-static FIXED_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-static EXPLAINED_LIVENESS: AtomicU64 = AtomicU64::new(0);
-static EXPLAINED_OCCUPANCY: AtomicU64 = AtomicU64::new(0);
-static REPORTS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide oracle totals, for experiment reporting (mirrors
 /// [`whitefi_mac::global_event_totals`]): snapshot before and after a
@@ -519,16 +500,10 @@ static REPORTS: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleTotals {
     /// Violations reported by adaptive (WhiteFi) runs — the protocol
-    /// bugs; must stay zero on seed scenarios.
+    /// bugs; must stay zero on seed scenarios. Pinned baselines are not
+    /// counted: static networks transmit over incumbents by design, the
+    /// paper's motivating failure rather than a simulator bug.
     pub adaptive_violations: u64,
-    /// Violations reported by pinned baseline runs. Static networks
-    /// transmit over incumbents by design — that is the paper's
-    /// motivating failure, not a simulator bug.
-    pub fixed_violations: u64,
-    /// Liveness misses explained by injected faults.
-    pub explained_liveness: u64,
-    /// Reports finalized.
-    pub reports: u64,
 }
 
 impl OracleTotals {
@@ -538,11 +513,6 @@ impl OracleTotals {
             adaptive_violations: self
                 .adaptive_violations
                 .wrapping_sub(earlier.adaptive_violations),
-            fixed_violations: self.fixed_violations.wrapping_sub(earlier.fixed_violations),
-            explained_liveness: self
-                .explained_liveness
-                .wrapping_sub(earlier.explained_liveness),
-            reports: self.reports.wrapping_sub(earlier.reports),
         }
     }
 }
@@ -551,9 +521,6 @@ impl OracleTotals {
 pub fn global_oracle_totals() -> OracleTotals {
     OracleTotals {
         adaptive_violations: ADAPTIVE_VIOLATIONS.load(Ordering::Relaxed),
-        fixed_violations: FIXED_VIOLATIONS.load(Ordering::Relaxed),
-        explained_liveness: EXPLAINED_LIVENESS.load(Ordering::Relaxed),
-        reports: REPORTS.load(Ordering::Relaxed),
     }
 }
 
@@ -572,11 +539,13 @@ impl OracleSet {
         Self::default()
     }
 
-    /// Adds the bank of one network (no members yet).
-    pub fn add_bank(&self, cfg: OracleConfig) -> OracleBank {
+    /// Adds the bank of one network (no members yet): the adaptive
+    /// protocol (`adaptive`) or a pinned baseline, whose violations the
+    /// process-wide [`global_oracle_totals`] leave out.
+    pub fn add_bank(&self, adaptive: bool) -> OracleBank {
         let mut hub = self.hub.borrow_mut();
         hub.banks.push(BankState {
-            cfg,
+            adaptive,
             members: Vec::new(),
             index: Vec::new(),
             violations: Vec::new(),
@@ -685,7 +654,7 @@ impl OracleBank {
         inner.violations.extend(conservation);
 
         // --- Backup liveness: close windows still open at the end ----
-        let bound = inner.cfg.liveness_bound;
+        let bound = LIVENESS_BOUND;
         let mut tail = Vec::new();
         for env in &mut inner.members {
             if let Some(open) = env.live_open.take() {
@@ -719,7 +688,6 @@ impl OracleBank {
                 });
             if explained {
                 inner.explained_occ += 1;
-                EXPLAINED_OCCUPANCY.fetch_add(1, Ordering::Relaxed);
             } else {
                 inner.violations.push(v);
             }
@@ -736,7 +704,6 @@ impl OracleBank {
             if explained {
                 // Count the explanation instead of a violation.
                 inner.explained += 1;
-                EXPLAINED_LIVENESS.fetch_add(1, Ordering::Relaxed);
             } else {
                 let stable = inner.stable_of(node);
                 inner.violate(
@@ -762,13 +729,9 @@ impl OracleBank {
             explained_occupancy: inner.explained_occ,
             trace_digest: inner.digest,
         };
-        let bucket = if inner.cfg.adaptive {
-            &ADAPTIVE_VIOLATIONS
-        } else {
-            &FIXED_VIOLATIONS
-        };
-        bucket.fetch_add(report.violations.len() as u64, Ordering::Relaxed);
-        REPORTS.fetch_add(1, Ordering::Relaxed);
+        if inner.adaptive {
+            ADAPTIVE_VIOLATIONS.fetch_add(report.violations.len() as u64, Ordering::Relaxed);
+        }
         report
     }
 }
@@ -859,7 +822,7 @@ mod tests {
     #[test]
     fn member_index_agrees_with_binary_search() {
         let set = OracleSet::new();
-        let bank = set.add_bank(OracleConfig::default());
+        let bank = set.add_bank(true);
         let none = IncumbentSet::default();
         let add = |node: NodeId, stable: NodeId| {
             bank.add_member_as(node, stable, node == 9, &none, SimDuration::ZERO);

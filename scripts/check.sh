@@ -86,6 +86,11 @@ layerbench_golden paper_sweep 7 tests/golden/layerbench_paper_sweep_seed7.digest
 cargo build --workspace --release
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc lane: a deleted or privatised item leaves its intra-doc links
+# dangling, and a bracketed citation ("[15]") reads as a broken link;
+# both fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Determinism/safety linter (DESIGN.md §11, §16): the lexical rules
 # (R1 ordered containers, R2 no ambient nondeterminism, R3
 # seeded+streamed RNG construction, R4 no unwrap/expect in library
