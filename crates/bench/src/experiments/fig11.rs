@@ -11,7 +11,7 @@
 //! always within 14% of the optimal value throughput OPT."
 
 use crate::json;
-use crate::report::{mean, round4, ExperimentReport};
+use crate::report::{mean_columns, round4, ExperimentReport};
 use crate::runner::RunCtx;
 use rand::Rng;
 use whitefi::driver::{BackgroundPair, BackgroundTraffic, Scenario};
@@ -43,36 +43,24 @@ pub fn scenario(pairs: usize, seed: u64, quick: bool) -> Scenario {
     s
 }
 
-/// Per-client throughputs `(whitefi, opt5, opt10, opt20, opt)` in Mbps
+/// Per-client throughputs `[whitefi, opt5, opt10, opt20, opt]` in Mbps
 /// of each scenario, measured through the sweep fan-out.
-fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<(f64, f64, f64, f64, f64)> {
+fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<[f64; 5]> {
     super::sweep::measure_all(ctx, scenarios)
         .iter()
         .zip(scenarios)
         .map(|(out, s)| {
             let n = s.client_maps.len() as f64;
             let b = out.baselines;
-            (
+            [
                 out.whitefi_aggregate_mbps / n,
                 b.opt5 / n,
                 b.opt10 / n,
                 b.opt20 / n,
                 b.opt / n,
-            )
+            ]
         })
         .collect()
-}
-
-fn mean_runs(runs: &[(f64, f64, f64, f64, f64)]) -> (f64, f64, f64, f64, f64) {
-    let col =
-        |f: fn(&(f64, f64, f64, f64, f64)) -> f64| mean(&runs.iter().map(f).collect::<Vec<_>>());
-    (
-        col(|r| r.0),
-        col(|r| r.1),
-        col(|r| r.2),
-        col(|r| r.3),
-        col(|r| r.4),
-    )
 }
 
 /// Runs the background-traffic sweep.
@@ -108,7 +96,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let runs = per_client(ctx, &scenarios);
     let mut worst_frac: f64 = 1.0;
     for (pi, &pairs) in points.iter().enumerate() {
-        let (w, o5, o10, o20, o) = mean_runs(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
+        let [w, o5, o10, o20, o] = mean_columns(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
         let frac = if o > 0.0 { w / o } else { 1.0 };
         worst_frac = worst_frac.min(frac);
         report.push_row(&[
@@ -136,7 +124,7 @@ mod tests {
     use whitefi::driver::StaticBaselines;
 
     /// The sequential measurement of one quick trial.
-    fn trial(pairs: usize, seed: u64) -> (f64, f64, f64, f64, f64) {
+    fn trial(pairs: usize, seed: u64) -> [f64; 5] {
         per_client(&RunCtx::sequential(true), &[scenario(pairs, seed, true)])[0]
     }
 
@@ -155,14 +143,14 @@ mod tests {
 
     #[test]
     fn no_background_whitefi_matches_opt20() {
-        let (w, _o5, _o10, o20, o) = trial(0, 9000);
+        let [w, _o5, _o10, o20, o] = trial(0, 9000);
         assert!(w > 0.8 * o20, "whitefi {w} vs opt20 {o20}");
         assert!(w > 0.8 * o, "whitefi {w} vs opt {o}");
     }
 
     #[test]
     fn heavy_background_still_near_opt() {
-        let (w, _, _, o20, o) = trial(14, 9100);
+        let [w, _, _, o20, o] = trial(14, 9100);
         assert!(w > 0.7 * o, "whitefi {w} vs opt {o}");
         // And the widest static choice is no longer clearly dominant.
         assert!(o20 < 1.3 * o, "opt20 {o20} opt {o}");

@@ -13,7 +13,7 @@
 //! cases. On the other hand, WhiteFi is near-optimal in all cases."
 
 use crate::json;
-use crate::report::{mean, round4, ExperimentReport};
+use crate::report::{mean_columns, round4, ExperimentReport};
 use crate::runner::RunCtx;
 use whitefi::driver::{BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi_phy::SimDuration;
@@ -48,33 +48,28 @@ pub fn scenario(p: f64, seed: u64, quick: bool) -> Scenario {
     s
 }
 
-/// Per-client throughputs `(whitefi, opt, opt20)` in Mbps plus the
+/// Per-client throughputs `[whitefi, opt, opt20]` in Mbps plus the
 /// widest remaining fragment of each scenario, measured through the
 /// sweep fan-out. A fully blocked trial contributes no units and comes
 /// back as zeros for everyone.
-fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<(f64, f64, f64, f64)> {
+fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<[f64; 4]> {
     super::sweep::measure_all(ctx, scenarios)
         .iter()
         .zip(scenarios)
         .map(|(out, s)| {
             let combined = s.combined_map();
             if combined.available_channels().is_empty() {
-                return (0.0, 0.0, 0.0, 0.0);
+                return [0.0; 4];
             }
             let n = s.client_maps.len() as f64;
-            (
+            [
                 out.whitefi_aggregate_mbps / n,
                 out.baselines.opt / n,
                 out.baselines.opt20 / n,
                 combined.widest_fragment() as f64,
-            )
+            ]
         })
         .collect()
-}
-
-fn mean_runs(runs: &[(f64, f64, f64, f64)]) -> (f64, f64, f64, f64) {
-    let col = |f: fn(&(f64, f64, f64, f64)) -> f64| mean(&runs.iter().map(f).collect::<Vec<_>>());
-    (col(|r| r.0), col(|r| r.1), col(|r| r.2), col(|r| r.3))
 }
 
 /// Runs the spatial-variation sweep.
@@ -102,7 +97,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let mut first = None;
     let mut last = None;
     for (pi, &p) in ps.iter().enumerate() {
-        let (w, o, o20, widest) = mean_runs(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
+        let [w, o, o20, widest] = mean_columns(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
         if first.is_none() {
             first = Some(w);
         }
@@ -129,14 +124,14 @@ mod tests {
     use super::*;
 
     /// The sequential measurement of one quick trial.
-    fn trial(p: f64, seed: u64) -> (f64, f64, f64, f64) {
+    fn trial(p: f64, seed: u64) -> [f64; 4] {
         per_client(&RunCtx::sequential(true), &[scenario(p, seed, true)])[0]
     }
 
     #[test]
     fn throughput_decreases_with_spatial_variation() {
-        let (w0, ..) = trial(0.0, 7000);
-        let (w14, ..) = trial(0.14, 7000);
+        let [w0, ..] = trial(0.0, 7000);
+        let [w14, ..] = trial(0.14, 7000);
         assert!(
             w14 < 0.75 * w0,
             "P=0.14 ({w14}) should be well below P=0 ({w0})"
@@ -145,14 +140,14 @@ mod tests {
 
     #[test]
     fn whitefi_near_opt_at_moderate_variation() {
-        let (w, o, ..) = trial(0.05, 7001);
+        let [w, o, ..] = trial(0.05, 7001);
         assert!(w > 0.7 * o, "whitefi {w} vs opt {o}");
     }
 
     #[test]
     fn high_variation_shrinks_common_fragments() {
-        let (_, _, _, widest0) = trial(0.0, 7002);
-        let (_, _, _, widest14) = trial(0.14, 7002);
+        let [.., widest0] = trial(0.0, 7002);
+        let [.., widest14] = trial(0.14, 7002);
         assert!(
             widest14 < widest0,
             "widest fragment should shrink: {widest0} -> {widest14}"

@@ -16,7 +16,7 @@
 //! background traffic."
 
 use crate::json;
-use crate::report::{mean, round4, ExperimentReport};
+use crate::report::{mean_columns, round4, ExperimentReport};
 use crate::runner::RunCtx;
 use whitefi::driver::{BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi_phy::SimDuration;
@@ -95,27 +95,22 @@ pub fn scenario(pt: ChurnPoint, seed: u64, quick: bool) -> Scenario {
     s
 }
 
-/// Per-client throughputs `(whitefi, opt, opt20, opt5)` in Mbps of each
+/// Per-client throughputs `[whitefi, opt, opt20, opt5]` in Mbps of each
 /// scenario, measured through the sweep fan-out.
-fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<(f64, f64, f64, f64)> {
+fn per_client(ctx: &RunCtx, scenarios: &[Scenario]) -> Vec<[f64; 4]> {
     super::sweep::measure_all(ctx, scenarios)
         .iter()
         .zip(scenarios)
         .map(|(out, s)| {
             let n = s.client_maps.len() as f64;
-            (
+            [
                 out.whitefi_aggregate_mbps / n,
                 out.baselines.opt / n,
                 out.baselines.opt20 / n,
                 out.baselines.opt5 / n,
-            )
+            ]
         })
         .collect()
-}
-
-fn mean_runs(runs: &[(f64, f64, f64, f64)]) -> (f64, f64, f64, f64) {
-    let col = |f: fn(&(f64, f64, f64, f64)) -> f64| mean(&runs.iter().map(f).collect::<Vec<_>>());
-    (col(|r| r.0), col(|r| r.1), col(|r| r.2), col(|r| r.3))
 }
 
 /// Runs the churn sweep.
@@ -143,7 +138,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         .collect();
     let runs = per_client(ctx, &scenarios);
     for (pi, pt) in sweep.iter().enumerate() {
-        let (w, o, o20, o5) = mean_runs(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
+        let [w, o, o20, o5] = mean_columns(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
         report.push_row(&[
             ("churn", json!(pt.label)),
             ("whitefi", round4(w)),
@@ -162,13 +157,13 @@ mod tests {
     use super::*;
 
     /// The sequential measurement of one quick trial.
-    fn trial(pt: ChurnPoint, seed: u64) -> (f64, f64, f64, f64) {
+    fn trial(pt: ChurnPoint, seed: u64) -> [f64; 4] {
         per_client(&RunCtx::sequential(true), &[scenario(pt, seed, true)])[0]
     }
 
     #[test]
     fn all_passive_equals_clean_spectrum() {
-        let (w, _, o20, _) = trial(SWEEP[0], 8100);
+        let [w, _, o20, _] = trial(SWEEP[0], 8100);
         // With silent background, WhiteFi rides the widest channel.
         assert!(w > 0.8 * o20, "whitefi {w} vs opt20 {o20}");
         // Per-client share of a clean ~5 Mbps 20 MHz channel across 4
@@ -181,14 +176,14 @@ mod tests {
 
     #[test]
     fn whitefi_competitive_under_churn() {
-        let (w, o, ..) = trial(SWEEP[3], 8101);
+        let [w, o, ..] = trial(SWEEP[3], 8101);
         assert!(w > 0.75 * o, "whitefi {w} vs opt {o}");
     }
 
     #[test]
     fn all_active_reduces_everyones_throughput() {
-        let (w_quiet, ..) = trial(SWEEP[0], 8102);
-        let (w_busy, ..) = trial(SWEEP[5], 8102);
+        let [w_quiet, ..] = trial(SWEEP[0], 8102);
+        let [w_busy, ..] = trial(SWEEP[5], 8102);
         assert!(w_busy < w_quiet, "{w_busy} !< {w_quiet}");
     }
 }

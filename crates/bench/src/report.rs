@@ -254,6 +254,12 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
+/// Column-wise [`mean`] of equal-width rows: entry `j` is the mean of
+/// every row's entry `j` (0 when there are no rows).
+pub fn mean_columns<const N: usize>(rows: &[[f64; N]]) -> [f64; N] {
+    std::array::from_fn(|j| mean(&rows.iter().map(|r| r[j]).collect::<Vec<_>>()))
+}
+
 /// Median of a slice (mean of middle pair for even lengths).
 pub fn median(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
@@ -347,6 +353,8 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(mean(&[]), 0.0);
+        assert_eq!(mean_columns(&[[1.0, 4.0], [2.0, 6.0]]), [1.5, 5.0]);
+        assert_eq!(mean_columns::<3>(&[]), [0.0; 3]);
         assert_eq!(round4(0.123456), json!(0.1235));
     }
 }

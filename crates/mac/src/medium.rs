@@ -1,25 +1,21 @@
-//! The shared radio medium: active transmissions, per-UHF-channel
-//! occupancy accounting, and windowed queries for the scanning radio.
+//! The shared radio medium: a registry of the nodes that may transmit,
+//! active transmissions, per-UHF-channel occupancy accounting, and
+//! windowed queries for the scanning radio.
 
 use crate::frames::{Frame, NodeId};
 use std::collections::VecDeque;
 use whitefi_phy::{Burst, SimDuration, SimTime, VisibleBurst};
 use whitefi_spectrum::{UhfChannel, WfChannel, NUM_UHF_CHANNELS};
 
-/// One frame on the air.
+/// One frame on the air. Facts about the transmitter that do not change
+/// per frame (its AP flag and SSID) live in the medium's source registry,
+/// not here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transmission {
     /// Unique id.
     pub id: u64,
     /// Transmitting node.
     pub src: NodeId,
-    /// Whether the transmitter is an access point (drives the `B_c`
-    /// interfering-AP estimate of Equation 1).
-    pub src_is_ap: bool,
-    /// The transmitter's network (SSID). Scanner queries exclude a
-    /// node's own SSID: Equation 1's `A_c`/`B_c` measure *other*
-    /// networks' load, not the measuring network's own traffic.
-    pub ssid: Option<u32>,
     /// The `(F, W)` channel the frame is sent on.
     pub channel: WfChannel,
     /// Start of the transmission.
@@ -28,19 +24,16 @@ pub struct Transmission {
     pub end: SimTime,
     /// The frame itself.
     pub frame: Frame,
-    /// Received amplitude at range (drives SIFT visibility).
-    pub amplitude: f64,
 }
+
+/// Received amplitude of every node's transmissions at its peers
+/// (linear units; drives SIFT visibility of captured traces).
+const TX_AMPLITUDE: f64 = 1000.0;
 
 impl Transmission {
     /// Whether this transmission overlaps `[from, to)` in time.
     pub fn overlaps_window(&self, from: SimTime, to: SimTime) -> bool {
         self.start < to && self.end > from
-    }
-
-    /// Whether this transmission's span intersects `other`'s span.
-    pub fn overlaps_channel(&self, other: WfChannel) -> bool {
-        self.channel.overlaps(other)
     }
 
     /// Converts to a scanner-visible burst.
@@ -51,7 +44,7 @@ impl Transmission {
                 start: self.start,
                 duration: self.end.since(self.start),
                 width: self.channel.width(),
-                amplitude: self.amplitude,
+                amplitude: TX_AMPLITUDE,
                 kind: self.frame.kind.burst_kind(),
             },
         }
@@ -60,7 +53,7 @@ impl Transmission {
 
 /// The per-source index's copy of a history entry's span: its finish
 /// sequence number plus the `start`, `end` and `channel` every scanner
-/// filter tests, so a query touches the 96-byte [`Transmission`] itself
+/// filter tests, so a query touches the 80-byte [`Transmission`] itself
 /// only to materialize a burst.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HistoryKey {
@@ -70,12 +63,16 @@ struct HistoryKey {
     channel: WfChannel,
 }
 
-/// One transmitter's slice of the history index. `is_ap` and `ssid`
-/// come from the node's fixed configuration, so they are kept once per
-/// source instead of being read from every entry.
-#[derive(Debug, Clone, Default)]
+/// One registered transmitter: its fixed AP flag and SSID, and its slice
+/// of the history index.
+#[derive(Debug, Clone)]
 struct SourceHistory {
+    /// Whether the node is an access point (drives the `B_c`
+    /// interfering-AP estimate of Equation 1).
     is_ap: bool,
+    /// The node's network (SSID). Scanner queries exclude a node's own
+    /// SSID: Equation 1's `A_c`/`B_c` measure *other* networks' load,
+    /// not the measuring network's own traffic.
     ssid: Option<u32>,
     /// Keys of the source's transmissions still in `history`, ascending
     /// by finish sequence number (hence by `end`).
@@ -96,8 +93,11 @@ impl SourceHistory {
     }
 }
 
-/// The medium: active transmissions plus a pruned history for windowed
-/// airtime queries (the scanning radio's view).
+/// The medium: registered sources, active transmissions plus a pruned
+/// history for windowed airtime queries (the scanning radio's view).
+///
+/// Every node is registered once, with [`Medium::add_source`], before it
+/// transmits; node ids are registration order.
 ///
 /// `history` is ordered by nondecreasing `end` time: transmissions are
 /// appended by [`Medium::finish`] at their end time, and the event loop
@@ -115,16 +115,15 @@ impl SourceHistory {
 pub struct Medium {
     active: Vec<Transmission>,
     /// `active_ids[i] == active[i].id`: [`Medium::finish`] searches
-    /// these 8-byte ids, not the 96-byte entries.
+    /// these 8-byte ids, not the 80-byte entries.
     active_ids: Vec<u64>,
     history: VecDeque<Transmission>,
     /// Finish sequence number of `history.front()`: the entry with
     /// sequence `s` sits at `history[s - history_base]`.
     history_base: usize,
-    /// `by_src[n]`: node `n`'s keys still in `history`. Pruned together
-    /// with `history`, so the lists hold exactly `history.len()` keys
-    /// between them. Has an entry for every node that ever started a
-    /// transmission.
+    /// `by_src[n]`: registered node `n` and its keys still in `history`.
+    /// Pruned together with `history`, so the lists hold exactly
+    /// `history.len()` keys between them.
     by_src: Vec<SourceHistory>,
     /// How much history to retain for scanner queries. Drivers may
     /// tighten this when no scanner will ever look back (fixed-channel
@@ -164,31 +163,28 @@ impl Medium {
         }
     }
 
-    /// Starts a transmission; returns its id.
-    #[allow(clippy::too_many_arguments)]
+    /// Registers the next node as a transmitter, with its fixed AP flag
+    /// and SSID; returns its id (0 for the first source, then 1, 2, …).
+    pub fn add_source(&mut self, is_ap: bool, ssid: Option<u32>) -> NodeId {
+        self.by_src.push(SourceHistory {
+            is_ap,
+            ssid,
+            keys: VecDeque::new(),
+        });
+        self.by_src.len() - 1
+    }
+
+    /// Starts a transmission by registered source `src`; returns its id.
     pub fn start(
         &mut self,
         src: NodeId,
-        src_is_ap: bool,
-        ssid: Option<u32>,
         channel: WfChannel,
         start: SimTime,
         end: SimTime,
         frame: Frame,
-        amplitude: f64,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        if self.by_src.len() <= src {
-            self.by_src.resize_with(src + 1, SourceHistory::default);
-        }
-        let source = &mut self.by_src[src];
-        debug_assert!(
-            source.keys.is_empty() || (source.is_ap, source.ssid) == (src_is_ap, ssid),
-            "a source's AP flag and SSID are fixed"
-        );
-        source.is_ap = src_is_ap;
-        source.ssid = ssid;
         for ch in channel.spanned() {
             self.accrue(ch, start);
             self.active_count[ch.index()] += 1;
@@ -197,13 +193,10 @@ impl Medium {
         self.active.push(Transmission {
             id,
             src,
-            src_is_ap,
-            ssid,
             channel,
             start,
             end,
             frame,
-            amplitude,
         });
         id
     }
@@ -234,9 +227,7 @@ impl Medium {
             "history must stay sorted by end time"
         );
         let seq = self.history_base + self.history.len();
-        let source = &mut self.by_src[tx.src];
-        debug_assert_eq!((source.is_ap, source.ssid), (tx.src_is_ap, tx.ssid));
-        source.keys.push_back(HistoryKey {
+        self.by_src[tx.src].keys.push_back(HistoryKey {
             seq,
             start: tx.start,
             end: tx.end,
@@ -261,24 +252,27 @@ impl Medium {
         &self.history[seq - self.history_base]
     }
 
-    /// The index slices of the heard sources (`heard` ascending) that
-    /// ever started a transmission.
-    fn heard_sources<'a>(&'a self, heard: &'a [NodeId]) -> impl Iterator<Item = &'a SourceHistory> {
-        heard.iter().filter_map(|&src| self.by_src.get(src))
+    /// The heard sources with their registry entries, ascending by id:
+    /// `heard` (ascending, registered ids, no duplicates), or every
+    /// registered source for `None`.
+    fn sources<'a>(
+        &'a self,
+        heard: Option<&'a [NodeId]>,
+    ) -> impl Iterator<Item = (NodeId, &'a SourceHistory)> {
+        let all = heard.is_none().then(|| self.by_src.iter().enumerate());
+        let some = heard.map(|h| h.iter().map(|&src| (src, &self.by_src[src])));
+        all.into_iter().flatten().chain(some.into_iter().flatten())
     }
 
-    /// Every node that ever started a transmission, ascending: the
-    /// heard-source list of a scanner that hears everyone.
-    fn all_sources(&self) -> Vec<NodeId> {
-        (0..self.by_src.len()).collect()
-    }
-
-    /// Active transmissions from the heard sources (`heard` ascending),
-    /// in active-list order.
-    fn active_heard<'a>(&'a self, heard: &'a [NodeId]) -> impl Iterator<Item = &'a Transmission> {
+    /// Active transmissions from the heard sources (as in
+    /// [`Medium::sources`]), in active-list order.
+    fn active_heard<'a>(
+        &'a self,
+        heard: Option<&'a [NodeId]>,
+    ) -> impl Iterator<Item = &'a Transmission> {
         self.active
             .iter()
-            .filter(move |t| heard.binary_search(&t.src).is_ok())
+            .filter(move |t| heard.is_none_or(|h| h.binary_search(&t.src).is_ok()))
     }
 
     fn accrue(&mut self, ch: UhfChannel, now: SimTime) {
@@ -328,49 +322,31 @@ impl Medium {
     /// estimated from transmission history (the scanning radio's
     /// measurement; overlapping transmissions may double-count, so the
     /// result is clamped to 1).
-    pub fn airtime_in_window(&self, ch: UhfChannel, from: SimTime, to: SimTime) -> f64 {
-        self.airtime_in_window_excluding(ch, from, to, None)
-    }
-
-    /// Like [`Medium::airtime_in_window`], but ignoring transmissions of
-    /// the given SSID — a node measuring residual airtime for Equation 1
-    /// must not count its own network's traffic.
-    pub fn airtime_in_window_excluding(
+    ///
+    /// Sources of SSID `exclude_ssid` are ignored: a node measuring
+    /// residual airtime for Equation 1 must not count its own network's
+    /// traffic. `heard` restricts the count to those transmitters
+    /// (ascending node ids, no duplicates; `None` hears every registered
+    /// source) — the scanning radio only measures signals that
+    /// physically reach it. The engine passes the node's heard-source
+    /// list, so a scan at one node is independent of out-of-range
+    /// traffic (the property city sharding relies on, DESIGN.md §13) and
+    /// costs time in proportion to the traffic it can hear, not to the
+    /// whole medium's.
+    pub fn airtime_in_window(
         &self,
         ch: UhfChannel,
         from: SimTime,
         to: SimTime,
         exclude_ssid: Option<u32>,
-    ) -> f64 {
-        self.airtime_in_window_heard(ch, from, to, exclude_ssid, &self.all_sources())
-    }
-
-    /// Like [`Medium::airtime_in_window_excluding`], restricted to the
-    /// transmitters in `heard` (ascending node ids, no duplicates) — the
-    /// scanning radio only measures signals that physically reach it.
-    /// The engine passes the node's heard-source list here, so a scan at
-    /// one node is independent of out-of-range traffic (the property city
-    /// sharding relies on, DESIGN.md §13) and costs time in proportion to
-    /// the traffic it can hear, not to the whole medium's.
-    pub(crate) fn airtime_in_window_heard(
-        &self,
-        ch: UhfChannel,
-        from: SimTime,
-        to: SimTime,
-        exclude_ssid: Option<u32>,
-        heard: &[NodeId],
+        heard: Option<&[NodeId]>,
     ) -> f64 {
         assert!(to > from, "empty airtime window");
-        let counts = |t: &Transmission| {
-            t.channel.contains(ch)
-                && t.overlaps_window(from, to)
-                && !(exclude_ssid.is_some() && t.ssid == exclude_ssid)
-        };
         let clipped = |start: SimTime, end: SimTime| end.min(to).since(start.max(from)).as_nanos();
         let mut busy = 0u64;
         // Summation order differs from a forward scan, but the busy
         // accumulator is an integer, so the result is order-independent.
-        for source in self.heard_sources(heard) {
+        for (_, source) in self.sources(heard) {
             if source.excluded(exclude_ssid) {
                 continue;
             }
@@ -383,8 +359,13 @@ impl Medium {
         // Only active transmissions spanning `ch` can contribute; the
         // counter skips the scan entirely when there are none.
         if self.active_count[ch.index()] > 0 {
-            for t in self.active_heard(heard).filter(|t| counts(t)) {
-                busy += clipped(t.start, t.end);
+            for t in self.active_heard(heard) {
+                if t.channel.contains(ch)
+                    && t.overlaps_window(from, to)
+                    && !self.by_src[t.src].excluded(exclude_ssid)
+                {
+                    busy += clipped(t.start, t.end);
+                }
             }
         }
         (busy as f64 / to.since(from).as_nanos() as f64).min(1.0)
@@ -392,56 +373,36 @@ impl Medium {
 
     /// Number of distinct *AP* transmitters seen on `ch` in `[from, to)`
     /// — the `B_c` estimate of Equation 1 ("we estimate the number of
-    /// contending nodes as the number of interfering APs").
-    pub fn ap_count_in_window(&self, ch: UhfChannel, from: SimTime, to: SimTime) -> u32 {
-        self.ap_count_in_window_excluding(ch, from, to, None)
-    }
-
-    /// Like [`Medium::ap_count_in_window`], but ignoring APs of the given
-    /// SSID (Equation 1's `B_c` counts *other* access points).
-    pub fn ap_count_in_window_excluding(
+    /// contending nodes as the number of interfering APs"). APs of SSID
+    /// `exclude_ssid` are ignored (Equation 1 counts *other* access
+    /// points), and `heard` restricts the count as in
+    /// [`Medium::airtime_in_window`].
+    pub fn ap_count_in_window(
         &self,
         ch: UhfChannel,
         from: SimTime,
         to: SimTime,
         exclude_ssid: Option<u32>,
+        heard: Option<&[NodeId]>,
     ) -> u32 {
-        self.ap_count_in_window_heard(ch, from, to, exclude_ssid, &self.all_sources())
-    }
-
-    /// Like [`Medium::ap_count_in_window_excluding`], restricted to the
-    /// transmitters in `heard` (see [`Medium::airtime_in_window_heard`]).
-    pub(crate) fn ap_count_in_window_heard(
-        &self,
-        ch: UhfChannel,
-        from: SimTime,
-        to: SimTime,
-        exclude_ssid: Option<u32>,
-        heard: &[NodeId],
-    ) -> u32 {
-        let counts = |t: &Transmission| {
-            t.src_is_ap
-                && t.channel.contains(ch)
-                && t.overlaps_window(from, to)
-                && !(exclude_ssid.is_some() && t.ssid == exclude_ssid)
-        };
+        let counts = |source: &SourceHistory| source.is_ap && !source.excluded(exclude_ssid);
         // Distinct-transmitter counting is order-independent: a source
         // counts once if any of its active or recent transmissions does.
         let mut seen: Vec<NodeId> = Vec::new();
         if self.active_count[ch.index()] > 0 {
-            for t in self.active_heard(heard).filter(|t| counts(t)) {
-                if !seen.contains(&t.src) {
+            for t in self.active_heard(heard) {
+                if counts(&self.by_src[t.src])
+                    && t.channel.contains(ch)
+                    && t.overlaps_window(from, to)
+                    && !seen.contains(&t.src)
+                {
                     seen.push(t.src);
                 }
             }
         }
         let mut n = seen.len();
-        for &src in heard {
-            let Some(source) = self.by_src.get(src) else {
-                continue;
-            };
-            if source.is_ap
-                && !source.excluded(exclude_ssid)
+        for (src, source) in self.sources(heard) {
+            if counts(source)
                 && !seen.contains(&src)
                 && source
                     .recent(from)
@@ -453,40 +414,37 @@ impl Medium {
         u32::try_from(n).unwrap_or(u32::MAX)
     }
 
-    /// All transmissions (active or recent) overlapping `[from, to)`, as
-    /// scanner-visible bursts. Feed these to
+    /// The transmissions (active or recent) overlapping `[from, to)` that
+    /// `keep(channel, start, end)` accepts, as scanner-visible bursts.
+    /// `heard` restricts them to those transmitters, as in
+    /// [`Medium::airtime_in_window`]. Feed these to
     /// [`whitefi_phy::Scanner::capture_stream`] for block-at-a-time
     /// signal-level SIFT (or [`whitefi_phy::Scanner::capture`] when a
     /// whole materialized trace is wanted).
     ///
     /// Output order is finished transmissions first, oldest finish
-    /// first, then the active ones in active-list order. The active list
-    /// is append-on-start, but [`Medium::finish`] removes with
-    /// `swap_remove`, which moves the newest entry into the finished
-    /// one's slot — so active order is deterministic but is *not* start
-    /// order. Consumers like the AP's chirp scan take the *first*
-    /// matching burst, so this order is part of the simulation's output.
-    pub fn visible_bursts(&self, from: SimTime, to: SimTime) -> Vec<VisibleBurst> {
-        self.visible_bursts_heard(from, to, &self.all_sources(), |_, _, _| true)
-    }
-
-    /// Like [`Medium::visible_bursts`], restricted to the transmitters in
-    /// `heard` (see [`Medium::airtime_in_window_heard`]) and to the
-    /// transmissions `keep(channel, start, end)` accepts. Same output
-    /// order: the heard sources' kept history entries are merged by
-    /// finish sequence number. `keep` runs on the index keys, before the
-    /// merge, so a scanner that wants a few bursts out of a busy window
-    /// neither sorts nor materializes the rest, and dropping entries
-    /// from a sorted merge leaves the kept ones in the same order.
-    pub(crate) fn visible_bursts_heard(
+    /// first (the heard sources' kept history entries are merged by
+    /// finish sequence number), then the active ones in active-list
+    /// order. The active list is append-on-start, but [`Medium::finish`]
+    /// removes with `swap_remove`, which moves the newest entry into the
+    /// finished one's slot — so active order is deterministic but is
+    /// *not* start order. Consumers like the AP's chirp scan take the
+    /// *first* matching burst, so this order is part of the simulation's
+    /// output.
+    ///
+    /// `keep` runs on the index keys, before the merge, so a scanner
+    /// that wants a few bursts out of a busy window neither sorts nor
+    /// materializes the rest, and dropping entries from a sorted merge
+    /// leaves the kept ones in the same order.
+    pub fn visible_bursts(
         &self,
         from: SimTime,
         to: SimTime,
-        heard: &[NodeId],
+        heard: Option<&[NodeId]>,
         keep: impl Fn(WfChannel, SimTime, SimTime) -> bool,
     ) -> Vec<VisibleBurst> {
         let mut seqs: Vec<usize> = Vec::new();
-        for source in self.heard_sources(heard) {
+        for (_, source) in self.sources(heard) {
             seqs.extend(
                 source
                     .recent(from)
@@ -507,9 +465,10 @@ impl Medium {
 
     /// Raw transmissions (history + active) overlapping `[from, to)`, by
     /// a plain scan of the whole window with no per-source index: the
-    /// brute-force reference the heard-source queries are tested
-    /// against. Same output order as [`Medium::visible_bursts`].
-    pub fn visible_window_transmissions(&self, from: SimTime, to: SimTime) -> Vec<Transmission> {
+    /// brute-force reference the indexed queries are tested against.
+    /// Same output order as [`Medium::visible_bursts`].
+    #[cfg(test)]
+    fn visible_window_transmissions(&self, from: SimTime, to: SimTime) -> Vec<Transmission> {
         let mut out: Vec<Transmission> = self
             .recent_history(from)
             .filter(|t| t.overlaps_window(from, to))
@@ -540,7 +499,7 @@ impl Medium {
         out: &mut Vec<NodeId>,
     ) {
         for t in self.recent_history(from).chain(self.active.iter()) {
-            if t.id != exclude_id && t.overlaps_channel(channel) && t.overlaps_window(from, to) {
+            if t.id != exclude_id && t.channel.overlaps(channel) && t.overlaps_window(from, to) {
                 out.push(t.src);
             }
         }
@@ -561,31 +520,40 @@ mod tests {
         WfChannel::from_parts(center, w)
     }
 
+    /// A medium with `n` registered sources, none an AP, none in a
+    /// network.
+    fn medium(n: usize) -> Medium {
+        let mut m = Medium::new();
+        for _ in 0..n {
+            m.add_source(false, None);
+        }
+        m
+    }
+
+    /// The burst filter that keeps everything.
+    fn all(_: WfChannel, _: SimTime, _: SimTime) -> bool {
+        true
+    }
+
     #[test]
     fn busy_accounting_union_not_sum() {
-        let mut m = Medium::new();
+        let mut m = medium(2);
         let c = ch(10, Width::W5);
         // Two overlapping transmissions on the same channel: busy time is
         // the union, not the sum.
         let a = m.start(
             0,
-            false,
-            None,
             c,
             SimTime::from_micros(0),
             SimTime::from_micros(100),
             frame(),
-            1000.0,
         );
         let b = m.start(
             1,
-            false,
-            None,
             c,
             SimTime::from_micros(50),
             SimTime::from_micros(150),
             frame(),
-            1000.0,
         );
         m.finish(a, SimTime::from_micros(100));
         m.finish(b, SimTime::from_micros(150));
@@ -595,31 +563,31 @@ mod tests {
 
     #[test]
     fn airtime_window_measures_overlap() {
-        let mut m = Medium::new();
+        let mut m = medium(1);
         let c = ch(5, Width::W5);
         let a = m.start(
             0,
-            false,
-            None,
             c,
             SimTime::from_millis(10),
             SimTime::from_millis(20),
             frame(),
-            1000.0,
         );
         m.finish(a, SimTime::from_millis(20));
         let u = UhfChannel::from_index(5);
         // Fully inside the window.
-        let f = m.airtime_in_window(u, SimTime::ZERO, SimTime::from_millis(100));
+        let f = m.airtime_in_window(u, SimTime::ZERO, SimTime::from_millis(100), None, None);
         assert!((f - 0.1).abs() < 1e-9);
         // Window clips the transmission.
-        let f = m.airtime_in_window(u, SimTime::from_millis(15), SimTime::from_millis(25));
+        let (from, to) = (SimTime::from_millis(15), SimTime::from_millis(25));
+        let f = m.airtime_in_window(u, from, to, None, None);
         assert!((f - 0.5).abs() < 1e-9);
         // Unrelated channel is idle.
         let f = m.airtime_in_window(
             UhfChannel::from_index(6),
             SimTime::ZERO,
             SimTime::from_millis(100),
+            None,
+            None,
         );
         assert_eq!(f, 0.0);
     }
@@ -627,17 +595,17 @@ mod tests {
     #[test]
     fn ap_count_distinct_aps_only() {
         let mut m = Medium::new();
+        for is_ap in [true, true, false] {
+            m.add_source(is_ap, None);
+        }
         let c = ch(5, Width::W5);
-        for (src, is_ap) in [(0, true), (0, true), (1, true), (2, false)] {
+        for src in [0, 0, 1, 2] {
             let id = m.start(
                 src,
-                is_ap,
-                None,
                 c,
                 SimTime::from_millis(1),
                 SimTime::from_millis(2),
                 frame(),
-                1000.0,
             );
             m.finish(id, SimTime::from_millis(2));
         }
@@ -645,97 +613,72 @@ mod tests {
             UhfChannel::from_index(5),
             SimTime::ZERO,
             SimTime::from_millis(10),
+            None,
+            None,
         );
         assert_eq!(n, 2); // nodes 0 and 1; node 2 is not an AP
     }
 
     #[test]
     fn visible_bursts_window_filter() {
-        let mut m = Medium::new();
+        let mut m = medium(1);
         let c = ch(5, Width::W10);
         let a = m.start(
             0,
-            false,
-            None,
             c,
             SimTime::from_millis(1),
             SimTime::from_millis(2),
             frame(),
-            900.0,
         );
         m.finish(a, SimTime::from_millis(2));
         assert_eq!(
-            m.visible_bursts(SimTime::ZERO, SimTime::from_millis(5))
+            m.visible_bursts(SimTime::ZERO, SimTime::from_millis(5), None, all)
                 .len(),
             1
         );
         assert!(m
-            .visible_bursts(SimTime::from_millis(3), SimTime::from_millis(5))
+            .visible_bursts(SimTime::from_millis(3), SimTime::from_millis(5), None, all)
             .is_empty());
-        let vb = &m.visible_bursts(SimTime::ZERO, SimTime::from_millis(5))[0];
+        let vb = &m.visible_bursts(SimTime::ZERO, SimTime::from_millis(5), None, all)[0];
         assert_eq!(vb.channel, c);
         assert_eq!(vb.burst.width, Width::W10);
     }
 
     #[test]
     fn history_pruned_beyond_horizon() {
-        let mut m = Medium::new();
+        let mut m = medium(1);
         let c = ch(5, Width::W5);
-        let a = m.start(
-            0,
-            false,
-            None,
-            c,
-            SimTime::ZERO,
-            SimTime::from_millis(1),
-            frame(),
-            1000.0,
-        );
+        let a = m.start(0, c, SimTime::ZERO, SimTime::from_millis(1), frame());
         m.finish(a, SimTime::from_millis(1));
         assert_eq!(
-            m.visible_bursts(SimTime::ZERO, SimTime::from_secs(100))
+            m.visible_bursts(SimTime::ZERO, SimTime::from_secs(100), None, all)
                 .len(),
             1
         );
         // A later transmission triggers pruning of the stale one.
         let b = m.start(
             0,
-            false,
-            None,
             c,
             SimTime::from_secs(10),
             SimTime::from_secs(11),
             frame(),
-            1000.0,
         );
         m.finish(b, SimTime::from_secs(11));
-        let bursts = m.visible_bursts(SimTime::ZERO, SimTime::from_secs(100));
+        let bursts = m.visible_bursts(SimTime::ZERO, SimTime::from_secs(100), None, all);
         assert_eq!(bursts.len(), 1);
     }
 
     #[test]
     fn interferers_exclude_self() {
-        let mut m = Medium::new();
+        let mut m = medium(2);
         let c = ch(5, Width::W5);
-        let a = m.start(
-            0,
-            false,
-            None,
-            c,
-            SimTime::ZERO,
-            SimTime::from_millis(2),
-            frame(),
-            1000.0,
-        );
+        let a = m.start(0, c, SimTime::ZERO, SimTime::from_millis(2), frame());
         let _b = m.start(
             1,
-            false,
-            None,
             c,
             SimTime::from_millis(1),
             SimTime::from_millis(3),
             frame(),
-            1000.0,
         );
         let mut srcs = Vec::new();
         m.interferer_sources_into(c, SimTime::ZERO, SimTime::from_millis(2), a, &mut srcs);
@@ -744,7 +687,7 @@ mod tests {
 
     #[test]
     fn windowed_queries_backscan_matches_full_scan_order() {
-        let mut m = Medium::new();
+        let mut m = medium(10);
         let c = ch(5, Width::W5);
         // Five sequential finished transmissions plus one active; a
         // window covering only the last three history entries must
@@ -752,25 +695,19 @@ mod tests {
         for k in 0..5u64 {
             let id = m.start(
                 NodeId::try_from(k).unwrap(),
-                false,
-                None,
                 c,
                 SimTime::from_millis(10 * k),
                 SimTime::from_millis(10 * k + 5),
                 frame(),
-                1000.0,
             );
             m.finish(id, SimTime::from_millis(10 * k + 5));
         }
         m.start(
             9,
-            false,
-            None,
             c,
             SimTime::from_millis(50),
             SimTime::from_millis(60),
             frame(),
-            1000.0,
         );
         let from = SimTime::from_millis(21);
         let to = SimTime::from_millis(100);
@@ -782,61 +719,61 @@ mod tests {
         collected.sort_unstable();
         assert_eq!(collected, vec![2, 3, 4, 9]);
         // Airtime over [21, 40): tail of tx2 (4 ms) + tx3 (5 ms).
-        let f = m.airtime_in_window(UhfChannel::from_index(5), from, SimTime::from_millis(40));
+        let u = UhfChannel::from_index(5);
+        let f = m.airtime_in_window(u, from, SimTime::from_millis(40), None, None);
         assert!((f - 9.0 / 19.0).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "empty airtime window")]
     fn empty_window_panics() {
-        Medium::new().airtime_in_window(UhfChannel::from_index(0), SimTime::ZERO, SimTime::ZERO);
+        let u = UhfChannel::from_index(0);
+        Medium::new().airtime_in_window(u, SimTime::ZERO, SimTime::ZERO, None, None);
     }
 
     /// The heard-source list excludes out-of-range transmitters from
-    /// every scanner-facing query, and hearing every source matches the
-    /// unfiltered queries exactly.
+    /// every scanner-facing query, and hearing every source matches
+    /// `heard: None` exactly.
     #[test]
     fn filtered_queries_drop_unheard_sources() {
         let mut m = Medium::new();
+        m.add_source(true, None);
+        m.add_source(true, None);
         let c = ch(5, Width::W5);
         for src in [0usize, 1] {
             let id = m.start(
                 src,
-                true,
-                None,
                 c,
                 SimTime::ZERO + SimDuration::from_millis(src as u64),
                 SimTime::from_millis(10),
                 frame(),
-                1000.0,
             );
             m.finish(id, SimTime::from_millis(10));
         }
         let u = UhfChannel::from_index(5);
         let from = SimTime::ZERO;
         let to = SimTime::from_millis(10);
-        let all = |_, _, _| true;
         // Hearing only node 1: 9 of 10 ms busy, one AP, one burst.
-        let f = m.airtime_in_window_heard(u, from, to, None, &[1]);
+        let f = m.airtime_in_window(u, from, to, None, Some(&[1]));
         assert!((f - 0.9).abs() < 1e-9, "f {f}");
-        assert_eq!(m.ap_count_in_window_heard(u, from, to, None, &[1]), 1);
-        assert_eq!(m.visible_bursts_heard(from, to, &[1], all).len(), 1);
+        assert_eq!(m.ap_count_in_window(u, from, to, None, Some(&[1])), 1);
+        assert_eq!(m.visible_bursts(from, to, Some(&[1]), all).len(), 1);
         // Hearing nothing: all quiet.
-        assert_eq!(m.airtime_in_window_heard(u, from, to, None, &[]), 0.0);
-        assert_eq!(m.ap_count_in_window_heard(u, from, to, None, &[]), 0);
-        assert!(m.visible_bursts_heard(from, to, &[], all).is_empty());
-        // Hearing everything == the unfiltered queries.
+        assert_eq!(m.airtime_in_window(u, from, to, None, Some(&[])), 0.0);
+        assert_eq!(m.ap_count_in_window(u, from, to, None, Some(&[])), 0);
+        assert!(m.visible_bursts(from, to, Some(&[]), all).is_empty());
+        // Hearing everything == hearing every registered source.
         assert_eq!(
-            m.airtime_in_window_heard(u, from, to, None, &[0, 1]),
-            m.airtime_in_window(u, from, to)
+            m.airtime_in_window(u, from, to, None, Some(&[0, 1])),
+            m.airtime_in_window(u, from, to, None, None)
         );
         assert_eq!(
-            m.ap_count_in_window_heard(u, from, to, None, &[0, 1]),
-            m.ap_count_in_window(u, from, to)
+            m.ap_count_in_window(u, from, to, None, Some(&[0, 1])),
+            m.ap_count_in_window(u, from, to, None, None)
         );
         assert_eq!(
-            m.visible_bursts_heard(from, to, &[0, 1], all),
-            m.visible_bursts(from, to)
+            m.visible_bursts(from, to, Some(&[0, 1]), all),
+            m.visible_bursts(from, to, None, all)
         );
     }
 
@@ -854,10 +791,12 @@ mod tests {
     /// like a brute-force filter of the full window scan, in the same
     /// order, over seeded random transmission sequences that cross the
     /// history-horizon prune many times and include sources that stop
-    /// transmitting early (their index lists drain to empty). After
-    /// every operation each source's keys mirror its history entries,
-    /// and the burst query under a random `keep` predicate (channel,
-    /// start floor, duration band) equals the filtered brute force.
+    /// transmitting early (their index lists drain to empty) and
+    /// registered AP sources that never transmit. After every operation
+    /// each source's keys mirror its history entries, the burst query
+    /// under a random `keep` predicate (channel, start floor, duration
+    /// band) equals the filtered brute force, and `heard: None` answers
+    /// all three queries exactly like the list of every registered id.
     #[test]
     fn heard_queries_match_brute_force_filter() {
         use rand::{Rng, SeedableRng};
@@ -873,10 +812,18 @@ mod tests {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let mut m = Medium::new();
             m.history_horizon = SimDuration::from_millis(40);
-            let is_ap: Vec<bool> = (0..sources).map(|_| rng.gen_bool(0.5)).collect();
-            let ssid: Vec<Option<u32>> = (0..sources)
+            // Sources `sources..registered` are APs that never transmit.
+            let registered = sources + 2;
+            let is_ap: Vec<bool> = (0..registered)
+                .map(|s| s >= sources || rng.gen_bool(0.5))
+                .collect();
+            let ssid: Vec<Option<u32>> = (0..registered)
                 .map(|s| (s % 3 != 0).then_some(u32::try_from(s % 2).unwrap()))
                 .collect();
+            for src in 0..registered {
+                assert_eq!(m.add_source(is_ap[src], ssid[src]), src);
+            }
+            let everyone: Vec<NodeId> = (0..registered).collect();
             // Sources 5.. stop transmitting a third of the way through.
             let quits = |src: usize, step: usize| src >= 5 && step > 400;
             let mut now = SimTime::ZERO;
@@ -890,7 +837,7 @@ mod tests {
                     }
                     let c = chans[rng.gen_range(0..chans.len())];
                     let end = now + SimDuration::from_micros(rng.gen_range(50..4000));
-                    let id = m.start(src, is_ap[src], ssid[src], c, now, end, frame(), 1000.0);
+                    let id = m.start(src, c, now, end, frame());
                     on_air.push((end, id));
                 } else {
                     // Finish the earliest-ending transmission (ties by id).
@@ -919,15 +866,13 @@ mod tests {
                         source.keys.iter().eq(want.iter()),
                         "seed {seed} step {step}: source {src} keys out of sync"
                     );
-                    if !source.keys.is_empty() {
-                        assert_eq!((source.is_ap, source.ssid), (is_ap[src], ssid[src]));
-                    }
+                    assert_eq!((source.is_ap, source.ssid), (is_ap[src], ssid[src]));
                 }
                 if now == SimTime::ZERO || !rng.gen_bool(0.2) {
                     continue;
                 }
                 queries += 1;
-                let heard: Vec<NodeId> = (0..sources + 2).filter(|_| rng.gen_bool(0.5)).collect();
+                let heard: Vec<NodeId> = (0..registered).filter(|_| rng.gen_bool(0.5)).collect();
                 let back = SimDuration::from_micros(rng.gen_range(1..60_000));
                 // Half the windows close before `now`, so recent entries
                 // start after them.
@@ -946,9 +891,14 @@ mod tests {
 
                 let visible: Vec<VisibleBurst> = brute.iter().map(|t| t.to_visible()).collect();
                 assert_eq!(
-                    m.visible_bursts_heard(from, to, &heard, |_, _, _| true),
+                    m.visible_bursts(from, to, Some(&heard), all),
                     visible,
                     "seed {seed}"
+                );
+                assert_eq!(
+                    m.visible_bursts(from, to, None, all),
+                    m.visible_bursts(from, to, Some(&everyone), all),
+                    "seed {seed} step {step}: heard None"
                 );
 
                 let kc = chans[rng.gen_range(0..chans.len())];
@@ -964,13 +914,13 @@ mod tests {
                     .map(|t| t.to_visible())
                     .collect();
                 assert_eq!(
-                    m.visible_bursts_heard(from, to, &heard, keep),
+                    m.visible_bursts(from, to, Some(&heard), keep),
                     kept,
                     "seed {seed} step {step}: predicate burst query"
                 );
 
                 let keep = |t: &&Transmission| {
-                    t.channel.contains(u) && !(excl.is_some() && t.ssid == excl)
+                    t.channel.contains(u) && !(excl.is_some() && ssid[t.src] == excl)
                 };
                 let busy: u64 = brute
                     .iter()
@@ -978,19 +928,29 @@ mod tests {
                     .map(|t| t.end.min(to).since(t.start.max(from)).as_nanos())
                     .sum();
                 let want = (busy as f64 / to.since(from).as_nanos() as f64).min(1.0);
-                assert_eq!(m.airtime_in_window_heard(u, from, to, excl, &heard), want);
+                assert_eq!(m.airtime_in_window(u, from, to, excl, Some(&heard)), want);
+                assert_eq!(
+                    m.airtime_in_window(u, from, to, excl, None),
+                    m.airtime_in_window(u, from, to, excl, Some(&everyone)),
+                    "seed {seed} step {step}: heard None"
+                );
 
                 let mut aps: Vec<NodeId> = brute
                     .iter()
                     .filter(keep)
-                    .filter(|t| t.src_is_ap)
+                    .filter(|t| is_ap[t.src])
                     .map(|t| t.src)
                     .collect();
                 aps.sort_unstable();
                 aps.dedup();
                 assert_eq!(
-                    m.ap_count_in_window_heard(u, from, to, excl, &heard),
+                    m.ap_count_in_window(u, from, to, excl, Some(&heard)),
                     u32::try_from(aps.len()).unwrap()
+                );
+                assert_eq!(
+                    m.ap_count_in_window(u, from, to, excl, None),
+                    m.ap_count_in_window(u, from, to, excl, Some(&everyone)),
+                    "seed {seed} step {step}: heard None"
                 );
             }
             assert!(queries > 50, "seed {seed}: too few queries");
@@ -1008,17 +968,14 @@ mod tests {
     /// point probe for "strictly inside (start, end)".
     #[test]
     fn overlaps_window_exact_boundaries() {
-        let mut m = Medium::new();
+        let mut m = medium(1);
         let c = ch(5, Width::W5);
         let id = m.start(
             0,
-            false,
-            None,
             c,
             SimTime::from_micros(10),
             SimTime::from_micros(20),
             frame(),
-            1000.0,
         );
         m.finish(id, SimTime::from_micros(20));
         let t = &m.visible_window_transmissions(SimTime::ZERO, SimTime::from_micros(100))[0];
@@ -1040,29 +997,17 @@ mod tests {
     /// and a window clipped exactly to a transmission reports 1.0.
     #[test]
     fn touching_transmissions_accounting_is_exact() {
-        let mut m = Medium::new();
+        let mut m = medium(2);
         let c = ch(5, Width::W5);
         let u = UhfChannel::from_index(5);
-        let a = m.start(
-            0,
-            false,
-            None,
-            c,
-            SimTime::ZERO,
-            SimTime::from_micros(10),
-            frame(),
-            1000.0,
-        );
+        let a = m.start(0, c, SimTime::ZERO, SimTime::from_micros(10), frame());
         m.finish(a, SimTime::from_micros(10));
         let b = m.start(
             1,
-            false,
-            None,
             c,
             SimTime::from_micros(10),
             SimTime::from_micros(20),
             frame(),
-            1000.0,
         );
         m.finish(b, SimTime::from_micros(20));
         assert_eq!(
@@ -1071,13 +1016,25 @@ mod tests {
             "touching endpoints must not create a gap or a double count"
         );
         // Window clipped exactly to one transmission: fully busy.
-        let f = m.airtime_in_window(u, SimTime::ZERO, SimTime::from_micros(10));
+        let f = m.airtime_in_window(u, SimTime::ZERO, SimTime::from_micros(10), None, None);
         assert!((f - 1.0).abs() < 1e-12, "f {f}");
         // Window exactly covering the idle time after both: fully idle.
-        let f = m.airtime_in_window(u, SimTime::from_micros(20), SimTime::from_micros(30));
+        let f = m.airtime_in_window(
+            u,
+            SimTime::from_micros(20),
+            SimTime::from_micros(30),
+            None,
+            None,
+        );
         assert_eq!(f, 0.0);
         // Minimal (1 ns) window inside a transmission: fully busy.
-        let f = m.airtime_in_window(u, SimTime::from_nanos(5_000), SimTime::from_nanos(5_001));
+        let f = m.airtime_in_window(
+            u,
+            SimTime::from_nanos(5_000),
+            SimTime::from_nanos(5_001),
+            None,
+            None,
+        );
         assert!((f - 1.0).abs() < 1e-12, "f {f}");
     }
 
@@ -1087,29 +1044,23 @@ mod tests {
     /// accrual path.
     #[test]
     fn busy_total_exact_across_retune_mid_transmission() {
-        let mut m = Medium::new();
+        let mut m = medium(2);
         // A wide transmission spanning UHF 8..=12 for [0, 100) µs.
         let wide = m.start(
             0,
-            false,
-            None,
             ch(10, Width::W20),
             SimTime::ZERO,
             SimTime::from_micros(100),
             frame(),
-            1000.0,
         );
         // Mid-flight, a second node (having just retuned to a narrow
         // overlapping channel) transmits on UHF 12 for [50, 150) µs.
         let narrow = m.start(
             1,
-            false,
-            None,
             ch(12, Width::W5),
             SimTime::from_micros(50),
             SimTime::from_micros(150),
             frame(),
-            1000.0,
         );
         // Query while both are active: the union on UHF 12 is [0, 75).
         let u12 = UhfChannel::from_index(12);

@@ -125,10 +125,6 @@ const RETRY_LIMIT: u32 = 7;
 /// Lag between an incumbent transition and a node noticing it.
 pub const DETECTION_DELAY: SimDuration = SimDuration::from_millis(50);
 
-/// Received amplitude of every node's transmissions at its peers
-/// (linear units; drives SIFT visibility of captured traces).
-const TX_AMPLITUDE: f64 = 1000.0;
-
 /// The timing used for DIFS/slot contention: the narrowest width's, at
 /// every width. PLL scaling stretches all PHY timing, but a
 /// wide-channel node contending with 4x-shorter DIFS/slots would all but
@@ -518,7 +514,7 @@ impl Core {
     /// (on retune and `add_node`, and to check every carrier sense).
     fn count_sensed(&self, n: NodeId) -> usize {
         let c = self.nodes[n].channel;
-        let hit = |t: &Transmission| t.src != n && t.overlaps_channel(c) && self.in_range(t.src, n);
+        let hit = |t: &Transmission| t.src != n && t.channel.overlaps(c) && self.in_range(t.src, n);
         self.medium.active().iter().filter(|t| hit(t)).count()
     }
 
@@ -590,8 +586,6 @@ impl Core {
         let timing = PhyTiming::for_width(channel.width());
         let duration = timing.frame_duration(frame.bytes());
         let end = self.now + duration;
-        let is_ap = node.cfg.is_ap;
-        let ssid = node.cfg.ssid;
 
         // Incumbent-violation accounting: did the node transmit over a
         // primary user it has *already detected*? (During the detection
@@ -603,9 +597,7 @@ impl Core {
         let violates = !observed.admits(channel);
         let broadcast = frame.dst.is_none();
 
-        let id = self
-            .medium
-            .start(n, is_ap, ssid, channel, self.now, end, frame, TX_AMPLITUDE);
+        let id = self.medium.start(n, channel, self.now, end, frame);
         let node = &mut self.nodes[n];
         node.stats.tx_attempts += 1;
         node.active_tx += 1;
@@ -761,24 +753,26 @@ impl Ctx<'_> {
     /// contribute: the scanner hears what the MAC hears, so a scan is
     /// independent of out-of-range traffic (DESIGN.md §13).
     pub fn airtime(&self, ch: UhfChannel, window: SimDuration) -> f64 {
-        let from = SimTime::ZERO + self.core.now.saturating_since(SimTime::ZERO + window);
+        let from = self.window_start(window);
         if from == self.core.now {
             return 0.0;
         }
         let core = &*self.core;
         let ssid = core.nodes[self.node].cfg.ssid;
+        let heard = Some(&core.heard_by[self.node][..]);
         core.medium
-            .airtime_in_window_heard(ch, from, core.now, ssid, &core.heard_by[self.node])
+            .airtime_in_window(ch, from, core.now, ssid, heard)
     }
 
     /// Distinct interfering APs seen on `ch` over the trailing `window`
     /// (in-range transmitters only, like [`Ctx::airtime`]).
     pub fn ap_count(&self, ch: UhfChannel, window: SimDuration) -> u32 {
-        let from = SimTime::ZERO + self.core.now.saturating_since(SimTime::ZERO + window);
+        let from = self.window_start(window);
         let core = &*self.core;
         let ssid = core.nodes[self.node].cfg.ssid;
+        let heard = Some(&core.heard_by[self.node][..]);
         core.medium
-            .ap_count_in_window_heard(ch, from, core.now, ssid, &core.heard_by[self.node])
+            .ap_count_in_window(ch, from, core.now, ssid, heard)
     }
 
     /// The bursts `keep(channel, start, end)` accepts of all the scanning
@@ -790,10 +784,16 @@ impl Ctx<'_> {
         window: SimDuration,
         keep: impl Fn(WfChannel, SimTime, SimTime) -> bool,
     ) -> Vec<whitefi_phy::VisibleBurst> {
-        let from = SimTime::ZERO + self.core.now.saturating_since(SimTime::ZERO + window);
+        let from = self.window_start(window);
         let core = &*self.core;
-        core.medium
-            .visible_bursts_heard(from, core.now, &core.heard_by[self.node], keep)
+        let heard = Some(&core.heard_by[self.node][..]);
+        core.medium.visible_bursts(from, core.now, heard, keep)
+    }
+
+    /// Start of the trailing `window` that ends now, clamped at time
+    /// zero.
+    fn window_start(&self, window: SimDuration) -> SimTime {
+        SimTime::ZERO + self.core.now.saturating_since(SimTime::ZERO + window)
     }
 
     /// This node's private deterministic RNG stream. Draws here advance
@@ -887,6 +887,8 @@ impl Simulator {
         let stream = cfg.rng_stream.unwrap_or(id as u64);
         let mut rng = ChaCha8Rng::seed_from_u64(self.core.seed);
         rng.set_stream(stream); // stream-map: domain=sim-nodes salt=scenario-seed streams=0..=4294967295 role="node MAC/traffic draws (stream = NodeConfig::rng_stream or node id)"
+        let src = self.core.medium.add_source(cfg.is_ap, cfg.ssid);
+        debug_assert_eq!(src, id, "node ids are medium registration order");
         self.core.nodes.push(Node {
             channel: cfg.channel,
             cw: CW_MIN,
@@ -1391,7 +1393,7 @@ mod tests {
             size_of::<Frame>()
         );
         assert!(
-            size_of::<Transmission>() <= 128,
+            size_of::<Transmission>() <= 80,
             "Transmission is {} B; {why}",
             size_of::<Transmission>()
         );

@@ -115,7 +115,7 @@ fn airtime_accounting() {
         let (from, to) = (SimTime::from_millis(100), SimTime::from_secs(1));
         let busy_in = |ch: usize| {
             sim.medium()
-                .airtime_in_window(UhfChannel::from_index(ch), from, to)
+                .airtime_in_window(UhfChannel::from_index(ch), from, to, None, None)
         };
         let busy = busy_in(c.center().index());
         assert!(

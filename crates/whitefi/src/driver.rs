@@ -440,8 +440,8 @@ pub fn measure_airtime(scenario: &Scenario, window: SimDuration) -> AirtimeVecto
     let from = SimTime::ZERO + scenario.warmup;
     let to = SimTime::ZERO + end;
     AirtimeVector::from_fn(|ch: UhfChannel| {
-        let busy = sim.medium().airtime_in_window(ch, from, to);
-        let aps = sim.medium().ap_count_in_window(ch, from, to);
+        let busy = sim.medium().airtime_in_window(ch, from, to, None, None);
+        let aps = sim.medium().ap_count_in_window(ch, from, to, None, None);
         ChannelLoad::new(busy, aps)
     })
 }

@@ -2,11 +2,12 @@
 # Tier-1 gate plus lint gates and a quick sequential experiment sweep.
 # Run from the repository root: scripts/check.sh
 #
-#   --bless    re-bless the golden digests (GOLDEN_BLESS=1: the golden
-#              trace test and the layerbench city, paper_sweep and
+#   --bless    re-bless the golden files (GOLDEN_BLESS=1: the golden
+#              trace test, the layerbench city, paper_sweep and
 #              sift_capture digests at seed 1, plus city and
-#              paper_sweep at seed 7) after an intended protocol,
-#              timing or synthesis change
+#              paper_sweep at seed 7, and the quick sweep's numbers in
+#              tests/golden/quick_sweep.txt) after an intended
+#              protocol, timing or synthesis change
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,7 +138,9 @@ echo "examples: all ran cleanly"
 
 # Sweep determinism lane: the quick sweep's stdout is byte-identical at
 # --jobs 1 and --jobs 2 once the wall-clock lines (`(<id> completed in
-# …)` and `ran … experiments in …`) are removed. Each run also exits
+# …)` and `ran … experiments in …`) are removed, and equal to the
+# committed tests/golden/quick_sweep.txt, so any drift in the figures'
+# numbers fails here (re-bless with --bless). Each run also exits
 # non-zero on an invalid report or an adaptive oracle violation.
 sweep_dir=$(mktemp -d)
 trap 'rm -rf "$sweep_dir"' EXIT
@@ -148,6 +151,16 @@ for jobs in 1 2; do
 done
 diff "$sweep_dir/jobs1.txt" "$sweep_dir/jobs2.txt"
 echo "experiments: quick sweep byte-identical at --jobs 1 and --jobs 2"
+if [ "${GOLDEN_BLESS:-}" = 1 ]; then
+    cp "$sweep_dir/jobs1.txt" tests/golden/quick_sweep.txt
+    echo "experiments: quick sweep blessed into tests/golden/quick_sweep.txt"
+elif ! diff tests/golden/quick_sweep.txt "$sweep_dir/jobs1.txt"; then
+    echo "experiments: quick sweep differs from tests/golden/quick_sweep.txt;" \
+        "re-bless with scripts/check.sh --bless if the change is intended" >&2
+    exit 1
+else
+    echo "experiments: quick sweep matches tests/golden/quick_sweep.txt"
+fi
 
 # Committed performance evidence: every bench-history/BENCH_<sha>-dirty.jsonl
 # (layerbench runs of a change, taken beside its parent with

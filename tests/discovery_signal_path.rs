@@ -59,7 +59,10 @@ impl MediumOracle {
 impl ScanOracle for MediumOracle {
     fn sift_scan(&mut self, ch: UhfChannel) -> Option<Width> {
         let (from, to) = self.advance();
-        let on_air = self.sim.medium().visible_bursts(from, to);
+        let on_air = self
+            .sim
+            .medium()
+            .visible_bursts(from, to, None, |_, _, _| true);
         // Block-at-a-time, like the real USRP → PC path: the dwell's
         // trace is never materialized whole.
         let mut stream = self
@@ -83,7 +86,7 @@ impl ScanOracle for MediumOracle {
         // during the dwell (the transceiver is tuned to (F, W)).
         self.sim
             .medium()
-            .visible_bursts(from, to)
+            .visible_bursts(from, to, None, |_, _, _| true)
             .iter()
             .any(|vb| vb.channel == ch && matches!(vb.burst.kind, whitefi_phy::BurstKind::Beacon))
             && ch == self.ap_channel
