@@ -168,19 +168,33 @@ mod tests {
         }
     }
 
+    /// The cliff and the crossover over seeds 0..40. On those seeds
+    /// SIFT's 96 dB rate and the sniffer's 98 dB rate hold their bounds
+    /// on every seed, and the sniffer leads at 102 dB on every seed. At
+    /// 100 dB the two are a coin flip between noise realizations, and
+    /// SIFT's rate there exceeds 0.25 on a few seeds, so that bound is
+    /// on the mean (DESIGN.md §7).
     #[test]
     fn sift_cliff_after_96db_sniffer_smooth() {
-        let s96 = sift_fraction(96.0, 60, 3);
-        let s100 = sift_fraction(100.0, 60, 3);
-        assert!(s96 > 0.85, "96 dB {s96}");
-        assert!(s100 < 0.25, "100 dB {s100}");
-        // Sniffer decays smoothly and wins beyond the cliff.
-        let p100 = sniffer_fraction(100.0, 600, 3);
-        assert!(p100 > s100, "sniffer {p100} vs sift {s100} at 100 dB");
-        let p98 = sniffer_fraction(98.0, 2000, 3);
-        assert!(
-            (0.2..0.5).contains(&p98),
-            "98 dB sniffer {p98} (paper ~0.35)"
-        );
+        const SEEDS: u64 = 40;
+        let mut s100 = 0.0;
+        for seed in 0..SEEDS {
+            let s96 = sift_fraction(96.0, 60, seed);
+            assert!(s96 > 0.85, "seed {seed}: 96 dB {s96}");
+            s100 += sift_fraction(100.0, 60, seed) / SEEDS as f64;
+            // Sniffer decays smoothly and wins beyond the cliff.
+            let p98 = sniffer_fraction(98.0, 2000, seed);
+            assert!(
+                (0.2..0.5).contains(&p98),
+                "seed {seed}: 98 dB sniffer {p98} (paper ~0.35)"
+            );
+            let s102 = sift_fraction(102.0, 60, seed);
+            let p102 = sniffer_fraction(102.0, 600, seed);
+            assert!(
+                p102 > s102,
+                "seed {seed}: sniffer {p102} vs sift {s102} at 102 dB"
+            );
+        }
+        assert!(s100 < 0.25, "mean 100 dB {s100}");
     }
 }
