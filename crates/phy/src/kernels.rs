@@ -225,6 +225,29 @@ pub fn rlast_above_ref(samples: &[f32], thr: f64) -> Option<usize> {
     samples.iter().rposition(|&s| f64::from(s) > thr)
 }
 
+/// Quiet-block test: whether any sample has `f64::from(s) > thr`. The
+/// batched path ORs each chunk of 16 lanes without branching and tests
+/// once per chunk; a boolean OR is exact in any order. The streaming
+/// SIFT skips its window sums for a block where this is false.
+pub fn any_above(samples: &[f32], thr: f64) -> bool {
+    let mut chunks = samples.chunks_exact(16 * LANES);
+    for c in &mut chunks {
+        let mut any = false;
+        for &s in c {
+            any |= f64::from(s) > thr;
+        }
+        if any {
+            return true;
+        }
+    }
+    chunks.remainder().iter().any(|&s| f64::from(s) > thr)
+}
+
+/// Scalar reference for [`any_above`].
+pub fn any_above_ref(samples: &[f32], thr: f64) -> bool {
+    samples.iter().any(|&s| f64::from(s) > thr)
+}
+
 /// Busy-fraction accumulation: total sample count of a batch of bursts,
 /// reduced across four independent u64 lanes (integer addition is
 /// associative, so lane order cannot change the result). The streaming
@@ -604,6 +627,31 @@ mod tests {
                     rlast_above_ref(&s, thr),
                     "n {n} thr {thr}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn any_above_matches_reference() {
+        for (k, &n) in SIZES.iter().enumerate() {
+            let mut s = trace(n, 90 + k as u64);
+            for thr in [-100.0, 150.0, 399.0, 1e9, f64::NAN] {
+                assert_eq!(
+                    any_above(&s, thr),
+                    any_above_ref(&s, thr),
+                    "n {n} thr {thr}"
+                );
+            }
+            // One supra-threshold sample at every position of a quiet
+            // trace, so every lane and remainder slot is the only hit.
+            s.iter_mut().for_each(|x| *x = x.min(150.0));
+            assert!(!any_above(&s, 150.0), "n {n}");
+            for i in 0..n {
+                let mut t = s.clone();
+                t[i] = 150.01;
+                assert!(any_above(&t, 150.0), "n {n} at {i}");
+                t[i] = f32::NAN;
+                assert!(!any_above(&t, 150.0), "n {n} NaN at {i}");
             }
         }
     }

@@ -382,6 +382,27 @@ pub struct StreamingSift {
     /// Scratch: bursts finalized by the current call, batched for
     /// [`kernels::sum_lens`].
     finalized: Vec<RawBurst>,
+    /// Whether a block with no sample above the threshold is known to
+    /// have no window above it either (see [`quiet_blocks_are_exact`]).
+    skip_quiet: bool,
+}
+
+/// Whether `window` samples that are each at most `threshold` always sum
+/// to at most the run threshold `threshold · window`, so a block with
+/// no sample above the threshold opens no moving-average run.
+///
+/// [`kernels::window_sums`] adds a window left to right from `0.0`, and
+/// rounding is monotone, so each partial sum is at most the same
+/// partial sum of `window` copies of `threshold`; the bound holds iff
+/// that sum is at most `threshold · window`. It does for the default
+/// 150 × 5, whose multiples are exact, and it is checked here rather
+/// than assumed for other configurations.
+fn quiet_blocks_are_exact(config: &SiftConfig) -> bool {
+    let mut sum = 0f64;
+    for _ in 0..config.window {
+        sum += config.threshold;
+    }
+    sum <= config.threshold * count_f64(config.window)
 }
 
 impl StreamingSift {
@@ -400,6 +421,7 @@ impl StreamingSift {
             sums: Vec::new(),
             runs: Vec::new(),
             finalized: Vec::new(),
+            skip_quiet: quiet_blocks_are_exact(&config),
         }
     }
 
@@ -472,6 +494,21 @@ impl StreamingSift {
             self.samples_seen += block.len();
             return;
         }
+        // Quiet block: no sample of `carry + block` is above the
+        // threshold, so no window is either and `runs` would be empty.
+        // With no run open, nothing opens, closes or refines; only the
+        // merge stage and the carry advance.
+        if self.skip_quiet
+            && self.open.is_none()
+            && !kernels::any_above(&self.carry, thr)
+            && !kernels::any_above(block, thr)
+        {
+            self.samples_seen += block.len();
+            self.finalize_pending();
+            self.flush_finalized();
+            self.keep_tail(block);
+            return;
+        }
         // Extended block: the carried `w − 1` tail plus the new samples,
         // so every window straddling the boundary is computable. Window
         // index `i` in `sums` is the window starting at absolute sample
@@ -532,25 +569,40 @@ impl StreamingSift {
                 open.last_above = Some(carry_abs + from + p);
             }
         }
-        // Merge-stage finalization: a future burst starts no earlier
-        // than the first window not yet fully observed, so once the
-        // pending burst is more than `merge_gap` behind that bound (and
-        // no run is open), nothing can extend it.
         if self.open.is_none() {
-            if let (Some(p), Some(next_start)) =
-                (self.pending, (self.samples_seen + 1).checked_sub(w))
-            {
-                if p.end() + self.sift.config.merge_gap < next_start {
-                    self.pending = None;
-                    self.finalized.push(p);
-                }
-            }
+            self.finalize_pending();
         }
         self.flush_finalized();
-        let keep = self.ext.len().min(w - 1);
-        self.carry.clear();
-        self.carry
-            .extend_from_slice(&self.ext[self.ext.len() - keep..]);
+        self.keep_tail(block);
+    }
+
+    /// Merge-stage finalization, with no run open: a future burst starts
+    /// no earlier than the first window not yet fully observed, so once
+    /// the pending burst is more than `merge_gap` behind that bound,
+    /// nothing can extend it.
+    fn finalize_pending(&mut self) {
+        let w = self.sift.config.window;
+        if let (Some(p), Some(next_start)) = (self.pending, (self.samples_seen + 1).checked_sub(w))
+        {
+            if p.end() + self.sift.config.merge_gap < next_start {
+                self.pending = None;
+                self.finalized.push(p);
+            }
+        }
+    }
+
+    /// Carries the last `window − 1` samples of the stream (fewer near
+    /// its start) past `block`, the block just consumed.
+    fn keep_tail(&mut self, block: &[f32]) {
+        let keep = self.sift.config.window - 1;
+        if block.len() >= keep {
+            self.carry.clear();
+            self.carry.extend_from_slice(&block[block.len() - keep..]);
+        } else {
+            self.carry.extend_from_slice(block);
+            let excess = self.carry.len().saturating_sub(keep);
+            self.carry.drain(..excess);
+        }
     }
 
     /// Closes a run whose first below-threshold window is `i1` (relative

@@ -289,6 +289,16 @@ fn any_chunking_matches_whole_buffer_detect() {
             .iter()
             .map(|b| b.len as u64)
             .sum();
+        // The fixture's long noise gaps give the streaming SIFT quiet
+        // blocks, which take its window-sum-free path.
+        let mut quiet = 0;
+        let (mut pos, mut ci) = (0, 0);
+        while pos < trace.len() {
+            let take = chunks[ci % chunks.len()].min(trace.len() - pos);
+            quiet += usize::from(!kernels::any_above_ref(&trace[pos..pos + take], 150.0));
+            (pos, ci) = (pos + take, ci + 1);
+        }
+        assert!(quiet > 0, "{ctx}: no quiet block");
         let (streamed, busy) = run_streaming(&sift, &trace, &chunks);
         assert_eq!(streamed, buffered, "{ctx}");
         assert_eq!(busy, busy_truth, "{ctx}");
@@ -296,5 +306,47 @@ fn any_chunking_matches_whole_buffer_detect() {
         let (one_by_one, busy1) = run_streaming(&sift, &trace, &[1]);
         assert_eq!(one_by_one, sift.detect(&trace), "{ctx}");
         assert_eq!(busy1, busy_truth, "{ctx}");
+    }
+}
+
+/// Mostly-quiet traces: exact zeros and sub-threshold values, short
+/// plateaus and single supra-threshold spikes, so blocks switch between
+/// the quiet path and the window-sum path at every kind of seam (a run
+/// still open when a quiet block begins, a merge candidate spanning
+/// quiet blocks, a spike in the carried tail). 48 cases, case `c`
+/// drawing its inputs from `ChaCha8Rng::seed_from_u64(c)`.
+#[test]
+// Test fixture: amplitudes ≪ f32 max.
+#[allow(clippy::cast_possible_truncation)]
+fn quiet_block_path_matches_whole_buffer_detect() {
+    let sift = Sift::default();
+    for case in 0..48 {
+        let mut r = rng(case);
+        let len = r.gen_range(1..4 * BLOCK_SAMPLES);
+        let mut trace = vec![0f32; len];
+        for _ in 0..r.gen_range(0..len / 8 + 1) {
+            let at = r.gen_range(0..len);
+            trace[at] = r.gen_range(0.0..150.0) as f32;
+        }
+        for _ in 0..r.gen_range(0..12) {
+            let at = r.gen_range(0..len);
+            let n = r.gen_range(1..60).min(len - at);
+            let level = r.gen_range(151.0..1000.0) as f32;
+            trace[at..at + n].iter_mut().for_each(|s| *s = level);
+        }
+        let chunks: Vec<usize> = (0..r.gen_range(1..6))
+            .map(|_| r.gen_range(1..BLOCK_SAMPLES))
+            .collect();
+        let ctx = format!("case {case}: len {len} chunks {chunks:?}");
+        let busy_truth: u64 = sift
+            .extract_bursts(&trace)
+            .iter()
+            .map(|b| b.len as u64)
+            .sum();
+        for chunking in [&chunks[..], &[1][..], &[4][..], &[5][..]] {
+            let (streamed, busy) = run_streaming(&sift, &trace, chunking);
+            assert_eq!(streamed, sift.detect(&trace), "{ctx} / {chunking:?}");
+            assert_eq!(busy, busy_truth, "{ctx} / {chunking:?}");
+        }
     }
 }
