@@ -19,10 +19,20 @@ use whitefi_spectrum::Width;
 
 /// SIFT-measured total busy seconds for one run.
 pub fn measured_busy_secs(width: Width, rate_kbps: u64, count: usize, seed: u64) -> f64 {
+    busy_samples(width, rate_kbps, count, seed, super::stream_sift) as f64 * SAMPLE_NS as f64 / 1e9
+}
+
+/// SIFT-measured busy samples for one run, on the given capture path.
+fn busy_samples(
+    width: Width,
+    rate_kbps: u64,
+    count: usize,
+    seed: u64,
+    capture: super::Capture,
+) -> u64 {
     let (bursts, window) = cbr_schedule(width, rate_kbps, count);
     let mut rng = super::rng(seed);
-    let (_, busy_samples) = super::stream_sift(&Synthesizer::new(), &bursts, window, &mut rng);
-    busy_samples as f64 * SAMPLE_NS as f64 / 1e9
+    capture(&Synthesizer::new(), &bursts, window, &mut rng).1
 }
 
 /// Ground-truth busy seconds of the same workload.
@@ -52,6 +62,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         )
     });
     let mut per_width_means = Vec::new();
+    let mut max_spread: f64 = 0.0;
     for (wi, width) in widths.iter().enumerate() {
         let truth = true_busy_secs(*width, count);
         let mut pairs: Vec<(String, json::Value)> = vec![
@@ -68,15 +79,22 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             - cells.iter().cloned().fold(f64::MAX, f64::min))
             / mean(&cells);
         pairs.push(("spread_frac".to_string(), round4(spread)));
+        max_spread = max_spread.max(spread);
         per_width_means.push(mean(&cells));
         report.push_row_owned(pairs);
     }
     report.note(format!(
-        "mean busy time per width: {:.4}/{:.4}/{:.4} s — halving width doubles airtime",
-        per_width_means[2], per_width_means[1], per_width_means[0]
+        "mean busy time per width: {:.4}/{:.4}/{:.4} s — halving width multiplies airtime by {:.3} (20→10 MHz) and {:.3} (10→5 MHz)",
+        per_width_means[2],
+        per_width_means[1],
+        per_width_means[0],
+        per_width_means[1] / per_width_means[2],
+        per_width_means[0] / per_width_means[1]
     ));
-    report
-        .note("airtime constant across offered loads at fixed width (paper: error bars within 2%)");
+    report.note(format!(
+        "largest spread across offered loads at a fixed width {max_spread:.4}, {} 0.02 (paper: error bars within 2%)",
+        if max_spread <= 0.02 { "within" } else { "above" }
+    ));
     report
 }
 
@@ -93,6 +111,38 @@ mod tests {
         let m = mean(&cells);
         for c in &cells {
             assert!((c / m - 1.0).abs() < 0.02, "cell {c} vs mean {m}");
+        }
+    }
+
+    /// Busy time is not a count of independent trials, so the law test
+    /// compares per-run means: over 24 seeds of 40 packets at each width
+    /// (500 kbps), the sparse and dense paths' mean busy samples differ
+    /// by at most five standard errors of the difference, taken from the
+    /// runs' own spread (DESIGN.md §7 records the means).
+    #[test]
+    fn sparse_capture_matches_dense_in_law() {
+        const SEEDS: u64 = 24;
+        for width in [Width::W5, Width::W10, Width::W20] {
+            let runs = |capture| -> Vec<f64> {
+                (0..SEEDS)
+                    .map(|seed| busy_samples(width, 500, 40, seed, capture) as f64)
+                    .collect()
+            };
+            let (sparse, dense) = (
+                runs(crate::experiments::stream_sift),
+                runs(crate::experiments::dense_sift),
+            );
+            let var = |xs: &[f64]| {
+                let m = mean(xs);
+                xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
+            };
+            let se = ((var(&sparse) + var(&dense)) / SEEDS as f64).sqrt();
+            let (ms, md) = (mean(&sparse), mean(&dense));
+            assert!(
+                (ms - md).abs() <= 5.0 * se,
+                "{width:?}: sparse {ms} vs dense {md} busy samples, 5·se = {}",
+                5.0 * se
+            );
         }
     }
 

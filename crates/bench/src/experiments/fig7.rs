@@ -26,6 +26,17 @@ use whitefi_spectrum::Width;
 /// two of them more than once inside one frame, so detections are
 /// matched to packets rather than counted.
 pub fn sift_fraction(attenuation_db: f64, packets: usize, seed: u64) -> f64 {
+    packets_detected(attenuation_db, packets, seed, super::stream_sift) as f64 / packets as f64
+}
+
+/// How many of `packets` sent packets [`sift_fraction`] counts, on the
+/// given capture path.
+fn packets_detected(
+    attenuation_db: f64,
+    packets: usize,
+    seed: u64,
+    capture: super::Capture,
+) -> usize {
     let amplitude = amplitude_after(TX_REFERENCE_AMPLITUDE, attenuation_db);
     let mut bursts = Vec::with_capacity(packets * 2);
     let mut spans = Vec::with_capacity(packets);
@@ -39,7 +50,7 @@ pub fn sift_fraction(attenuation_db: f64, packets: usize, seed: u64) -> f64 {
     }
     let window = SimDuration::from_nanos(t.as_nanos() + 1_000_000);
     let mut rng = super::rng(seed);
-    let (detections, _) = super::stream_sift(&Synthesizer::new(), &bursts, window, &mut rng);
+    let (detections, _) = capture(&Synthesizer::new(), &bursts, window, &mut rng);
     let extents = detections
         .iter()
         .filter(|d| d.kind == DetectionKind::DataAck && d.width == Width::W20)
@@ -49,7 +60,7 @@ pub fn sift_fraction(attenuation_db: f64, packets: usize, seed: u64) -> f64 {
                 d.first_start + d.first_len + d.gap + d.second_len,
             )
         });
-    packets_hit(&spans, extents) as f64 / packets as f64
+    packets_hit(&spans, extents)
 }
 
 /// The sample at or before `t`.
@@ -155,6 +166,25 @@ mod tests {
     fn both_near_perfect_at_low_attenuation() {
         assert!(sift_fraction(80.0, 40, 1) > 0.97);
         assert!(sniffer_fraction(80.0, 400, 1) > 0.97);
+    }
+
+    /// The sparse capture path detects what the dense one does, in law:
+    /// over 40 seeds of 60 packets, the packets detected at 96, 98 and
+    /// 100 dB agree within five binomial standard errors (DESIGN.md §7
+    /// records the rates).
+    #[test]
+    fn sparse_capture_matches_dense_in_law() {
+        const SEEDS: u64 = 40;
+        for db in [96.0, 98.0, 100.0] {
+            let (mut sparse, mut dense, mut sent) = (0, 0, 0);
+            for seed in 0..SEEDS {
+                sparse += packets_detected(db, 60, seed, crate::experiments::stream_sift);
+                dense += packets_detected(db, 60, seed, crate::experiments::dense_sift);
+                sent += 60;
+            }
+            let what = format!("fig7 SIFT at {db} dB, sparse vs dense");
+            crate::experiments::assert_same_rate(&what, sparse, dense, sent);
+        }
     }
 
     #[test]

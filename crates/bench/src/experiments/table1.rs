@@ -44,11 +44,23 @@ pub fn cbr_schedule(width: Width, rate_kbps: u64, count: usize) -> (Vec<Burst>, 
 /// Fraction of the `count` sent packets that SIFT detects with the right
 /// width and a length-matched data burst.
 pub fn detection_rate(width: Width, rate_kbps: u64, count: usize, seed: u64) -> f64 {
+    packets_detected(width, rate_kbps, count, seed, super::stream_sift) as f64 / count as f64
+}
+
+/// How many of the `count` packets [`detection_rate`] counts, on the
+/// given capture path.
+fn packets_detected(
+    width: Width,
+    rate_kbps: u64,
+    count: usize,
+    seed: u64,
+    capture: super::Capture,
+) -> usize {
     let (bursts, window) = cbr_schedule(width, rate_kbps, count);
     let mut rng = super::rng(seed);
     let expected_len =
         duration_to_samples(PhyTiming::for_width(width).frame_duration(PACKET_BYTES));
-    let (detections, _) = super::stream_sift(&Synthesizer::new(), &bursts, window, &mut rng);
+    let (detections, _) = capture(&Synthesizer::new(), &bursts, window, &mut rng);
     let detected = detections
         .into_iter()
         .filter(|d| {
@@ -57,7 +69,7 @@ pub fn detection_rate(width: Width, rate_kbps: u64, count: usize, seed: u64) -> 
                 && (d.first_len as f64 - expected_len).abs() <= expected_len * 0.05
         })
         .count();
-    detected.min(count) as f64 / count as f64
+    detected.min(count)
 }
 
 /// Runs the full Table 1 grid.
@@ -109,9 +121,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "worst-case median detection rate {:.3} (paper: 0.97; worst loss 2–3%)",
         min_rate
     ));
+    let relation = if w5_mean < wide_mean {
+        format!("{:.3} below", wide_mean - w5_mean)
+    } else {
+        "not below".to_string()
+    };
     report.note(format!(
-        "5 MHz mean {:.3} vs 10/20 MHz mean {:.3} — the 5 MHz low-amplitude head costs a little, as in the paper",
-        w5_mean, wide_mean
+        "5 MHz mean {w5_mean:.3} is {relation} the 10/20 MHz mean {wide_mean:.3} (paper: the 5 MHz low-amplitude head costs a little)"
     ));
     report
 }
@@ -128,6 +144,25 @@ mod tests {
         assert!(w5 >= 0.90, "5 MHz rate {w5}");
         assert!(w20 >= 0.97, "20 MHz rate {w20}");
         assert!(w20 >= w5 - 0.02);
+    }
+
+    /// The 5 MHz cells, where the low-amplitude head makes detection
+    /// depend on the noise: over 10 seeds × 5 loads × 40 packets, the
+    /// sparse capture path detects within five binomial standard errors
+    /// of the dense one (DESIGN.md §7 records the rates).
+    #[test]
+    fn sparse_capture_matches_dense_in_law_at_5mhz() {
+        const SEEDS: u64 = 10;
+        let (mut sparse, mut dense, mut sent) = (0, 0, 0);
+        for seed in 0..SEEDS {
+            for rate in RATES_KBPS {
+                let cell = |capture| packets_detected(Width::W5, rate, 40, seed, capture);
+                sparse += cell(crate::experiments::stream_sift);
+                dense += cell(crate::experiments::dense_sift);
+                sent += 40;
+            }
+        }
+        crate::experiments::assert_same_rate("table1 5 MHz, sparse vs dense", sparse, dense, sent);
     }
 
     #[test]

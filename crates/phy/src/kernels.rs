@@ -360,10 +360,22 @@ fn density(x: f64) -> f64 {
     (-0.5 * x * x).exp()
 }
 
-/// `∫_r^∞ exp(−t²/2) dt` by the Laplace continued fraction
-/// `f(r) / (r + 1/(r + 2/(r + 3/(r + …))))`, evaluated bottom-up; 200
-/// terms reach full f64 precision at `r = ZIG_R`.
+/// `∫_r^∞ exp(−t²/2) dt` for `r ≥ 0`. From `r = 1.5` up, by the Laplace
+/// continued fraction `f(r) / (r + 1/(r + 2/(r + 3/(r + …))))`,
+/// evaluated bottom-up; 200 terms reach full f64 precision there (at
+/// `r = ZIG_R` and at the sparse sampler's `r = 150/σ = 5`). Below
+/// 1.5, where the fraction converges too slowly, as `√(π/2)` minus the
+/// Maclaurin series of `∫_0^r`, whose terms are at most `r` there, so
+/// cancellation costs less than one digit.
 fn tail_area(r: f64) -> f64 {
+    if r < 1.5 {
+        let (mut term, mut head) = (r, 0.0);
+        for n in 0..60u32 {
+            head += term / f64::from(2 * n + 1);
+            term *= -r * r / f64::from(2 * n + 2);
+        }
+        return (std::f64::consts::PI / 2.0).sqrt() - head;
+    }
     let mut t = 0.0;
     for k in (1..=200u32).rev() {
         t = f64::from(k) / (r + t);
@@ -444,16 +456,24 @@ impl Ziggurat {
     #[inline(never)]
     fn edge<R: Rng + ?Sized>(&self, i: usize, x: f64, rng: &mut R) -> Option<f64> {
         if i == 0 {
-            loop {
-                let a = -open_unit(rng).ln() / ZIG_R;
-                let b = -open_unit(rng).ln();
-                if b + b >= a * a {
-                    return Some(ZIG_R + a);
-                }
-            }
+            return Some(tail(ZIG_R, rng));
         }
         let y = self.f[i] + rng.gen::<f64>() * (self.f[i + 1] - self.f[i]);
         (y < density(x)).then_some(x)
+    }
+}
+
+/// Marsaglia's exact tail sampler: a half-normal draw conditioned on
+/// exceeding `r > 0`, as `r + a` with `a = −ln(U₁)/r`, accepted when
+/// `−2 ln(U₂) ≥ a²`. Exact for every `r`; it accepts 96 % of proposals
+/// at `r = 5` and 94 % at the ziggurat's `r = ZIG_R`.
+fn tail<R: Rng + ?Sized>(r: f64, rng: &mut R) -> f64 {
+    loop {
+        let a = -open_unit(rng).ln() / r;
+        let b = -open_unit(rng).ln();
+        if b + b >= a * a {
+            return r + a;
+        }
     }
 }
 
@@ -531,6 +551,103 @@ pub fn add_noise_ref<R: Rng + ?Sized>(acc: &[f64], sigma: f64, out: &mut Vec<f32
         } else {
             out.push(quantize(s + (half_normal(rng) * sigma).abs()));
         }
+    }
+}
+
+/// Receiver noise `|N(0,1)·σ|` split at a visibility bound: the three
+/// laws the sparse capture synthesizer draws noise-only samples from
+/// (`crate::synth`, DESIGN.md §12.4). With `r = bound / σ`, a sample is
+/// above the bound with probability `p = P(|Z| > r) = √(2/π)·∫_r^∞
+/// exp(−t²/2) dt` (about 5.73e-7 at bound 150 and σ = 30), so
+///
+/// * [`Self::gap`] draws how many samples pass before the next one above
+///   the bound (geometric);
+/// * [`Self::above`] draws that sample from the tail law beyond `r`;
+/// * [`Self::below`] draws any other sample from the law truncated at
+///   or below `r`.
+///
+/// A mixture of the three is the `half_normal` law to within its
+/// 24-bit resolution: the tail beyond `ZIG_R` is exact in both, and the
+/// truncated law is the ziggurat's own, by rejection.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SplitNoise {
+    sigma: f64,
+    /// The bound in σ units, `r = bound / σ`.
+    r: f64,
+    /// `ln(1 − p)`.
+    ln_stay: f64,
+}
+
+/// `2^53`: gaps at least this long are never reached, and every smaller
+/// whole f64 converts to `usize` exactly.
+const GAP_CAP: f64 = 9_007_199_254_740_992.0;
+
+impl SplitNoise {
+    /// The split of `|N(0,1)·σ|` at `bound`; `None` when `σ == 0`, which
+    /// draws no noise at all.
+    pub fn new(sigma: f64, bound: f64) -> Option<Self> {
+        if sigma == 0.0 {
+            return None;
+        }
+        let r = bound / sigma.abs();
+        let p = (2.0 / std::f64::consts::PI).sqrt() * tail_area(r);
+        Some(Self {
+            sigma,
+            r,
+            ln_stay: (-p).ln_1p(),
+        })
+    }
+
+    /// `P(|N(0,1)·σ| > bound)`.
+    #[cfg(test)]
+    fn p(&self) -> f64 {
+        -(self.ln_stay.exp_m1())
+    }
+
+    /// The number of samples before the next one above the bound: the
+    /// failures before the first success of Bernoulli(`p`) trials, by
+    /// inversion, `⌊ln U / ln(1 − p)⌋` for `U` uniform on `(0, 1]`, so
+    /// `P(gap ≥ k) = (1 − p)^k`. One `f64` draw; `usize::MAX` (never)
+    /// when `p` underflows to 0.
+    pub fn gap<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let g = (open_unit(rng).ln() / self.ln_stay).floor();
+        if g < GAP_CAP {
+            // `g` is a whole number in [0, 2^53): exact as usize.
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            // lint:allow(cast, g is a whole number in [0, 2^53), converted exactly)
+            let gap = g as usize;
+            gap
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// `|Z|` conditioned on `|Z| > r`.
+    fn above_z<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        tail(self.r, rng)
+    }
+
+    /// `|Z|` conditioned on `|Z| ≤ r`: ziggurat draws, redrawn while
+    /// above `r` (probability `p` per draw).
+    fn below_z<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        loop {
+            let z = ZIGGURAT.sample(rng);
+            if z <= self.r {
+                return z;
+            }
+        }
+    }
+
+    /// A noise-only sample above the bound, quantized as [`add_noise`]
+    /// quantizes a sample with nothing accumulated.
+    pub fn above<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {
+        quantize((self.above_z(rng) * self.sigma).abs())
+    }
+
+    /// A noise-only sample at or below the bound, quantized likewise
+    /// (never above `bound` as an f32).
+    pub fn below<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {
+        quantize((self.below_z(rng) * self.sigma).abs())
     }
 }
 
@@ -922,6 +1039,120 @@ mod tests {
             .sum::<f64>()
             / layers;
         assert_binomial("wedge", wedges, attempts, wedge);
+    }
+
+    /// `∫_0^r exp(−x²/2) dx`, by Simpson.
+    fn head_area(r: f64) -> f64 {
+        simpson(0.0, r, 20_000)
+    }
+
+    /// Asserts the sample mean of `xs` lies within five standard errors
+    /// of `mean`, for a law of standard deviation `sd`.
+    fn assert_mean(what: &str, xs: &[f64], mean: f64, sd: f64) {
+        let n = xs.len() as f64;
+        let m = xs.iter().sum::<f64>() / n;
+        assert!(
+            (m - mean).abs() <= 5.0 * sd / n.sqrt(),
+            "{what}: mean {m}, expected {mean} ± 5·{sd}/√{n}"
+        );
+    }
+
+    #[test]
+    fn split_noise_rate_is_the_half_normal_tail() {
+        // r = 5, 3.33, 2.5, 1.5, 1, 0.5: both branches of `tail_area`.
+        for sigma in [30.0, 45.0, 60.0, 100.0, 150.0, 300.0] {
+            let split = SplitNoise::new(sigma, 150.0).unwrap();
+            let exact = half_normal_sf(150.0 / sigma);
+            assert!(
+                (split.p() / exact - 1.0).abs() < 1e-9,
+                "σ {sigma}: p {} vs {exact}",
+                split.p()
+            );
+        }
+        let p = SplitNoise::new(30.0, 150.0).unwrap().p();
+        assert!((p / 5.733e-7 - 1.0).abs() < 1e-3, "p {p}");
+        assert!(SplitNoise::new(0.0, 150.0).is_none());
+        // p underflows to 0 at σ = 1: no sample is ever above 150.
+        let silent = SplitNoise::new(1.0, 150.0).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        assert!((0..100).all(|_| silent.gap(&mut rng) == usize::MAX));
+    }
+
+    #[test]
+    fn split_noise_gaps_are_geometric() {
+        for (sigma, n) in [(60.0, 200_000usize), (30.0, 20_000)] {
+            let split = SplitNoise::new(sigma, 150.0).unwrap();
+            let p = split.p();
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            let gaps: Vec<f64> = (0..n).map(|_| split.gap(&mut rng) as f64).collect();
+            // Geometric on {0, 1, …}: mean (1 − p)/p, sd √(1 − p)/p.
+            assert_mean(
+                &format!("σ {sigma} gap"),
+                &gaps,
+                (1.0 - p) / p,
+                (1.0 - p).sqrt() / p,
+            );
+            // P(gap = 0) = p and P(gap ≥ k) = (1 − p)^k.
+            let k = (0.5 / p).round();
+            let zero = gaps.iter().filter(|&&g| g == 0.0).count() as u64;
+            let long = gaps.iter().filter(|&&g| g >= k).count() as u64;
+            assert_binomial("gap = 0", zero, n as u64, p);
+            assert_binomial("gap ≥ k", long, n as u64, (1.0 - p).powf(k));
+        }
+    }
+
+    #[test]
+    fn split_noise_tail_law() {
+        for sigma in [30.0, 60.0] {
+            let split = SplitNoise::new(sigma, 150.0).unwrap();
+            let r = 150.0 / sigma;
+            let n = 200_000u64;
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            let xs: Vec<f64> = (0..n).map(|_| split.above_z(&mut rng)).collect();
+            assert!(xs.iter().all(|&x| x > r && x.is_finite()), "σ {sigma}");
+            // E[Z | Z > r] = f(r)/T(r), E[Z² | Z > r] = 1 + r·E[Z | Z > r].
+            let tail = simpson(r, r + 20.0, 20_000);
+            let m = density(r) / tail;
+            assert_mean(
+                &format!("σ {sigma} tail"),
+                &xs,
+                m,
+                (1.0 + r * m - m * m).sqrt(),
+            );
+            for d in [0.1, 0.3, 1.0] {
+                let hits = xs.iter().filter(|&&x| x > r + d).count() as u64;
+                let want = simpson(r + d, r + d + 20.0, 20_000) / tail;
+                assert_binomial(&format!("σ {sigma}: P(Z > r + {d})"), hits, n, want);
+            }
+            // Quantized, the tail is never below the bound.
+            let mut rng = ChaCha8Rng::seed_from_u64(24);
+            assert!((0..10_000).all(|_| split.above(&mut rng) >= 150.0));
+        }
+    }
+
+    #[test]
+    fn split_noise_truncated_law() {
+        for sigma in [30.0, 60.0, 100.0] {
+            let split = SplitNoise::new(sigma, 150.0).unwrap();
+            let r = 150.0 / sigma;
+            let n = 500_000u64;
+            let mut rng = ChaCha8Rng::seed_from_u64(29);
+            let xs: Vec<f64> = (0..n).map(|_| split.below_z(&mut rng)).collect();
+            assert!(xs.iter().all(|&x| (0.0..=r).contains(&x)), "σ {sigma}");
+            // E[Z | Z ≤ r] = (1 − f(r))/F(r), E[Z² | Z ≤ r] = 1 − r·f(r)/F(r).
+            let head = head_area(r);
+            let m = (1.0 - density(r)) / head;
+            let m2 = 1.0 - r * density(r) / head;
+            assert_mean(&format!("σ {sigma} truncated"), &xs, m, (m2 - m * m).sqrt());
+            for a in [0.5, 1.0, 1.4] {
+                let hits = xs.iter().filter(|&&x| x > a).count() as u64;
+                let want = (head - head_area(a)) / head;
+                assert_binomial(&format!("σ {sigma}: P(Z > {a} | Z ≤ r)"), hits, n, want);
+            }
+            // Quantized, the truncated law never exceeds the bound.
+            let mut rng = ChaCha8Rng::seed_from_u64(30);
+            assert!((0..100_000).all(|_| split.below(&mut rng) <= 150.0));
+        }
     }
 
     #[test]

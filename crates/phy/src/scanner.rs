@@ -111,10 +111,12 @@ impl Scanner {
         self.synth.synthesize(&local, dwell, rng)
     }
 
-    /// Block-at-a-time capture of the same dwell: the USRP hands the PC
-    /// 2048-sample blocks, and this path models that — the full trace is
-    /// never materialized, and the emitted blocks concatenate bit-exactly
-    /// to [`Self::capture`] under the same RNG state.
+    /// Block-at-a-time capture of the same dwell, for SIFT: the USRP
+    /// hands the PC 2048-sample blocks, and this path models that — the
+    /// full trace is never materialized. The blocks are sparse
+    /// ([`Synthesizer::stream`]): receiver noise is drawn only where the
+    /// default SIFT can see it, so SIFT's output on them equals its
+    /// output on [`Self::capture`] in law, not sample for sample.
     pub fn capture_stream<R: Rng + ?Sized>(
         &self,
         center: UhfChannel,

@@ -354,7 +354,9 @@ struct OpenRun {
 /// (so windows straddling the boundary are computable), the open
 /// moving-average run with its refined start and last supra-threshold
 /// sample, the merge-stage burst that a future sub-SIFS neighbor could
-/// still extend, and the classify queue's unpaired burst.
+/// still extend, and the classify queue's unpaired burst. A block with
+/// no sample above the threshold (carry included) and no open run skips
+/// the window sums: no window can rise above the threshold there.
 #[derive(Debug, Clone)]
 pub struct StreamingSift {
     sift: Sift,

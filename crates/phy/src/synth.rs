@@ -19,29 +19,36 @@
 //!   bursts only.
 //!
 //! The synthesizer runs on the batched [`crate::kernels`] and exists in
-//! two forms with one randomness contract:
+//! two forms, one per kind of consumer:
 //!
-//! * [`Synthesizer::synthesize`] / [`Synthesizer::synthesize_into`] fill
-//!   a whole capture at once;
-//! * [`SynthStream`] (from [`Synthesizer::stream`]) emits the identical
-//!   trace one USRP-sized block at a time, never materializing the
-//!   capture.
+//! * [`Synthesizer::synthesize`] fills a whole capture **densely**: every
+//!   sample gets its receiver noise. fig5's trace head,
+//!   [`crate::Scanner::capture`] and the tests that read raw samples use
+//!   it, and [`Synthesizer::synthesize_ref`] is its scalar reference.
+//! * [`SynthStream`] (from [`Synthesizer::stream`]) emits a capture one
+//!   USRP-sized block at a time and **sparsely**: it draws receiver
+//!   noise only where SIFT can see it, and emits every other sample as
+//!   `0.0`. SIFT's output on the stream equals, in law, its output on a
+//!   dense capture (DESIGN.md §12.4), and the stream's work grows with
+//!   the bursts, not with the capture's length.
 //!
-//! The contract that makes them bit-identical: when the configuration is
+//! Both share one randomness contract: when the configuration is
 //! stochastic at all, exactly **one** `u64` is drawn from the caller's
 //! RNG per capture, seeding a family of derived ChaCha8 streams — stream
 //! 0 for receiver noise, stream `1 + i` for input burst `i`. Each
 //! burst's head/ripple draws happen in that burst's own stream in sample
-//! order, and noise draws happen in stream 0 in sample order: one
-//! ziggurat half-normal per sample, which reads one word on its fast path
-//! and a few more on its rare slow paths, all before the next sample's
-//! draw, with nothing carried from one sample to the next. So no draw's
-//! position depends on block boundaries or on which other bursts exist.
-//! An ideal (ripple-free, noiseless, headless) configuration consumes no
-//! randomness whatsoever.
+//! order, so a burst's signal is the same in both forms. Noise draws
+//! happen in stream 0 in sample order: the dense form takes one ziggurat
+//! half-normal per sample; the sparse form takes one per burst sample
+//! and the split laws of `kernels::SplitNoise` elsewhere, at
+//! positions fixed by the schedule and by its own earlier draws. Nothing
+//! depends on block boundaries or on which other bursts exist. An ideal
+//! (ripple-free, noiseless, headless) configuration consumes no
+//! randomness whatsoever, and then the two forms emit identical samples.
 
 use crate::attenuation::NoiseModel;
-use crate::kernels;
+use crate::kernels::{self, SplitNoise};
+use crate::sift::SiftConfig;
 use crate::time::{SimDuration, SimTime};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -159,75 +166,59 @@ impl Synthesizer {
         }
     }
 
-    /// Whether this configuration draws any randomness at all. When
-    /// false, synthesis consumes **nothing** from the caller's RNG.
-    fn is_stochastic(&self) -> bool {
-        self.config.ripple_low != self.config.ripple_high
+    /// The capture's stream-family seed: one `u64` from `rng` when this
+    /// configuration draws any randomness at all, and otherwise nothing
+    /// from `rng` and 0.
+    fn family_seed<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let stochastic = self.config.ripple_low != self.config.ripple_high
             || self.noise.sigma != 0.0
-            || self.config.w5_head_fraction > 0.0
+            || self.config.w5_head_fraction > 0.0;
+        if stochastic {
+            rng.gen::<u64>()
+        } else {
+            0
+        }
     }
 
-    /// Synthesizes the amplitude trace of a capture window of length
-    /// `window`, containing the given bursts (positions relative to the
-    /// window; bursts extending past either edge are clipped).
+    /// Synthesizes the dense amplitude trace of a capture window of
+    /// length `window`, containing the given bursts (positions relative
+    /// to the window; bursts extending past either edge are clipped).
     pub fn synthesize<R: Rng + ?Sized>(
         &self,
         bursts: &[Burst],
         window: SimDuration,
         rng: &mut R,
     ) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.synthesize_into(bursts, window, rng, &mut out);
+        let n = window_samples(window);
+        let base = self.family_seed(rng);
+        let mut acc = vec![0f64; n];
+        for c in &schedule(&self.config, bursts, n) {
+            ActiveBurst::new(&self.config, base, c).accumulate(&self.config, &mut acc, 0);
+        }
+        let mut out = Vec::with_capacity(n);
+        kernels::add_noise(
+            &acc,
+            self.noise.sigma,
+            &mut out,
+            &mut derive_stream(base, 0),
+        );
         out
     }
 
-    /// [`Self::synthesize`] into a caller-owned buffer, bit-identical
-    /// under the same RNG state. `out` is cleared and refilled; hot loops
-    /// that synthesize thousands of windows reuse its allocation (the f64
-    /// accumulation scratch is a thread-local, also reused).
-    pub fn synthesize_into<R: Rng + ?Sized>(
-        &self,
-        bursts: &[Burst],
-        window: SimDuration,
-        rng: &mut R,
-        out: &mut Vec<f32>,
-    ) {
-        use std::cell::RefCell;
-        thread_local! {
-            static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-        }
-        let mut stream = self.stream(bursts, window, rng);
-        out.clear();
-        SCRATCH.with(|scratch| {
-            let mut acc = scratch.borrow_mut();
-            // One whole-window block: the same per-stream draw schedule
-            // as block-at-a-time emission, so the trace is bit-identical
-            // to draining a [`SynthStream`].
-            stream.fill_into(&mut acc, out, stream.total_samples());
-        });
-    }
-
-    /// Scalar reference for the whole synthesis pipeline: the same draw
-    /// schedule and per-sample expressions over the `_ref` kernels, one
-    /// sample at a time. Kept forever as the semantic contract; the
-    /// differential suite asserts bit-identity with
-    /// [`Self::synthesize`] and with [`SynthStream`] emission.
+    /// Scalar reference for [`Self::synthesize`]: the same draw schedule
+    /// and per-sample expressions over the `_ref` kernels, one sample at
+    /// a time. Kept forever as the semantic contract; the differential
+    /// suite asserts bit-identity with [`Self::synthesize`].
     pub fn synthesize_ref<R: Rng + ?Sized>(
         &self,
         bursts: &[Burst],
         window: SimDuration,
         rng: &mut R,
     ) -> Vec<f32> {
-        let n = (window.as_nanos() / SAMPLE_NS) as usize;
-        let base = if self.is_stochastic() {
-            rng.gen::<u64>()
-        } else {
-            0
-        };
+        let n = window_samples(window);
+        let base = self.family_seed(rng);
         let mut acc = vec![0f64; n];
-        let mut pending = clip_bursts(&self.config, bursts, n);
-        pending.sort_by_key(|c| (c.start, c.stream));
-        for c in &pending {
+        for c in &schedule(&self.config, bursts, n) {
             let mut burst_rng = derive_stream(base, c.stream);
             let amp_head = c.amplitude * head_factor(&self.config, c.head_len, &mut burst_rng);
             let head_end = c.start + c.head_len;
@@ -252,24 +243,39 @@ impl Synthesizer {
         out
     }
 
-    /// Begins block-at-a-time synthesis of a capture window. Draws the
-    /// single stream-family seed from `rng` up front (nothing at all for
-    /// an ideal configuration), so the caller's RNG is released before
-    /// the first block is emitted.
+    /// Begins sparse, block-at-a-time synthesis of a capture window
+    /// (see [`SynthStream`]). Draws the single stream-family seed from
+    /// `rng` up front (nothing at all for an ideal configuration), so the
+    /// caller's RNG is released before the first block is emitted.
+    ///
+    /// The stream is made for SIFT, and only for a SIFT whose threshold
+    /// is at least [`SiftConfig::default`]'s (150) and whose window is at
+    /// most its window (5 samples): for such a detector, detections and
+    /// busy samples on the stream equal, in law, those on the dense
+    /// [`Self::synthesize`] trace (DESIGN.md §12.4). Every caller in this
+    /// repository runs the default detector. Readers of raw samples use
+    /// [`Self::synthesize`].
     pub fn stream<R: Rng + ?Sized>(
         &self,
         bursts: &[Burst],
         window: SimDuration,
         rng: &mut R,
     ) -> SynthStream {
-        let n = (window.as_nanos() / SAMPLE_NS) as usize;
-        let base = if self.is_stochastic() {
-            rng.gen::<u64>()
-        } else {
-            0
-        };
-        let mut pending = clip_bursts(&self.config, bursts, n);
-        pending.sort_by_key(|c| (c.start, c.stream));
+        let n = window_samples(window);
+        let base = self.family_seed(rng);
+        let pending = schedule(&self.config, bursts, n);
+        // Merged burst cover: the samples that carry signal.
+        let mut cover: Vec<(usize, usize)> = Vec::new();
+        for c in &pending {
+            match cover.last_mut() {
+                Some(last) if c.start <= last.1 => last.1 = last.1.max(c.end),
+                _ => cover.push((c.start, c.end)),
+            }
+        }
+        let visible = SiftConfig::default();
+        let noise = SplitNoise::new(self.noise.sigma, visible.threshold);
+        let mut noise_rng = derive_stream(base, 0);
+        let next_mark = noise.map_or(usize::MAX, |s| s.gap(&mut noise_rng));
         SynthStream {
             config: self.config,
             sigma: self.noise.sigma,
@@ -279,9 +285,21 @@ impl Synthesizer {
             pending,
             next_pending: 0,
             active: Vec::new(),
-            noise_rng: derive_stream(base, 0),
+            cover,
+            next_cover: 0,
+            reach: if noise.is_some() {
+                visible.window - 1
+            } else {
+                0
+            },
+            cover_reach_end: 0,
+            noise,
+            noise_rng,
+            next_mark,
+            mark_reach_end: 0,
             acc: Vec::new(),
             out: Vec::new(),
+            out_quiet: false,
         }
     }
 }
@@ -308,6 +326,19 @@ struct ClippedBurst {
     head_len: usize,
     amplitude: f64,
     stream: u64,
+}
+
+/// Samples in a capture window (the partial last sample is dropped).
+fn window_samples(window: SimDuration) -> usize {
+    (window.as_nanos() / SAMPLE_NS) as usize
+}
+
+/// The clipped bursts of a capture in superposition order: by start,
+/// then by derived-stream id.
+fn schedule(config: &SynthesizerConfig, bursts: &[Burst], n: usize) -> Vec<ClippedBurst> {
+    let mut pending = clip_bursts(config, bursts, n);
+    pending.sort_by_key(|c| (c.start, c.stream));
+    pending
 }
 
 /// Clips bursts to the `n`-sample window and computes each one's 5 MHz
@@ -358,8 +389,8 @@ fn head_factor<R: Rng + ?Sized>(config: &SynthesizerConfig, head_len: usize, rng
     (config.w5_head_mean + g * config.w5_head_sd).clamp(0.02, 1.0)
 }
 
-/// A burst currently overlapping the emission cursor, with its derived
-/// RNG stream live so emission resumes in O(1) at each block.
+/// A burst whose signal is being accumulated, with its derived RNG
+/// stream live so accumulation resumes in O(1) at each block.
 #[derive(Debug, Clone)]
 struct ActiveBurst {
     start: usize,
@@ -371,15 +402,62 @@ struct ActiveBurst {
     rng: ChaCha8Rng,
 }
 
-/// Block-at-a-time trace emission (see [`Synthesizer::stream`]).
+impl ActiveBurst {
+    /// Opens burst `c`'s stream and draws its head factor.
+    fn new(config: &SynthesizerConfig, base: u64, c: &ClippedBurst) -> Self {
+        let mut rng = derive_stream(base, c.stream);
+        let amp_head = c.amplitude * head_factor(config, c.head_len, &mut rng);
+        Self {
+            start: c.start,
+            end: c.end,
+            head_end: c.start + c.head_len,
+            amp_head,
+            amp_body: c.amplitude,
+            rng,
+        }
+    }
+
+    /// Adds this burst's rippled signal to `acc`, which holds the samples
+    /// `[lo, lo + acc.len())`: the head and body segments that fall in
+    /// that range, drawing their ripple in sample order.
+    fn accumulate(&mut self, config: &SynthesizerConfig, acc: &mut [f64], lo: usize) {
+        let hi = lo + acc.len();
+        let seg_lo = self.start.clamp(lo, hi);
+        let seg_hi = self.end.clamp(seg_lo, hi);
+        let cut = self.head_end.clamp(seg_lo, seg_hi);
+        kernels::accumulate_ripple(
+            &mut acc[seg_lo - lo..cut - lo],
+            self.amp_head,
+            config.ripple_low,
+            config.ripple_high,
+            &mut self.rng,
+        );
+        kernels::accumulate_ripple(
+            &mut acc[cut - lo..seg_hi - lo],
+            self.amp_body,
+            config.ripple_low,
+            config.ripple_high,
+            &mut self.rng,
+        );
+    }
+}
+
+/// Sparse block-at-a-time emission (see [`Synthesizer::stream`]).
 ///
 /// Each [`Self::next_block`] call yields the next up-to-
-/// [`BLOCK_SAMPLES`] samples of the capture, bit-identical to the
-/// corresponding slice of [`Synthesizer::synthesize`] under the same
-/// caller-RNG state. Only the bursts overlapping the current block are
-/// touched (activation is a cursor over the start-sorted schedule), and
-/// the working buffers are one block long — streaming a capture
-/// allocates O(block + active bursts), not O(capture).
+/// [`BLOCK_SAMPLES`] samples of the capture. A burst sample is its
+/// rippled signal plus one ziggurat half-normal of noise, as in
+/// [`Synthesizer::synthesize`]. A noise-only sample is drawn only when
+/// SIFT could see it: when it lies within `reach` (the SIFT window less
+/// one, 4) of a burst sample or of a noise sample above the SIFT
+/// threshold. The positions of those supra-threshold samples come from
+/// geometric gaps, their values from the tail law and their neighbours'
+/// from the truncated law (`kernels::SplitNoise`); every other sample is
+/// `0.0`.
+/// A block with nothing to draw reuses the previous all-zero buffer, so
+/// a quiet block costs O(1) here. Only the bursts overlapping the
+/// current block are touched (activation is a cursor over the
+/// start-sorted schedule), and the working buffers are one block long.
 #[derive(Debug, Clone)]
 pub struct SynthStream {
     config: SynthesizerConfig,
@@ -390,9 +468,27 @@ pub struct SynthStream {
     pending: Vec<ClippedBurst>,
     next_pending: usize,
     active: Vec<ActiveBurst>,
+    /// Sorted, disjoint sample ranges `[start, end)` covered by bursts.
+    cover: Vec<(usize, usize)>,
+    /// First `cover` range ending after the emission cursor.
+    next_cover: usize,
+    /// How far from a visible sample noise is still drawn: the SIFT
+    /// window less one, or 0 without noise.
+    reach: usize,
+    /// End of the last passed cover range plus `reach`.
+    cover_reach_end: usize,
+    /// The split noise laws; `None` when σ = 0.
+    noise: Option<SplitNoise>,
     noise_rng: ChaCha8Rng,
+    /// Position of the next noise sample above the SIFT threshold
+    /// (`usize::MAX`: none).
+    next_mark: usize,
+    /// The last such position plus `reach + 1`.
+    mark_reach_end: usize,
     acc: Vec<f64>,
     out: Vec<f32>,
+    /// Whether `out` holds only zeros.
+    out_quiet: bool,
 }
 
 impl SynthStream {
@@ -401,79 +497,138 @@ impl SynthStream {
         self.total
     }
 
-    /// Samples emitted so far.
-    pub fn samples_emitted(&self) -> usize {
-        self.emitted
-    }
-
     /// Emits the next block of up to [`BLOCK_SAMPLES`] samples, or
     /// `None` once the capture is complete. The slice borrows the
     /// stream's internal block buffer and is valid until the next call.
     pub fn next_block(&mut self) -> Option<&[f32]> {
+        self.emit(BLOCK_SAMPLES)
+    }
+
+    /// Emits the next block of up to `block` samples. The draw schedule
+    /// depends on sample positions only, so any block length yields the
+    /// same samples.
+    fn emit(&mut self, block: usize) -> Option<&[f32]> {
         if self.emitted >= self.total {
             return None;
         }
-        let len = BLOCK_SAMPLES.min(self.total - self.emitted);
-        let (mut acc, mut out) = (std::mem::take(&mut self.acc), std::mem::take(&mut self.out));
-        self.fill_into(&mut acc, &mut out, len);
-        self.acc = acc;
-        self.out = out;
+        let lo = self.emitted;
+        let hi = lo + block.min(self.total - lo);
+        self.emitted = hi;
+        if self.next_visible(lo) >= hi {
+            if !self.out_quiet || self.out.len() != hi - lo {
+                self.out.clear();
+                self.out.resize(hi - lo, 0.0);
+                self.out_quiet = true;
+            }
+        } else {
+            self.out_quiet = false;
+            self.fill(lo, hi);
+        }
         Some(&self.out)
     }
 
-    /// Accumulates the next `len` samples into `acc` and appends their
-    /// quantized form to `out` (cleared first). Shared by block emission
-    /// and the whole-capture [`Synthesizer::synthesize_into`], which is
-    /// what makes the two paths identical by construction.
-    fn fill_into(&mut self, acc: &mut Vec<f64>, out: &mut Vec<f32>, len: usize) {
-        let lo = self.emitted;
-        let hi = lo + len;
-        acc.clear();
-        acc.resize(len, 0f64);
+    /// Passes the cover ranges that end at or before `pos`.
+    fn pass_cover(&mut self, pos: usize) {
+        while let Some(&(_, end)) = self.cover.get(self.next_cover) {
+            if end > pos {
+                break;
+            }
+            self.cover_reach_end = end + self.reach;
+            self.next_cover += 1;
+        }
+    }
+
+    /// The first position at or after `pos` that is a burst sample or a
+    /// noise sample to draw.
+    fn next_visible(&mut self, pos: usize) -> usize {
+        self.pass_cover(pos);
+        if pos < self.cover_reach_end || pos < self.mark_reach_end {
+            return pos;
+        }
+        let cover_start = self.cover.get(self.next_cover).map_or(usize::MAX, |c| c.0);
+        cover_start
+            .min(self.next_mark)
+            .saturating_sub(self.reach)
+            .max(pos)
+    }
+
+    /// Records the draw at `mark`, the position of a noise sample above
+    /// the threshold, and draws the gap to the next one.
+    fn pass_mark(&mut self, mark: usize) {
+        self.mark_reach_end = mark + self.reach + 1;
+        let gap = self
+            .noise
+            .map_or(usize::MAX, |s| s.gap(&mut self.noise_rng));
+        self.next_mark = mark.saturating_add(1).saturating_add(gap);
+    }
+
+    /// Synthesizes the samples `[lo, hi)` into `out`.
+    fn fill(&mut self, lo: usize, hi: usize) {
         // Activate bursts whose first sample falls inside this range;
         // `pending` is (start, stream)-sorted, so `active` stays in the
         // global burst order and per-sample superposition adds in the
-        // same order as the buffered pass.
-        while let Some(c) = self.pending.get(self.next_pending).copied() {
+        // same order as the dense pass.
+        while let Some(c) = self.pending.get(self.next_pending) {
             if c.start >= hi {
                 break;
             }
+            self.active
+                .push(ActiveBurst::new(&self.config, self.base, c));
             self.next_pending += 1;
-            let mut rng = derive_stream(self.base, c.stream);
-            let amp_head = c.amplitude * head_factor(&self.config, c.head_len, &mut rng);
-            self.active.push(ActiveBurst {
-                start: c.start,
-                end: c.end,
-                head_end: c.start + c.head_len,
-                amp_head,
-                amp_body: c.amplitude,
-                rng,
-            });
         }
+        self.acc.clear();
+        self.acc.resize(hi - lo, 0f64);
         for a in &mut self.active {
-            let seg_lo = a.start.max(lo);
-            let seg_hi = a.end.min(hi);
-            // Head and body segments of this burst inside the block.
-            let cut = a.head_end.clamp(seg_lo, seg_hi);
-            kernels::accumulate_ripple(
-                &mut acc[seg_lo - lo..cut - lo],
-                a.amp_head,
-                self.config.ripple_low,
-                self.config.ripple_high,
-                &mut a.rng,
-            );
-            kernels::accumulate_ripple(
-                &mut acc[cut - lo..seg_hi - lo],
-                a.amp_body,
-                self.config.ripple_low,
-                self.config.ripple_high,
-                &mut a.rng,
-            );
+            a.accumulate(&self.config, &mut self.acc, lo);
         }
         self.active.retain(|a| a.end > hi);
-        out.clear();
-        kernels::add_noise(acc, self.sigma, out, &mut self.noise_rng);
-        self.emitted = hi;
+        self.out.clear();
+        let mut pos = lo;
+        while pos < hi {
+            let next = self.next_visible(pos).min(hi);
+            if next > pos {
+                self.out.resize(self.out.len() + (next - pos), 0.0);
+                pos = next;
+                continue;
+            }
+            let (start, end) = self
+                .cover
+                .get(self.next_cover)
+                .copied()
+                .unwrap_or((usize::MAX, usize::MAX));
+            if start <= pos {
+                // Burst samples: one unconditional half-normal each,
+                // with the gap redrawn after a threshold position that
+                // falls inside the burst.
+                let end = end.min(hi);
+                while pos < end {
+                    let stop = end.min(self.next_mark.saturating_add(1));
+                    kernels::add_noise(
+                        &self.acc[pos - lo..stop - lo],
+                        self.sigma,
+                        &mut self.out,
+                        &mut self.noise_rng,
+                    );
+                    if stop == self.next_mark.saturating_add(1) {
+                        self.pass_mark(self.next_mark);
+                    }
+                    pos = stop;
+                }
+            } else {
+                // A noise-only sample SIFT can see.
+                let sample = match self.noise {
+                    Some(split) if pos == self.next_mark => {
+                        let above = split.above(&mut self.noise_rng);
+                        self.pass_mark(pos);
+                        above
+                    }
+                    Some(split) => split.below(&mut self.noise_rng),
+                    None => 0.0,
+                };
+                self.out.push(sample);
+                pos += 1;
+            }
+        }
     }
 }
 
@@ -658,45 +813,109 @@ mod tests {
         assert!((trace[5] - 1000.0).abs() < 1e-3);
     }
 
-    #[test]
-    fn synthesize_into_matches_synthesize() {
-        let synth = Synthesizer::new();
-        let ex = data_ack_exchange(SimTime::from_micros(50), Width::W5, 132, 900.0);
-        let window = SimDuration::from_millis(3);
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let a = synth.synthesize(&ex, window, &mut rng);
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let mut b = vec![1.0f32; 7]; // dirty, wrongly-sized buffer
-        synth.synthesize_into(&ex, window, &mut rng, &mut b);
-        assert_eq!(a, b);
-        // Reusing the buffer for a different window stays exact.
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let c = synth.synthesize(&ex, SimDuration::from_millis(2), &mut rng);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        synth.synthesize_into(&ex, SimDuration::from_millis(2), &mut rng, &mut b);
-        assert_eq!(c, b);
+    /// Drains `stream` in blocks of `block` samples.
+    fn drain(mut stream: SynthStream, block: usize) -> Vec<f32> {
+        let mut out = Vec::new();
+        while let Some(b) = stream.emit(block) {
+            assert!(b.len() <= block);
+            out.extend_from_slice(b);
+        }
+        assert_eq!(out.len(), stream.total_samples());
+        out
     }
 
+    /// Exchanges at every width, one straddling the first block seam.
+    fn mixed_schedule() -> Vec<Burst> {
+        let mut bursts = Vec::new();
+        let mut t = SimTime::from_nanos((BLOCK_SAMPLES as u64 - 300) * SAMPLE_NS);
+        for width in [Width::W5, Width::W10, Width::W20] {
+            let ex = data_ack_exchange(t, width, 400, 900.0);
+            t = ex[1].start + ex[1].duration + SimDuration::from_micros(3000);
+            bursts.extend(ex);
+        }
+        bursts
+    }
+
+    /// Without receiver noise the stream draws nothing that the dense
+    /// trace does not, so its blocks concatenate bit-exactly to
+    /// `synthesize` — ripple and 5 MHz heads included.
     #[test]
     fn stream_blocks_concatenate_to_buffered_trace() {
-        let synth = Synthesizer::new();
-        let ex = data_ack_exchange(SimTime::from_micros(50), Width::W5, 400, 900.0);
-        let window = SimDuration::from_millis(3);
+        let mut synth = Synthesizer::new();
+        synth.noise = NoiseModel::noiseless();
+        let bursts = mixed_schedule();
+        let window = SimDuration::from_millis(14);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let buffered = synth.synthesize(&ex, window, &mut rng);
+        let buffered = synth.synthesize(&bursts, window, &mut rng);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let mut stream = synth.stream(&ex, window, &mut rng);
-        assert_eq!(stream.total_samples(), buffered.len());
-        let mut streamed = Vec::new();
-        while let Some(block) = stream.next_block() {
-            assert!(block.len() <= BLOCK_SAMPLES);
-            streamed.extend_from_slice(block);
-        }
-        assert_eq!(stream.samples_emitted(), buffered.len());
+        let streamed = drain(synth.stream(&bursts, window, &mut rng), BLOCK_SAMPLES);
+        assert_eq!(buffered.len(), streamed.len());
         for (i, (a, b)) in buffered.iter().zip(&streamed).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "sample {i}");
         }
-        assert_eq!(buffered.len(), streamed.len());
+        // Both drew the one family seed and nothing else.
+        let mut dense_rng = ChaCha8Rng::seed_from_u64(42);
+        let _ = synth.synthesize(&bursts, window, &mut dense_rng);
+        assert_eq!(rng.gen::<u64>(), dense_rng.gen::<u64>());
+    }
+
+    /// The sparse draw schedule depends on sample positions only: every
+    /// block length yields the same samples, with noise loud enough
+    /// (σ = 45, so 1 sample in 1,160 is above 150) that threshold
+    /// positions fall in quiet stretches, beside bursts and inside them.
+    #[test]
+    fn stream_is_invariant_to_block_length() {
+        let mut synth = Synthesizer::new();
+        synth.noise = NoiseModel { sigma: 45.0 };
+        let bursts = mixed_schedule();
+        let window = SimDuration::from_millis(14);
+        let stream = || synth.stream(&bursts, window, &mut ChaCha8Rng::seed_from_u64(8));
+        let cover = stream().cover;
+        let whole = drain(stream(), usize::MAX);
+        let loud_noise = (0..whole.len())
+            .filter(|&i| whole[i] > 150.0 && !cover.iter().any(|&(s, e)| (s..e).contains(&i)))
+            .count();
+        assert!(loud_noise >= 5, "{loud_noise} noise samples above 150");
+        for block in [1, 3, 4, 5, 7, 64, 2047, BLOCK_SAMPLES, 5000] {
+            let split = drain(stream(), block);
+            for (i, (a, b)) in whole.iter().zip(&split).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "block {block} sample {i}");
+            }
+        }
+    }
+
+    /// Where the stream leaves a sample at zero, SIFT could not have
+    /// seen it: every noise-only sample within 4 of a burst sample or of
+    /// a sample above 150 is drawn (nonzero), and every other one is
+    /// zero.
+    #[test]
+    fn stream_draws_noise_exactly_where_sift_can_see() {
+        let mut synth = Synthesizer::new();
+        synth.noise = NoiseModel { sigma: 45.0 };
+        let bursts = mixed_schedule();
+        let window = SimDuration::from_millis(14);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let stream = synth.stream(&bursts, window, &mut rng);
+        let cover = stream.cover.clone();
+        let trace = drain(stream, BLOCK_SAMPLES);
+        let in_burst = |i: usize| cover.iter().any(|&(s, e)| (s..e).contains(&i));
+        let visible: Vec<bool> = (0..trace.len())
+            .map(|i| in_burst(i) || trace[i] > 150.0)
+            .collect();
+        let near =
+            |i: usize| (i.saturating_sub(4)..=(i + 4).min(trace.len() - 1)).any(|j| visible[j]);
+        let mut zeros = 0;
+        for (i, &x) in trace.iter().enumerate() {
+            if in_burst(i) {
+                assert!(x > 0.0, "burst sample {i}");
+            } else if near(i) {
+                assert!(x > 0.0, "visible noise sample {i} left at zero");
+            } else {
+                assert_eq!(x, 0.0, "sample {i} drawn out of SIFT's sight");
+                zeros += 1;
+            }
+        }
+        assert!(zeros > trace.len() / 2, "{zeros} zeros");
     }
 
     #[test]

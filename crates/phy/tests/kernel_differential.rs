@@ -7,10 +7,12 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use whitefi_phy::attenuation::NoiseModel;
 use whitefi_phy::kernels;
 use whitefi_phy::synth::{data_ack_exchange, duration_to_samples};
 use whitefi_phy::{
-    Burst, BurstKind, Sift, SimDuration, SimTime, StreamingSift, Synthesizer, BLOCK_SAMPLES,
+    Burst, BurstKind, Sift, SimDuration, SimTime, StreamingSift, SynthStream, Synthesizer,
+    BLOCK_SAMPLES,
 };
 use whitefi_spectrum::Width;
 
@@ -134,22 +136,121 @@ fn synthesize_matches_scalar_reference_on_noisy_exchange() {
     }
 }
 
+/// Without receiver noise the sparse stream has nothing to leave out:
+/// its blocks concatenate bit-exactly to the dense trace.
 #[test]
 fn synth_stream_blocks_concatenate_to_buffered_trace() {
-    let synth = Synthesizer::new();
-    let ex = data_ack_exchange(SimTime::from_millis(1), Width::W10, 1500, 800.0);
+    let mut synth = Synthesizer::new();
+    synth.noise = NoiseModel::noiseless();
+    let ex = data_ack_exchange(SimTime::from_millis(1), Width::W5, 1500, 800.0);
     let window = SimDuration::from_millis(8);
     let whole = synth.synthesize(&ex, window, &mut rng(4));
-    let mut stream = synth.stream(&ex, window, &mut rng(4));
-    let mut cat: Vec<f32> = Vec::new();
-    while let Some(block) = stream.next_block() {
-        assert!(block.len() <= BLOCK_SAMPLES);
-        cat.extend_from_slice(block);
-    }
+    let cat = drain(synth.stream(&ex, window, &mut rng(4)));
     assert_eq!(cat.len(), whole.len());
     let ab: Vec<u32> = cat.iter().map(|x| x.to_bits()).collect();
     let bb: Vec<u32> = whole.iter().map(|x| x.to_bits()).collect();
     assert_eq!(ab, bb);
+}
+
+/// Concatenates a stream's blocks.
+fn drain(mut stream: SynthStream) -> Vec<f32> {
+    let mut cat = Vec::with_capacity(stream.total_samples());
+    while let Some(block) = stream.next_block() {
+        assert!(block.len() <= BLOCK_SAMPLES);
+        cat.extend_from_slice(block);
+    }
+    cat
+}
+
+/// `count` data/ACK exchanges of 1000 bytes at `width`, one every
+/// `8000 bits / rate_kbps` (or back to back with 200 µs between them when
+/// the load exceeds the channel), with up to 300 µs of jitter, and the
+/// window covering them.
+fn cbr(width: Width, rate_kbps: u64, count: usize, seed: u64) -> (Vec<Burst>, SimDuration) {
+    let mut r = rng(seed);
+    let period = SimDuration::from_nanos(8_000 * 1_000_000 / rate_kbps);
+    let mut bursts = Vec::new();
+    let mut t = SimTime::from_micros(r.gen_range(0..2_000));
+    for _ in 0..count {
+        let ex = data_ack_exchange(t, width, 1000, 1000.0);
+        let busy = ex[1].start.since(t) + ex[1].duration + SimDuration::from_micros(200);
+        bursts.extend(ex);
+        t = t + period.max(busy) + SimDuration::from_micros(r.gen_range(0..300));
+    }
+    (bursts, SimDuration::from_nanos(t.as_nanos() + 2_000_000))
+}
+
+/// The masking lemma behind the sparse stream (DESIGN.md §12.4), on
+/// dense traces: zeroing every sample farther than 4 from a sample
+/// above 150 changes neither SIFT's detections nor its busy count.
+/// σ = 60 puts 1 noise sample in 80 above the threshold, so the mask
+/// meets noise spikes beside bursts, inside the SIFS gaps and alone.
+#[test]
+fn sift_cannot_see_samples_beyond_reach_of_the_threshold() {
+    let sift = Sift::default();
+    let mut synth = Synthesizer::new();
+    synth.noise = NoiseModel { sigma: 60.0 };
+    for (k, width) in [Width::W5, Width::W10, Width::W20].into_iter().enumerate() {
+        for rate in [125, 250, 500, 750, 1000] {
+            let seed = 40 + rate + k as u64;
+            let (bursts, window) = cbr(width, rate, 4, seed);
+            let trace = synth.synthesize(&bursts, window, &mut rng(seed));
+            let above: Vec<usize> = (0..trace.len()).filter(|&i| trace[i] > 150.0).collect();
+            let mut masked = vec![0f32; trace.len()];
+            for &i in &above {
+                let (lo, hi) = (i.saturating_sub(4), (i + 5).min(trace.len()));
+                masked[lo..hi].copy_from_slice(&trace[lo..hi]);
+            }
+            let zeroed = masked.iter().zip(&trace).filter(|(m, t)| m != t).count();
+            let ctx = format!("{width:?} {rate} kbps: {zeroed} of {} zeroed", trace.len());
+            assert!(zeroed > 10_000, "{ctx}");
+            assert_eq!(sift.detect(&masked), sift.detect(&trace), "{ctx}");
+            assert_eq!(
+                kernels::sum_lens(&sift.extract_bursts(&masked)),
+                kernels::sum_lens(&sift.extract_bursts(&trace)),
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// `StreamingSift` over the sparse stream's blocks equals `Sift::detect`
+/// on their concatenation, detections and busy count, at every width
+/// and load of Table 1 and at σ = 30 (the default) and σ = 60 (noise
+/// spikes beside the bursts); so does any other chunking of it, with
+/// its long runs of exact zeros taking the quiet-block path.
+#[test]
+fn streaming_sift_on_sparse_stream_equals_detect_on_its_concatenation() {
+    let sift = Sift::default();
+    for sigma in [30.0, 60.0] {
+        let mut synth = Synthesizer::new();
+        synth.noise = NoiseModel { sigma };
+        for (k, width) in [Width::W5, Width::W10, Width::W20].into_iter().enumerate() {
+            for rate in [125, 250, 500, 750, 1000] {
+                let seed = rate * 3 + k as u64;
+                let (bursts, window) = cbr(width, rate, 4, seed);
+                let ctx = format!("σ {sigma} {width:?} {rate} kbps seed {seed}");
+                let mut stream = synth.stream(&bursts, window, &mut rng(seed));
+                let mut s = StreamingSift::new(sift.config);
+                let mut streamed = Vec::new();
+                let mut cat = Vec::new();
+                while let Some(block) = stream.next_block() {
+                    streamed.extend(s.push_block(block));
+                    cat.extend_from_slice(block);
+                }
+                streamed.extend(s.finish());
+                let buffered = sift.detect(&cat);
+                assert_eq!(streamed, buffered, "{ctx}");
+                assert!(!buffered.is_empty(), "{ctx}: no detection");
+                let busy = kernels::sum_lens(&sift.extract_bursts(&cat));
+                assert_eq!(s.busy_samples(), busy, "{ctx}");
+                let (rechunked, busy2) =
+                    run_streaming(&sift, &cat, &[1 + usize::try_from(seed % 700).unwrap(), 3]);
+                assert_eq!(rechunked, buffered, "{ctx}");
+                assert_eq!(busy2, busy, "{ctx}");
+            }
+        }
+    }
 }
 
 /// Feeds `trace` to a fresh `StreamingSift` in chunks of the given sizes
