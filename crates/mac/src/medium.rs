@@ -127,10 +127,12 @@ pub struct Medium {
     by_src: Vec<SourceHistory>,
     /// How much history to retain for scanner queries. Drivers may
     /// tighten this when no scanner will ever look back (fixed-channel
-    /// baseline runs keep only enough for interference checks); queries
-    /// never reach past their window, so shrinking the horizon below the
-    /// longest query window actually issued is the only way it can change
-    /// results.
+    /// baseline runs keep 300 ms); queries never reach past their
+    /// window, so shrinking the horizon below the longest query window
+    /// actually issued is the only way it can change results. It must
+    /// also cover the longest frame: the engine's interference fallback,
+    /// [`Medium::interferer_sources_into`], looks back from a frame's end
+    /// to its start (a few milliseconds; debug builds assert it).
     pub history_horizon: SimDuration,
     /// Cumulative busy time per UHF channel since simulation start
     /// (union of overlapping transmissions — exact, via active counts).
@@ -486,10 +488,17 @@ impl Medium {
 
     /// Appends to `out` the source node of every transmission (history +
     /// active) that intersects `channel` and overlaps `[from, to)`,
-    /// excluding transmission `exclude_id` — the delivery interference
-    /// check. Allocation-free: the caller only needs the transmitter
-    /// identities, in any order (it asks "is any interferer in range of
-    /// this receiver").
+    /// excluding transmission `exclude_id`. Allocation-free: the caller
+    /// only needs the transmitter identities, in any order (it asks "is
+    /// any interferer in range of this receiver").
+    ///
+    /// This walks every transmission in the window, heard or not. The
+    /// engine decides delivery interference from per-node carrier
+    /// bookkeeping instead and calls this only as the fallback for the
+    /// few verdicts that bookkeeping cannot give (a receiver that
+    /// retuned or joined mid-frame, or saw two more frames start on its
+    /// channel before this one ended) and, in debug builds, as the
+    /// reference every verdict is checked against.
     pub fn interferer_sources_into(
         &self,
         channel: WfChannel,

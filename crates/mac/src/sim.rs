@@ -310,11 +310,52 @@ struct Node {
     /// Other nodes' active transmissions that reach this node on an
     /// overlapping channel: it senses carrier iff nonzero (DESIGN.md §8).
     sensed: usize,
+    /// The latest end among the carriers that reached this node on its
+    /// current channel, its own included (recomputed on a retune and by
+    /// `add_node`): the carrier bookkeeping behind [`Core::interfered`].
+    latest_end: SimTime,
+    /// The latest transmission on this node's exact channel that
+    /// reaches it, and whether it has been interfered with here so far
+    /// (`None` after a retune).
+    watch: Option<Watch>,
+    /// The last watch a later one replaced before its frame's `TxEnd`,
+    /// with its final verdict.
+    settled: Option<Watch>,
     /// The node's private deterministic RNG: `ChaCha8Rng` seeded from
     /// the simulator seed on this node's stream. Backoff draws and
     /// behaviour draws ([`Ctx::rng`]) both come from here, so a node's
     /// draw sequence is independent of every other node's.
     rng: ChaCha8Rng,
+}
+
+/// A transmission a delivery candidate watches: one on the node's exact
+/// channel that reaches it. `hit` records whether another transmission
+/// overlapping it in time and spectrum has reached the node so far
+/// ([`Core::interfered`]).
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    /// The watched transmission.
+    id: u64,
+    /// When the watched transmission ends.
+    end: SimTime,
+    /// Whether an interferer has reached the node.
+    hit: bool,
+}
+
+impl Node {
+    /// Counts a transmission starting `now` and ending at `end` that
+    /// reaches this node on an overlapping channel: an interferer of the
+    /// watched transmission if that is still on the air. Returns whether
+    /// an earlier such carrier is still on the air (one whose `TxEnd` is
+    /// due at `now` has left it).
+    fn hit(&mut self, now: SimTime, end: SimTime) -> bool {
+        let busy = self.latest_end > now;
+        self.latest_end = self.latest_end.max(end);
+        if let Some(w) = self.watch.as_mut() {
+            w.hit |= now < w.end;
+        }
+        busy
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -478,7 +519,8 @@ impl Core {
     }
 
     /// Moves node `n` between `(F, W)` index lists when it retunes,
-    /// keeping both sorted ascending, and recounts its carrier sense.
+    /// keeping both sorted ascending, recounts its carrier sense and
+    /// restarts its interference bookkeeping on the new channel.
     fn retune(&mut self, n: NodeId, new: WfChannel) {
         let old = self.nodes[n].channel;
         if old != new {
@@ -492,6 +534,8 @@ impl Core {
             }
             self.nodes[n].channel = new;
             self.nodes[n].sensed = self.count_sensed(n);
+            self.nodes[n].latest_end = self.latest_carrier_end(n);
+            self.nodes[n].watch = None;
         }
     }
 
@@ -518,11 +562,100 @@ impl Core {
         self.medium.active().iter().filter(|t| hit(t)).count()
     }
 
+    /// The latest end among the active transmissions that reach node
+    /// `n` on a channel overlapping its own, its own included (time zero
+    /// when there is none): `Node::latest_end` after a retune or
+    /// `add_node`. Carriers that already left the medium ended at or
+    /// before now, so they cannot change what it is read for.
+    fn latest_carrier_end(&self, n: NodeId) -> SimTime {
+        let c = self.nodes[n].channel;
+        self.medium
+            .active()
+            .iter()
+            .filter(|t| t.channel.overlaps(c) && self.in_range(t.src, n))
+            .map(|t| t.end)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
     /// Whether node `n` may not start a deferral now: it senses a carrier
     /// or is itself on the air.
     fn blocked(&self, n: NodeId) -> bool {
         debug_assert_eq!(self.nodes[n].sensed, self.count_sensed(n));
         self.nodes[n].sensed > 0 || self.is_transmitting(n)
+    }
+
+    /// Whether a transmission other than `tx` that overlaps it in time
+    /// and spectrum reached node `m`, a delivery candidate of `tx` (in
+    /// range of `tx.src` and tuned to exactly `tx.channel` at its end),
+    /// read from `m`'s carrier bookkeeping in O(1). `None` when the
+    /// bookkeeping cannot tell and the history scan must decide
+    /// (DESIGN.md §8, "Per-receiver interference verdicts").
+    ///
+    /// `m` watches `tx` from its start until a retune or the next
+    /// watched start. While it does, `m` sits on `tx.channel`, so
+    /// "overlaps `tx.channel`" is "overlaps `m`'s channel", the test
+    /// `Node::hit` applies. An interferer then either reached `m` before
+    /// `tx` started and was still on the air (`latest_end` after
+    /// `tx.start`, which sets `hit` when the watch begins), or started
+    /// later but before `tx.end` (a hit while watched). When the next
+    /// watched start replaces the watch, the verdict is final: a later
+    /// start is not before that one, and so not before `tx.end` unless
+    /// that one already was; `settled` keeps it.
+    fn interfered(&self, m: NodeId, tx: &Transmission) -> Option<bool> {
+        let node = &self.nodes[m];
+        [node.watch, node.settled]
+            .into_iter()
+            .flatten()
+            .find(|w| w.id == tx.id)
+            .map(|w| w.hit)
+    }
+
+    /// Filters `tx`'s delivery candidates in place down to its
+    /// receivers: not transmitting (half duplex), and not reached by
+    /// another transmission overlapping `tx` in time and spectrum
+    /// (interference, counted as a collision). Verdicts come from
+    /// [`Core::interfered`]. The history scan
+    /// ([`Medium::interferer_sources_into`]) runs at most once per
+    /// transmission: when a verdict needs it and, in debug builds, as
+    /// the reference every verdict is checked against.
+    fn keep_receivers(&mut self, tx: &Transmission, candidates: &mut Vec<NodeId>) {
+        let mut interferers = std::mem::take(&mut self.interferer_buf);
+        interferers.clear();
+        let mut scanned = false;
+        candidates.retain(|&m| {
+            if self.is_transmitting(m) {
+                return false;
+            }
+            let fast = self.interfered(m, tx);
+            if !scanned && (fast.is_none() || cfg!(debug_assertions)) {
+                debug_assert!(
+                    tx.end.since(tx.start) <= self.medium.history_horizon,
+                    "the history horizon must cover every frame"
+                );
+                self.medium.interferer_sources_into(
+                    tx.channel,
+                    tx.start,
+                    tx.end,
+                    tx.id,
+                    &mut interferers,
+                );
+                scanned = true;
+            }
+            let scan = || interferers.iter().any(|&s| self.in_range(s, m));
+            debug_assert!(
+                fast.is_none_or(|hit| hit == scan()),
+                "node {m}: interference verdict on transmission {} at {:?} disagrees with the scan",
+                tx.id,
+                tx.end
+            );
+            let hit = fast.unwrap_or_else(scan);
+            if hit {
+                self.nodes[m].stats.rx_collisions += 1;
+            }
+            !hit
+        });
+        self.interferer_buf = interferers;
     }
 
     /// The first Idle node with a queued frame that is not [`blocked`]
@@ -619,23 +752,39 @@ impl Core {
         }
         self.schedule(end, Ev::TxEnd { id });
 
-        // Overlapping in-range nodes count the carrier, and their
-        // deferrals are invalidated: each freezes its remaining backoff
-        // slots (DCF decrements only during idle time). Only nodes that
-        // hear `n` can be affected, and each one's update reads and
-        // writes its own state alone, so visiting order is immaterial.
+        // Overlapping in-range nodes, the sender included, count the
+        // start for their interference verdicts, and those tuned to
+        // exactly `channel` watch this transmission. The others count
+        // the carrier, and their deferrals are invalidated: each freezes
+        // its remaining backoff slots (DCF decrements only during idle
+        // time). Only nodes that hear `n` can be affected, and each
+        // one's update reads and writes its own state alone, so visiting
+        // order is immaterial.
+        let now = self.now;
         for k in 0..self.hears[n].len() {
             let m = self.hears[n][k];
-            if m == n || !self.nodes[m].channel.overlaps(channel) {
+            let node = &mut self.nodes[m];
+            if !node.channel.overlaps(channel) {
                 continue;
             }
-            self.nodes[m].sensed += 1;
-            if self.nodes[m].state == CsmaState::Pending {
+            let busy = node.hit(now, end);
+            if m == n {
+                continue;
+            }
+            if node.channel == channel {
+                let hit = busy;
+                // A watch whose frame has ended was read at its `TxEnd`.
+                let done = node.watch.replace(Watch { id, end, hit });
+                if let Some(done) = done.filter(|w| w.end >= now) {
+                    node.settled = Some(done);
+                }
+            }
+            node.sensed += 1;
+            if node.state == CsmaState::Pending {
                 let timing = contention_timing();
-                let elapsed = self.now.saturating_since(self.nodes[m].pending_since);
+                let elapsed = now.saturating_since(node.pending_since);
                 let idle_after_difs = elapsed.as_nanos().saturating_sub(timing.difs().as_nanos());
                 let consumed = idle_after_difs / timing.slot().as_nanos().max(1);
-                let node = &mut self.nodes[m];
                 node.slots_left = Some(node.pending_slots.saturating_sub(consumed));
                 node.state = CsmaState::Idle;
                 self.timers.remove(m);
@@ -905,10 +1054,14 @@ impl Simulator {
             pending_slots: 0,
             active_tx: 0,
             sensed: 0,
+            latest_end: SimTime::ZERO,
+            watch: None,
+            settled: None,
             rng,
         });
         self.core.register_node(id);
         self.core.nodes[id].sensed = self.core.count_sensed(id);
+        self.core.nodes[id].latest_end = self.core.latest_carrier_end(id);
         self.behaviors.push(Some(behavior));
         let now = self.core.now;
         let extra = match self.core.faults.as_mut() {
@@ -1175,9 +1328,7 @@ impl Simulator {
         // Candidates are the nodes in range of `src` and tuned to exactly
         // `tx.channel` (the width/centre match), ascending by id: the
         // same set and order a full scan would produce, read off the
-        // ascending `hears[src]`. The interferer set is collected once
-        // per transmission, and only if a candidate exists: the medium
-        // cannot change inside this loop.
+        // ascending `hears[src]`.
         let mut deliveries = std::mem::take(&mut self.core.delivery_buf);
         deliveries.clear();
         // A faulted drop loses the frame at *every* receiver: delivery
@@ -1192,31 +1343,7 @@ impl Simulator {
                     .filter(|&&m| m != src && core.nodes[m].channel == tx.channel),
             );
         }
-        let mut interferer_srcs = std::mem::take(&mut self.core.interferer_buf);
-        interferer_srcs.clear();
-        if !deliveries.is_empty() {
-            self.core.medium.interferer_sources_into(
-                tx.channel,
-                tx.start,
-                tx.end,
-                id,
-                &mut interferer_srcs,
-            );
-        }
-        // Filter the candidates in place down to the receivers: not
-        // transmitting (half duplex), and not reached by any other
-        // transmission overlapping this one in time whose span
-        // intersects the receiver's channel (interference).
-        deliveries.retain(|&m| {
-            !self.core.is_transmitting(m) && {
-                let hit = interferer_srcs.iter().any(|&s| self.core.in_range(s, m));
-                if hit {
-                    self.core.nodes[m].stats.rx_collisions += 1;
-                }
-                !hit
-            }
-        });
-        self.core.interferer_buf = interferer_srcs;
+        self.core.keep_receivers(&tx, &mut deliveries);
 
         // Beacon ⇒ CTS-to-self one SIFS later, regardless of receivers.
         if matches!(tx.frame.kind, FrameKind::Beacon { .. }) {
@@ -2066,6 +2193,293 @@ mod tests {
             assert!(sim.stats(base + 2).tx_acked_frames > 0);
             assert!(sim.stats(base + 4).tx_acked_frames > 0);
         }
+    }
+
+    /// Frames a [`Probe`] was handed: delivery time and sender.
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, NodeId)>>>;
+
+    /// A receiver that logs every frame it is handed and retunes to
+    /// each listed channel at its time (listed in time order).
+    struct Probe {
+        log: Log,
+        hops: Vec<(SimTime, WfChannel)>,
+    }
+    impl Behavior for Probe {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            for &(at, _) in &self.hops {
+                ctx.set_timer(at.since(ctx.now()), 0);
+            }
+        }
+        fn on_timer(&mut self, _key: u64, ctx: &mut Ctx) {
+            let (_, channel) = self.hops.remove(0);
+            ctx.set_channel(channel);
+        }
+        fn on_frame(&mut self, f: &Frame, ctx: &mut Ctx) {
+            self.log.borrow_mut().push((ctx.now(), f.src));
+        }
+    }
+
+    /// A probe that never retunes, and its log.
+    fn probe() -> (Box<Probe>, Log) {
+        let log = Log::default();
+        let hops = Vec::new();
+        (
+            Box::new(Probe {
+                log: log.clone(),
+                hops,
+            }),
+            log,
+        )
+    }
+
+    /// Puts `frame` on the air from `frame.src` at `at` without carrier
+    /// sense, the way the engine sends ACKs. A frame forced before the
+    /// run starts ahead of every `TxEnd` due at the same instant (it
+    /// holds the smaller sequence number); one forced after the run
+    /// reached a transmission's start, behind that transmission's end.
+    fn force_at(sim: &mut Simulator, at: SimTime, frame: Frame) {
+        sim.core.schedule(at, Ev::ForcedTx { frame });
+    }
+
+    /// A broadcast data frame: it elicits no ACK, so it occupies the air
+    /// only for its own duration.
+    fn bcast(src: NodeId, bytes: usize) -> Frame {
+        Frame {
+            src,
+            dst: None,
+            kind: FrameKind::Data { bytes },
+        }
+    }
+
+    fn airtime(c: WfChannel, bytes: usize) -> SimDuration {
+        PhyTiming::for_width(c.width()).frame_duration(bytes)
+    }
+
+    /// The watched frames go out on `WIDE`; carriers go out on `NARROW`,
+    /// which overlaps it, so they reach the receiver's carrier sense
+    /// without being delivery candidates (no node is tuned to `NARROW`)
+    /// and without ACKs.
+    const WIDE: (usize, Width) = (10, Width::W20);
+    const NARROW: (usize, Width) = (10, Width::W5);
+
+    fn wide() -> WfChannel {
+        ch(WIDE.0, WIDE.1)
+    }
+
+    fn narrow() -> WfChannel {
+        ch(NARROW.0, NARROW.1)
+    }
+
+    /// Two same-channel senders starting at one instant collide at the
+    /// receiver, and each sender, once off the air, is a candidate of the
+    /// other's frame hit by its own transmission. In debug builds every
+    /// verdict below is also checked against the history scan.
+    #[test]
+    fn simultaneous_starts_collide() {
+        let mut sim = Simulator::new(1);
+        let (p, log) = probe();
+        let rx = sim.add_node(NodeConfig::on_channel(wide()), p);
+        let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let b = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let t0 = SimTime::from_millis(1);
+        let t1 = SimTime::from_millis(10);
+        force_at(&mut sim, t0, Frame::data(a, rx, 1000));
+        force_at(&mut sim, t0, Frame::data(b, rx, 1000));
+        force_at(&mut sim, t1, Frame::data(a, rx, 1000));
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(sim.stats(rx).rx_collisions, 2);
+        assert_eq!(sim.stats(rx).rx_data_frames, 1);
+        assert_eq!(*log.borrow(), [(t1 + airtime(wide(), 1000), a)]);
+        // Both frames end together: `a`'s end comes first, so `a` is off
+        // the air at `b`'s end and its own frame hit it there, while `b`
+        // is still transmitting at `a`'s end (half duplex, no verdict).
+        assert_eq!(sim.stats(a).rx_collisions, 1);
+        assert_eq!(sim.stats(b).rx_collisions, 0);
+    }
+
+    /// A carrier whose end is due at the instant the watched frame
+    /// starts does not overlap it, whether its `TxEnd` is still pending
+    /// at that start or has already run.
+    #[test]
+    fn carrier_ending_at_the_start_does_not_interfere() {
+        let mut sim = Simulator::new(1);
+        let (p, log) = probe();
+        let rx = sim.add_node(NodeConfig::on_channel(wide()), p);
+        let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let c = sim.add_node(NodeConfig::on_channel(narrow()), Box::new(Sink));
+        let (dn, d) = (airtime(narrow(), 200), airtime(wide(), 1000));
+        // Pending: the watched start is forced ahead of the carrier's end.
+        let t0 = SimTime::from_millis(1);
+        force_at(&mut sim, t0, bcast(c, 200));
+        force_at(&mut sim, t0 + dn, Frame::data(a, rx, 1000));
+        // Already run: the watched start is forced once the carrier is
+        // on the air, behind its end.
+        let t1 = SimTime::from_millis(10);
+        force_at(&mut sim, t1, bcast(c, 200));
+        sim.run_until(t1);
+        force_at(&mut sim, t1 + dn, Frame::data(a, rx, 1000));
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(sim.stats(rx).rx_collisions, 0);
+        assert_eq!(sim.stats(rx).rx_data_frames, 2);
+        assert_eq!(*log.borrow(), [(t0 + dn + d, a), (t1 + dn + d, a)]);
+    }
+
+    /// A carrier starting exactly at the watched frame's end does not
+    /// overlap it, whether it starts before or after that end's `TxEnd`.
+    /// Started before, it reaches the receiver while the frame is still
+    /// watched, at `tx.end` itself, which is not before `tx.end`.
+    #[test]
+    fn carrier_starting_at_the_end_does_not_interfere() {
+        let mut sim = Simulator::new(1);
+        let (p, log) = probe();
+        let rx = sim.add_node(NodeConfig::on_channel(wide()), p);
+        let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let c = sim.add_node(NodeConfig::on_channel(narrow()), Box::new(Sink));
+        let d = airtime(wide(), 1000);
+        let t0 = SimTime::from_millis(1);
+        force_at(&mut sim, t0, Frame::data(a, rx, 1000));
+        force_at(&mut sim, t0 + d, bcast(c, 200));
+        let t1 = SimTime::from_millis(10);
+        force_at(&mut sim, t1, Frame::data(a, rx, 1000));
+        sim.run_until(t1);
+        force_at(&mut sim, t1 + d, bcast(c, 200));
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(sim.stats(rx).rx_collisions, 0);
+        assert_eq!(sim.stats(rx).rx_data_frames, 2);
+        assert_eq!(*log.borrow(), [(t0 + d, a), (t1 + d, a)]);
+    }
+
+    /// A receiver that retunes onto the frame's channel mid-frame, or
+    /// away and back, holds no watch on it, and the history scan gives
+    /// the verdict: a carrier that overlapped the frame while the
+    /// receiver was elsewhere still counts, as it always has.
+    #[test]
+    fn retune_mid_frame_falls_back_to_the_scan() {
+        let off = ch(20, Width::W5);
+        let (dn, d) = (airtime(narrow(), 100), airtime(wide(), 1500));
+        assert!(d / 4 + dn < d * 3 / 4);
+        let t = [1, 10, 20, 30].map(SimTime::from_millis);
+        let mut sim = Simulator::new(1);
+        let log = Log::default();
+        let hops = vec![
+            // Onto the frame's channel after the carrier left the air.
+            (t[0] + dn + (d - dn) / 2, wide()),
+            // Away and back around a carrier on the frame's spectrum.
+            (t[1] + d / 8, off),
+            (t[1] + d * 3 / 4, wide()),
+            // Onto the frame's channel during a clean frame.
+            (t[2] - SimDuration::from_millis(1), off),
+            (t[2] + d / 2, wide()),
+            // Away and back during a clean frame.
+            (t[3] + d / 4, off),
+            (t[3] + d / 2, wide()),
+        ];
+        let p = Probe {
+            log: log.clone(),
+            hops,
+        };
+        let rx = sim.add_node(NodeConfig::on_channel(off), Box::new(p));
+        let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let c = sim.add_node(NodeConfig::on_channel(narrow()), Box::new(Sink));
+        force_at(&mut sim, t[0], bcast(c, 100));
+        force_at(&mut sim, t[1] + d / 4, bcast(c, 100));
+        for at in t {
+            force_at(&mut sim, at, Frame::data(a, rx, 1500));
+        }
+        sim.run_until(SimTime::from_millis(40));
+        assert_eq!(sim.node_channel(rx), wide());
+        assert_eq!(sim.stats(rx).rx_collisions, 2);
+        assert_eq!(sim.stats(rx).rx_data_frames, 2);
+        assert_eq!(*log.borrow(), [(t[2] + d, a), (t[3] + d, a)]);
+    }
+
+    /// One receiver watching overlapping same-channel frames. The second
+    /// start replaces the watch on the first while it is on the air,
+    /// which settles the first as hit, and both collide. A second frame
+    /// starting exactly at the first's end (ahead of its `TxEnd`) also
+    /// replaces the watch, yet does not overlap it: the first is
+    /// delivered, and the second is then hit by the receiver's own ACK.
+    /// Three staggered frames replace the first one's watch twice before
+    /// it ends, and the history scan decides it.
+    #[test]
+    fn overlapping_watched_frames() {
+        let mut sim = Simulator::new(1);
+        let (p, log) = probe();
+        let rx = sim.add_node(NodeConfig::on_channel(wide()), p);
+        let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let b = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let c = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let d = airtime(wide(), 1000);
+        let t0 = SimTime::from_millis(1);
+        force_at(&mut sim, t0, Frame::data(a, rx, 1000));
+        force_at(&mut sim, t0 + d / 2, Frame::data(b, rx, 1000));
+        let t1 = SimTime::from_millis(10);
+        force_at(&mut sim, t1, Frame::data(a, rx, 1000));
+        force_at(&mut sim, t1 + d, Frame::data(b, rx, 1000));
+        let t2 = SimTime::from_millis(20);
+        force_at(&mut sim, t2, Frame::data(a, rx, 1000));
+        force_at(&mut sim, t2 + d / 3, Frame::data(b, rx, 1000));
+        force_at(&mut sim, t2 + d * 2 / 3, Frame::data(c, rx, 1000));
+        sim.run_until(SimTime::from_millis(30));
+        assert_eq!(sim.stats(rx).rx_collisions, 6);
+        assert_eq!(sim.stats(rx).rx_data_frames, 1);
+        assert_eq!(*log.borrow(), [(t1 + d, a)]);
+    }
+
+    /// The receiver's own transmission during the frame hits it; if it
+    /// is still on the air at the frame's end, the receiver is half
+    /// duplex and gets no verdict at all.
+    #[test]
+    fn own_transmission_mid_frame() {
+        let mut sim = Simulator::new(1);
+        let (p, log) = probe();
+        let rx = sim.add_node(NodeConfig::on_channel(wide()), p);
+        let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let (d, own) = (airtime(wide(), 1500), airtime(wide(), 100));
+        assert!(own < d / 2);
+        let t0 = SimTime::from_millis(1);
+        force_at(&mut sim, t0, Frame::data(a, rx, 1500));
+        force_at(&mut sim, t0 + d / 4, bcast(rx, 100));
+        let t1 = SimTime::from_millis(10);
+        force_at(&mut sim, t1, Frame::data(a, rx, 1500));
+        force_at(&mut sim, t1 + d - own / 2, bcast(rx, 100));
+        let t2 = SimTime::from_millis(20);
+        force_at(&mut sim, t2, Frame::data(a, rx, 1500));
+        sim.run_until(SimTime::from_millis(30));
+        assert_eq!(sim.stats(rx).rx_collisions, 1);
+        assert_eq!(sim.stats(rx).rx_data_frames, 1);
+        assert_eq!(*log.borrow(), [(t2 + d, a)]);
+        // `a` was on the air through both broadcasts.
+        assert_eq!(sim.stats(a).rx_broadcast_frames, 0);
+    }
+
+    /// A node added mid-run starts its carrier bookkeeping from the
+    /// carriers already on the air: a frame that starts after it joined,
+    /// while a carrier from before is still on the air, collides there,
+    /// and a frame that started before it joined is decided by the
+    /// history scan.
+    #[test]
+    fn node_added_mid_run_counts_carriers_on_the_air() {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+        let c = sim.add_node(NodeConfig::on_channel(narrow()), Box::new(Sink));
+        let (dn, d) = (airtime(narrow(), 1500), airtime(wide(), 200));
+        assert!(d * 4 < dn);
+        let t0 = SimTime::from_millis(1);
+        force_at(&mut sim, t0, bcast(c, 1500));
+        force_at(&mut sim, t0 + d, bcast(a, 200));
+        sim.run_until(t0 + d + d / 2);
+        let (p, log) = probe();
+        let rx = sim.add_node(NodeConfig::on_channel(wide()), p);
+        let t1 = sim.now() + d;
+        force_at(&mut sim, t1, Frame::data(a, rx, 200));
+        let t2 = t0 + dn + SimDuration::from_millis(1);
+        force_at(&mut sim, t2, Frame::data(a, rx, 200));
+        sim.run_until(t2 + SimDuration::from_millis(10));
+        assert_eq!(sim.stats(rx).rx_collisions, 2);
+        assert_eq!(sim.stats(rx).rx_data_frames, 1);
+        assert_eq!(sim.stats(rx).rx_broadcast_frames, 0);
+        assert_eq!(*log.borrow(), [(t2 + d, a)]);
     }
 
     #[test]

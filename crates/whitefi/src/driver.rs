@@ -185,9 +185,10 @@ fn run(
     if !adaptive {
         // Fixed-channel runs issue no scanner queries (SCAN/BACKUP_SCAN
         // timers are disabled in `add_bss`), so the only history consumer
-        // left is the carrier-sense interferer check, which never looks
-        // back further than one frame duration (≲ 8 ms at W5). 300 ms
-        // keeps a wide margin while making trace retention pay-as-you-go.
+        // left is the delivery interference scan (the engine's fallback
+        // and debug-build reference), which never looks back further
+        // than one frame duration (≲ 8 ms at W5). 300 ms keeps a wide
+        // margin while making trace retention pay-as-you-go.
         sim.medium_mut().history_horizon = SimDuration::from_millis(300);
     }
     // The fault plan must be installed before any node registers (each

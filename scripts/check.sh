@@ -127,6 +127,17 @@ cargo test --release -q -p whitefi-bench --test sim_torture -- --ignored
 SCENARIO_FUZZ_CASES="${SCENARIO_FUZZ_CASES:-32}" \
     cargo test --release -q -p whitefi --test fuzz_sweep
 
+# Debug-assertion lane: the two sweeps above run under --release, where
+# the engine's debug cross-checks are compiled out. Rerun them under
+# the test profile (opt-level 2, debug assertions on) so every
+# fault-injected and fuzzed scenario also checks each interference
+# verdict against the history scan, carrier counts against the active
+# list and the re-plan obligation after every transmission (DESIGN.md
+# §8). About 1 s once the test binaries are built.
+cargo test -q -p whitefi-bench --test sim_torture -- --ignored
+SCENARIO_FUZZ_CASES="${SCENARIO_FUZZ_CASES:-32}" \
+    cargo test -q -p whitefi --test fuzz_sweep
+
 # Examples lane: every runnable example must exit cleanly. rural_broadband,
 # discovery_race and roadtrip are plain programs that no test executes,
 # so this lane is the only place they run. Stdout is discarded; a panic
