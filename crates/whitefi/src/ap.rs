@@ -20,8 +20,8 @@
 //!   is detected does the main radio visit the backup channel.
 
 use crate::assignment::{clears_hysteresis, Assigner, Decision};
-use crate::chirp::{choose_backup, choose_secondary_backup, ChirpDetector};
-use crate::mcham::{objective_score, NodeReport, Objective};
+use crate::chirp::{chirp_samples, choose_backup, choose_secondary_backup};
+use crate::mcham::{selection_score, NodeReport};
 use whitefi_mac::{Behavior, Ctx, Frame, FrameKind, NodeId};
 use whitefi_phy::synth::duration_to_samples;
 use whitefi_phy::{SimDuration, SimTime};
@@ -120,7 +120,7 @@ fn is_chirp(width: Width, duration: SimDuration) -> bool {
     let tol = 4.0;
     width == Width::W5 && {
         let len = duration_to_samples(duration);
-        (0u8..=15).any(|s| (len - ChirpDetector::expected_samples(s)).abs() <= tol)
+        (0u8..=15).any(|s| (len - chirp_samples(s)).abs() <= tol)
     }
 }
 
@@ -391,9 +391,8 @@ impl ApBehavior {
                     map: ap_report.map,
                     airtime: fresh,
                 };
-                let obj = Objective::Aggregate;
-                let t_score = objective_score(obj, &fresh_report, &clients, target);
-                let c_score = objective_score(obj, &fresh_report, &clients, current);
+                let t_score = selection_score(&fresh_report, &clients, target);
+                let c_score = selection_score(&fresh_report, &clients, current);
                 if !clears_hysteresis(t_score, c_score) {
                     // The probe contradicted the stale vector: stay.
                     self.assigner.set_current(Some(current));

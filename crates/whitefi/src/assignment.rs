@@ -15,7 +15,7 @@
 //!   remembers the pre-switch goodput and recommends a revert when the
 //!   new channel measures worse.
 
-use crate::mcham::{objective_score, select_channel_with, NodeReport, Objective};
+use crate::mcham::{select_channel, selection_score, NodeReport};
 use whitefi_spectrum::WfChannel;
 
 /// Relative score margin a challenger must exceed for a voluntary
@@ -49,8 +49,7 @@ pub enum Decision {
 }
 
 /// The spectrum-assignment state machine (one per AP). It selects with
-/// the aggregate-throughput objective ([`Objective::Aggregate`]; the paper
-/// notes fairness objectives "can easily be implemented instead").
+/// the paper's aggregate-throughput objective ([`selection_score`]).
 #[derive(Debug, Clone, Default)]
 pub struct Assigner {
     current: Option<WfChannel>,
@@ -87,8 +86,7 @@ impl Assigner {
         clients: &[NodeReport],
         current_goodput: Option<f64>,
     ) -> Decision {
-        let Some((best, best_score)) = select_channel_with(Objective::Aggregate, ap, clients)
-        else {
+        let Some((best, best_score)) = select_channel(ap, clients) else {
             self.current = None;
             return Decision::NoChannel;
         };
@@ -114,7 +112,7 @@ impl Assigner {
         }
 
         // Voluntary: challenger must clear hysteresis.
-        let cur_score = objective_score(Objective::Aggregate, ap, clients, cur);
+        let cur_score = selection_score(ap, clients, cur);
         if clears_hysteresis(best_score, cur_score) {
             self.current = Some(best);
             self.pre_switch_goodput = current_goodput;

@@ -57,34 +57,22 @@ use whitefi_mac::{
     Simulator,
 };
 use whitefi_phy::SimDuration;
-use whitefi_spectrum::{AirtimeVector, IncumbentSet, SpectrumMap, UhfChannel, WfChannel};
+use whitefi_spectrum::{
+    AirtimeVector, IncumbentSet, LocaleClass, SpectrumMap, UhfChannel, WfChannel,
+};
 
-/// Incumbent density class of one cell's surroundings (§5.1 of the
-/// paper characterizes urban, suburban and rural white-space
-/// availability).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Locale {
-    /// Dense incumbents: a couple of narrow free fragments.
-    Urban,
-    /// Moderate occupancy: two mid-sized fragments.
-    Suburban,
-    /// Sparse incumbents: nearly the whole band free.
-    Rural,
-}
-
-impl Locale {
-    /// The locale's static spectrum map. Urban and suburban fragments
-    /// are disjoint on purpose, so in-range cells of those locales can
-    /// still land in different shards (their footprints never overlap).
-    pub fn map(self) -> SpectrumMap {
-        let free: &[usize] = match self {
-            Locale::Urban => &[12, 13, 14, 26],
-            Locale::Suburban => &[2, 3, 4, 5, 6, 17, 18, 19],
-            Locale::Rural => {
-                return occupied_map(&[0, 15]);
-            }
-        };
-        free_map(free)
+/// The static spectrum map of a city cell in a locale of class `class`
+/// (§5.1 of the paper characterizes urban, suburban and rural
+/// white-space availability): urban keeps a couple of narrow free
+/// fragments, suburban two mid-sized ones, rural nearly the whole band.
+/// Urban and suburban fragments are disjoint on purpose, so in-range
+/// cells of those classes can still land in different shards (their
+/// footprints never overlap).
+pub fn locale_map(class: LocaleClass) -> SpectrumMap {
+    match class {
+        LocaleClass::Urban => free_map(&[12, 13, 14, 26]),
+        LocaleClass::Suburban => free_map(&[2, 3, 4, 5, 6, 17, 18, 19]),
+        LocaleClass::Rural => occupied_map(&[0, 15]),
     }
 }
 
@@ -115,8 +103,6 @@ pub struct CityCell {
     pub range: f64,
     /// The cell's static incumbent map (locale-dependent).
     pub map: SpectrumMap,
-    /// The locale the map was drawn from (reporting only).
-    pub locale: Locale,
     /// Number of clients attached to the AP.
     pub n_clients: usize,
     /// Extra incumbents beyond the static map (e.g. mic schedules),
@@ -196,16 +182,15 @@ impl CityScenario {
         let mut cells = Vec::with_capacity(n_aps);
         for i in 0..n_aps {
             let (col, row) = (i % side.max(1), i / side.max(1));
-            let locale = match splitmix64(seed ^ (i as u64)) % 10 {
-                0..=2 => Locale::Urban,
-                3..=6 => Locale::Suburban,
-                _ => Locale::Rural,
+            let class = match splitmix64(seed ^ (i as u64)) % 10 {
+                0..=2 => LocaleClass::Urban,
+                3..=6 => LocaleClass::Suburban,
+                _ => LocaleClass::Rural,
             };
             cells.push(CityCell {
                 pos: (col as f64 * spacing_m, row as f64 * spacing_m),
                 range: range_m,
-                map: locale.map(),
-                locale,
+                map: locale_map(class),
                 n_clients: clients_per_ap,
                 extra_incumbents: None,
             });
@@ -248,7 +233,6 @@ impl CityScenario {
                 &[2, 3, 4, 17, 18, 19, 26]
             };
             cell.map = free_map(free);
-            cell.locale = Locale::Urban;
         }
         city
     }
@@ -734,11 +718,11 @@ mod tests {
         let a = CityScenario::grid(42, 64, 2, 100.0, 80.0);
         let b = CityScenario::grid(42, 64, 2, 100.0, 80.0);
         for (ca, cb) in a.cells.iter().zip(b.cells.iter()) {
-            assert_eq!(ca.locale, cb.locale);
+            assert_eq!(ca.map, cb.map);
             assert_eq!(ca.pos, cb.pos);
         }
-        let mut kinds: Vec<Locale> = a.cells.iter().map(|c| c.locale).collect();
-        kinds.dedup();
-        assert!(kinds.len() > 1, "locale mix collapsed to one class");
+        let mut maps: Vec<SpectrumMap> = a.cells.iter().map(|c| c.map).collect();
+        maps.dedup();
+        assert!(maps.len() > 1, "locale mix collapsed to one map");
     }
 }

@@ -41,10 +41,10 @@ pub mod scenario_fuzz;
 
 pub use ap::{ApBehavior, ApConfig};
 pub use assignment::Assigner;
-pub use chirp::{backup_candidates, choose_backup, choose_secondary_backup, ChirpDetector};
+pub use chirp::{backup_candidates, choose_backup, choose_secondary_backup};
 pub use city::{
-    largest_component_fraction, load_imbalance, merge_city, run_city, run_city_group, shard_plan,
-    CityCell, CityOutcome, CityRunStats, CityScenario, GroupOutcome, Locale, ShardPlan,
+    largest_component_fraction, load_imbalance, locale_map, merge_city, run_city, run_city_group,
+    shard_plan, CityCell, CityOutcome, CityRunStats, CityScenario, GroupOutcome, ShardPlan,
 };
 pub use client::{ClientBehavior, ClientConfig, ClientStart};
 pub use discovery::{
@@ -59,12 +59,9 @@ pub use oracles::{
     global_oracle_totals, OracleBank, OracleKind, OracleReport, OracleSet, OracleTotals, Violation,
 };
 pub use scenario_file::{
-    load, parse_str, CaseOutcome, CompiledCase, CompiledCity, CompiledSingleAp, LoadError,
-    ScenarioDoc, SchemaError,
+    load, parse_str, CaseOutcome, CompiledCase, CompiledSingleAp, LoadError, ScenarioDoc,
+    SchemaError,
 };
 pub use scenario_fuzz::{generate_doc, generate_file, sample_fault_plan};
 
-pub use mcham::{
-    evaluate_all, mcham, mcham_with, objective_score, select_channel, select_channel_with,
-    Combiner, NodeReport, Objective, RhoTable,
-};
+pub use mcham::{evaluate_all, mcham, mcham_with, select_channel, Combiner, NodeReport, RhoTable};

@@ -128,96 +128,6 @@ fn node_count_f64(clients: usize) -> f64 {
     clients.max(1) as f64
 }
 
-/// The channel-selection objective. The paper optimizes aggregate
-/// throughput and notes that "other metrics (such as metrics including
-/// fairness conditions) can easily be implemented instead".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Objective {
-    /// `N·MCham_AP + Σ_n MCham_n` — the paper's default.
-    #[default]
-    Aggregate,
-    /// `Σ log(MCham)` over the AP and every client — proportionally fair
-    /// across nodes' expected shares.
-    ProportionalFair,
-    /// `min(MCham)` over the AP and every client — max-min fairness: no
-    /// node is left on a channel that is terrible *for it*.
-    MaxMin,
-}
-
-/// Scores one candidate channel under the given objective.
-pub fn objective_score(
-    objective: Objective,
-    ap: &NodeReport,
-    clients: &[NodeReport],
-    channel: WfChannel,
-) -> f64 {
-    match objective {
-        Objective::Aggregate => selection_score(ap, clients, channel),
-        Objective::ProportionalFair => {
-            let mut sum = mcham(&ap.airtime, channel).max(1e-9).ln();
-            for c in clients {
-                sum += mcham(&c.airtime, channel).max(1e-9).ln();
-            }
-            sum
-        }
-        Objective::MaxMin => clients
-            .iter()
-            .map(|c| mcham(&c.airtime, channel))
-            .fold(mcham(&ap.airtime, channel), f64::min),
-    }
-}
-
-/// [`select_channel`] under an arbitrary objective.
-///
-/// Builds one [`RhoTable`] per node up front, then scores every
-/// candidate from the tables, so a selection over N nodes and 84
-/// candidates does N·30 share computations instead of N·84·span.
-pub fn select_channel_with(
-    objective: Objective,
-    ap: &NodeReport,
-    clients: &[NodeReport],
-) -> Option<(WfChannel, f64)> {
-    let combined =
-        SpectrumMap::union_all(std::iter::once(ap.map).chain(clients.iter().map(|c| c.map)));
-    let ap_table = RhoTable::new(&ap.airtime);
-    let client_tables: Vec<RhoTable> = clients.iter().map(|c| RhoTable::new(&c.airtime)).collect();
-    let n = node_count_f64(clients.len());
-    let mut best: Option<(WfChannel, f64)> = None;
-    for cand in combined.available_channels() {
-        let ap_m = ap_table.mcham(cand);
-        let score = match objective {
-            Objective::Aggregate => {
-                n * ap_m + client_tables.iter().map(|t| t.mcham(cand)).sum::<f64>()
-            }
-            Objective::ProportionalFair => {
-                let mut sum = ap_m.max(1e-9).ln();
-                for t in &client_tables {
-                    sum += t.mcham(cand).max(1e-9).ln();
-                }
-                sum
-            }
-            Objective::MaxMin => client_tables
-                .iter()
-                .map(|t| t.mcham(cand))
-                .fold(ap_m, f64::min),
-        };
-        let better = match best {
-            None => true,
-            Some((b, s)) => {
-                score > s + 1e-12
-                    || ((score - s).abs() <= 1e-12
-                        && (cand.width() > b.width()
-                            || (cand.width() == b.width()
-                                && cand.center().index() < b.center().index())))
-            }
-        };
-        if better {
-            best = Some((cand, score));
-        }
-    }
-    best
-}
-
 /// The AP's selection objective for one candidate channel:
 /// `N·MCham_AP + Σ_n MCham_n` (§4.1, "Channel selection").
 pub fn selection_score(ap: &NodeReport, clients: &[NodeReport], channel: WfChannel) -> f64 {
@@ -237,8 +147,35 @@ pub fn selection_score(ap: &NodeReport, clients: &[NodeReport], channel: WfChann
 /// Ties break deterministically toward the wider, lower-frequency
 /// channel, so repeated evaluations of an unchanged environment pick the
 /// same channel.
+///
+/// Builds one [`RhoTable`] per node up front, then scores every
+/// candidate from the tables, so a selection over N nodes and 84
+/// candidates does N·30 share computations instead of N·84·span.
 pub fn select_channel(ap: &NodeReport, clients: &[NodeReport]) -> Option<(WfChannel, f64)> {
-    select_channel_with(Objective::Aggregate, ap, clients)
+    let combined =
+        SpectrumMap::union_all(std::iter::once(ap.map).chain(clients.iter().map(|c| c.map)));
+    let ap_table = RhoTable::new(&ap.airtime);
+    let client_tables: Vec<RhoTable> = clients.iter().map(|c| RhoTable::new(&c.airtime)).collect();
+    let n = node_count_f64(clients.len());
+    let mut best: Option<(WfChannel, f64)> = None;
+    for cand in combined.available_channels() {
+        let score =
+            n * ap_table.mcham(cand) + client_tables.iter().map(|t| t.mcham(cand)).sum::<f64>();
+        let better = match best {
+            None => true,
+            Some((b, s)) => {
+                score > s + 1e-12
+                    || ((score - s).abs() <= 1e-12
+                        && (cand.width() > b.width()
+                            || (cand.width() == b.width()
+                                && cand.center().index() < b.center().index())))
+            }
+        };
+        if better {
+            best = Some((cand, score));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -379,58 +316,6 @@ mod tests {
         assert!(lo < hi, "min {lo} must be below max {hi}");
         // Product matches Equation 2 exactly.
         assert!((p - mcham(&airtime, c)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn maxmin_objective_protects_the_worst_client() {
-        // Client 0 sees heavy load on the low fragment; client 1 on the
-        // high one. Aggregate may pick either; max-min must pick the
-        // channel whose *worst* client share is largest.
-        let mk = |loads: &[(usize, f64)]| {
-            let mut a = AirtimeVector::idle();
-            for &(i, busy) in loads {
-                a.set_load(UhfChannel::from_index(i), ChannelLoad::new(busy, 2));
-            }
-            NodeReport {
-                map: SpectrumMap::all_free(),
-                airtime: a,
-            }
-        };
-        let ap = NodeReport::default();
-        // Client 0: low band crushed; client 1: mild load high band.
-        let c0 = mk(&[(2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0)]);
-        let c1 = mk(&[(20, 0.3)]);
-        let (best, score) = select_channel_with(Objective::MaxMin, &ap, &[c0, c1]).unwrap();
-        // The max-min winner avoids client 0's crushed band entirely.
-        assert!(best.low_index() > 6, "picked {best}");
-        assert!(score > 0.0);
-    }
-
-    #[test]
-    fn proportional_fair_between_aggregate_and_maxmin() {
-        let ap = NodeReport::default();
-        let clients = vec![NodeReport::default(); 2];
-        for obj in [
-            Objective::Aggregate,
-            Objective::ProportionalFair,
-            Objective::MaxMin,
-        ] {
-            let (best, _) = select_channel_with(obj, &ap, &clients).unwrap();
-            // On clean spectrum all objectives agree: widest channel.
-            assert_eq!(best.width(), Width::W20, "{obj:?}");
-        }
-    }
-
-    #[test]
-    fn default_objective_matches_select_channel() {
-        let ap = NodeReport {
-            map: SpectrumMap::from_free([5, 6, 7, 8, 9, 17]),
-            airtime: AirtimeVector::idle(),
-        };
-        assert_eq!(
-            select_channel(&ap, &[]),
-            select_channel_with(Objective::Aggregate, &ap, &[])
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   traffic mixes (CBR, Markov churn, scripted and diurnal windows)
 //!   and a full [`FaultPlan`];
 //! * `City(...)` — a multi-AP city grid ([`CityDoc`] →
-//!   [`CompiledCity`]) with per-cell strike overrides and shard plan.
+//!   [`CityScenario`]) with per-cell strike overrides.
 //!
 //! The grammar is the RON subset `ident`, integers, floats, strings,
 //! `[lists]`, `Name(field: value, ...)` structs, `Name(v0, v1)` tuples,
@@ -20,7 +20,7 @@
 //! prefixes the file path so failures print `file:line:col: message`.
 //! No code path unwraps (whitefi-lint R4).
 
-use crate::city::{run_city, CityOutcome, CityRunStats, CityScenario};
+use crate::city::{run_city, CityOutcome, CityScenario};
 use crate::driver::{
     run_fixed, run_whitefi, BackgroundPair, BackgroundTraffic, Scenario, ScenarioOutcome,
 };
@@ -1098,8 +1098,6 @@ pub struct CityDoc {
     pub overrides: Vec<CellOverride>,
     /// Optional fault plan.
     pub faults: Option<FaultPlan>,
-    /// Shard count for the parallel run.
-    pub shards: usize,
 }
 
 impl ScenarioDoc {
@@ -1117,7 +1115,7 @@ impl ScenarioDoc {
     pub fn compile(&self) -> CompiledCase {
         match self {
             ScenarioDoc::SingleAp(d) => CompiledCase::SingleAp(Box::new(d.compile())),
-            ScenarioDoc::City(d) => CompiledCase::City(Box::new(d.compile())),
+            ScenarioDoc::City(d) => CompiledCase::City(d.compile()),
         }
     }
 }
@@ -1261,22 +1259,6 @@ impl SingleApDoc {
     }
 }
 
-/// A compiled city case: the engine [`CityScenario`] plus shard plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledCity {
-    /// The engine city, byte-identical to the hand-coded build.
-    pub city: CityScenario,
-    /// Shard count.
-    pub shards: usize,
-}
-
-impl CompiledCity {
-    /// Runs the city with the document's shard plan.
-    pub fn run(&self) -> (CityOutcome, CityRunStats) {
-        run_city(&self.city, self.shards)
-    }
-}
-
 impl CityDoc {
     /// Builds the base city (topology only — no overrides applied).
     pub fn base_city(&self) -> CityScenario {
@@ -1296,7 +1278,7 @@ impl CityDoc {
 
     /// Compiles to the engine [`CityScenario`]. Infallible: every
     /// cross-field constraint was validated at decode time.
-    pub fn compile(&self) -> CompiledCity {
+    pub fn compile(&self) -> CityScenario {
         let mut city = self.base_city();
         city.warmup = self.warmup;
         city.duration = self.duration;
@@ -1319,10 +1301,7 @@ impl CityDoc {
             }
         }
         city.faults = self.faults.clone();
-        CompiledCity {
-            city,
-            shards: self.shards,
-        }
+        city
     }
 }
 
@@ -1332,7 +1311,7 @@ pub enum CompiledCase {
     /// Single-AP case.
     SingleAp(Box<CompiledSingleAp>),
     /// City case.
-    City(Box<CompiledCity>),
+    City(CityScenario),
 }
 
 /// The outcome of running a [`CompiledCase`].
@@ -1345,12 +1324,12 @@ pub enum CaseOutcome {
 }
 
 impl CompiledCase {
-    /// Runs the case (city stats are dropped; use [`CompiledCity::run`]
-    /// directly when they matter).
+    /// Runs the case. A city runs as one simulator group: by DESIGN.md
+    /// §13 every shard count gives the same outcome.
     pub fn run(&self) -> CaseOutcome {
         match self {
             CompiledCase::SingleAp(c) => CaseOutcome::SingleAp(c.run()),
-            CompiledCase::City(c) => CaseOutcome::City(c.run().0),
+            CompiledCase::City(c) => CaseOutcome::City(run_city(c, 1).0),
         }
     }
 }
@@ -2039,16 +2018,6 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         Some(v) => Some(faults_of(v)?),
         None => None,
     };
-    let shards = match f.get("shards") {
-        Some(v) => {
-            let s = usize_of(v)?;
-            if s == 0 {
-                return Err(SchemaError::at(v.span, "`shards` must be at least 1"));
-            }
-            s
-        }
-        None => 1,
-    };
     f.finish(&[
         "version",
         "seed",
@@ -2060,7 +2029,6 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         "uplink_bytes",
         "overrides",
         "faults",
-        "shards",
     ])?;
     Ok(CityDoc {
         seed,
@@ -2072,7 +2040,6 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         uplink_bytes,
         overrides,
         faults,
-        shards,
     })
 }
 
@@ -2379,7 +2346,6 @@ fn write_city(out: &mut String, d: &CityDoc) {
     if let Some(p) = &d.faults {
         write_faults(out, "    ", p);
     }
-    let _ = writeln!(out, "    shards: {},", d.shards);
     let _ = writeln!(out, ")");
 }
 

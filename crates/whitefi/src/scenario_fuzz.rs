@@ -242,9 +242,6 @@ pub fn generate_city(seed: u64) -> CityDoc {
             range_m: f64::from(topo.gen_range(100..=150u32)),
         }
     };
-    let aps = match grid {
-        GridSpec::Grid { aps, .. } | GridSpec::Checkerboard { aps, .. } => aps,
-    };
 
     let mut timing = stream(seed, STREAM_TIMING);
     let warmup = ms_dur(100 * timing.gen_range(1..=3u64));
@@ -289,9 +286,6 @@ pub fn generate_city(seed: u64) -> CityDoc {
     let mut faultr = stream(seed, STREAM_FAULTS);
     let faults = faultr.gen_bool(0.5).then(|| sample_fault_plan(seed ^ 1));
 
-    let mut runr = stream(seed, STREAM_RUN);
-    let shards = runr.gen_range(1..=4usize).min(aps);
-
     CityDoc {
         seed: city_seed,
         grid,
@@ -302,7 +296,6 @@ pub fn generate_city(seed: u64) -> CityDoc {
         uplink_bytes: Some(500),
         overrides,
         faults,
-        shards,
     }
 }
 

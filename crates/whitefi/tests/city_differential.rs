@@ -12,10 +12,10 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use whitefi::driver::{run_whitefi, Scenario};
-use whitefi::{merge_city, run_city, run_city_group, shard_plan, CityScenario, Locale};
+use whitefi::{locale_map, merge_city, run_city, run_city_group, shard_plan, CityScenario};
 use whitefi_mac::{FaultPlan, NodeConfig};
 use whitefi_phy::{SimDuration, SimTime};
-use whitefi_spectrum::{IncumbentSet, MicActivity, MicSchedule, WirelessMic};
+use whitefi_spectrum::{IncumbentSet, LocaleClass, MicActivity, MicSchedule, WirelessMic};
 
 fn quick(mut city: CityScenario) -> CityScenario {
     city.warmup = SimDuration::from_millis(300);
@@ -98,15 +98,9 @@ fn random_topology_sharded_equals_unsharded() {
         let (shards, with_faults) = (rng.gen_range(2..5), rng.gen::<bool>());
         let mut city = quick(CityScenario::grid(seed, cells.len(), 1, 100.0, 50.0));
         for (cell, &(x, y, range, locale, n_clients)) in city.cells.iter_mut().zip(cells.iter()) {
-            let locale = match locale {
-                0 => Locale::Urban,
-                1 => Locale::Suburban,
-                _ => Locale::Rural,
-            };
             cell.pos = (x, y);
             cell.range = range;
-            cell.locale = locale;
-            cell.map = locale.map();
+            cell.map = locale_map(LocaleClass::ALL[locale]);
             cell.n_clients = n_clients;
         }
         if with_faults {

@@ -10,17 +10,13 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use whitefi::{
     backup_candidates, baseline_discovery, evaluate_all, j_sift_discovery, l_sift_discovery, mcham,
-    select_channel, ChirpDetector, NodeReport, SyntheticOracle,
+    select_channel, NodeReport, SyntheticOracle,
 };
-use whitefi_phy::synth::{Burst, BurstKind};
-use whitefi_phy::timing::chirp_bytes_for_slot;
-use whitefi_phy::{PhyTiming, SimDuration, SimTime, Synthesizer};
 use whitefi_spectrum::{
     AirtimeVector, ChannelLoad, SpectrumMap, UhfChannel, WfChannel, Width, NUM_UHF_CHANNELS,
 };
 
 const CASES: u64 = 64;
-const CHIRP_CASES: u64 = 32;
 
 fn arb_map(rng: &mut impl Rng) -> SpectrumMap {
     SpectrumMap::from_bits(rng.gen_range(0u32..(1 << NUM_UHF_CHANNELS)))
@@ -212,56 +208,4 @@ fn width_preference_monotone_in_uniform_load() {
             assert!(wide, "case {case}: wide wins at load {heavy}, not {light}");
         }
     }
-}
-
-/// A noise-only backup-channel capture never produces chirp
-/// detections: receiver noise stays below the SIFT burst threshold
-/// for every noise seed.
-#[test]
-fn chirp_detector_silent_on_noise() {
-    for case in 0..CHIRP_CASES {
-        let seed = ChaCha8Rng::seed_from_u64(case).gen_range(0..1000);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let trace = Synthesizer::new().synthesize(&[], SimDuration::from_millis(8), &mut rng);
-        let found = ChirpDetector::new().detect(&trace);
-        assert!(found.is_empty(), "case {case}: seed {seed}: {found:?}");
-    }
-}
-
-/// An injected chirp is always found and its identity slot decoded
-/// from the on-air length, across slots, start offsets, amplitudes
-/// and noise seeds (the length must match
-/// `ChirpDetector::expected_samples` within SIFT's tolerance).
-fn check_chirp_decodes(label: &str, slot: u8, start_us: u64, amplitude: f64, seed: u64) {
-    let burst = Burst {
-        start: SimTime::from_micros(start_us),
-        duration: PhyTiming::for_width(Width::W5).frame_duration(chirp_bytes_for_slot(slot)),
-        width: Width::W5,
-        amplitude,
-        kind: BurstKind::Chirp,
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let trace = Synthesizer::new().synthesize(&[burst], SimDuration::from_millis(12), &mut rng);
-    let found = ChirpDetector::new().detect(&trace);
-    let ctx = format!("{label}: slot {slot} start_us {start_us} amp {amplitude} seed {seed}");
-    assert_eq!(found.len(), 1, "{ctx}: {found:?}");
-    assert_eq!(found[0].slot, Some(slot), "{ctx}: {found:?}");
-}
-
-#[test]
-fn chirp_detector_decodes_injected_slot() {
-    for case in 0..CHIRP_CASES {
-        let mut rng = ChaCha8Rng::seed_from_u64(case);
-        let (slot, start_us) = (rng.gen_range(0u8..16), rng.gen_range(100..2_000));
-        let (amplitude, seed) = (rng.gen_range(600.0..2_000.0), rng.gen_range(0..1000));
-        check_chirp_decodes(&format!("case {case}"), slot, start_us, amplitude, seed);
-    }
-}
-
-/// Inputs that failed in the past, kept as fixed cases: the first was
-/// not detected at all, the second decoded as slot 9.
-#[test]
-fn chirp_detector_decodes_injected_slot_past_failures() {
-    check_chirp_decodes("missed", 6, 1035, 1000.0, 844);
-    check_chirp_decodes("decoded as slot 9", 11, 1183, 800.0, 788);
 }

@@ -10,13 +10,11 @@
 //! must conserve airtime, *no matter which messages the fault layer
 //! eats*.
 //!
-//! The companion suite in `crates/bench/tests/sim_torture.rs` fans the
-//! full 256-plan sweep across the worker pool; this one keeps a bounded
-//! deterministic subset in the default test run. Case count:
-//! `SIM_TORTURE_CASES` (default 24). Half the cases (odd indices) are
-//! drawn from the `scenario_fuzz` generator instead of the hand-rolled
-//! mix, so the declarative schema's whole envelope runs under the same
-//! oracle bank.
+//! Case count: `SIM_TORTURE_CASES` (default 24, so the default test run
+//! stays bounded; `scripts/check.sh` runs 256). Half the cases (odd
+//! indices) are drawn from the `scenario_fuzz` generator instead of the
+//! hand-rolled mix, so the declarative schema's whole envelope runs
+//! under the same oracle bank.
 
 // Case-mix arithmetic narrows small `Mix::below` draws into indices; the
 // values are single digits, the casts exact.
@@ -262,12 +260,12 @@ fn city_torture_case(case: u64) -> (CityScenario, usize) {
 }
 
 /// Case mix for the city sweep, mirroring [`single_ap_case`]: odd
-/// indices come from the fuzzer's city generator (its own shard count
-/// included), even indices from the hand-rolled geometry above.
+/// indices come from the fuzzer's city generator, even indices from the
+/// hand-rolled geometry above.
 fn city_case(case: u64) -> (CityScenario, usize) {
     if case % 2 == 1 {
-        let compiled = whitefi::scenario_fuzz::generate_city(0xC170_0001 ^ case).compile();
-        (compiled.city, compiled.shards)
+        let city = whitefi::scenario_fuzz::generate_city(0xC170_0001 ^ case).compile();
+        (city, 2 + (case % 3) as usize)
     } else {
         city_torture_case(case)
     }

@@ -18,9 +18,17 @@
 # files ran whose `digest=` values (on the `workload=… seed=…` lines)
 # are equal on both sides, and lists the seeds whose digests differ.
 # The digest count is informational: a change to numerics legitimately
-# moves digests. Exits 1 if an end-to-end metric worsens by more than
-# its bound (relative to the parent median), and 2 if either file holds
-# no result lines.
+# moves digests.
+#
+# Each end-to-end metric also gets a line with both sides' quartiles
+# (q1 median q3). When the parent's interquartile range exceeds the
+# metric's bound relative to its median, the parent runs spread too
+# widely to resolve a change of that size: the metric is tagged
+# `unresolved` and listed in the summary. The tag is informational.
+#
+# Exits 1 if an end-to-end metric worsens by more than its bound
+# (relative to the parent median), and 2 if either file holds no result
+# lines.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -83,13 +91,23 @@ def compare_digests(base, cand):
             print(f"  seed {s} differs: parent {b} change {c}")
 
 
+def quartiles(values):
+    """(q1, median, q3) of a non-empty list, inclusive method."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def compare_layerbench(base, cand):
     with open(spec_path) as f:
         spec = json.load(f)
     catalogue = {m["name"]: m for m in spec.get("per_layer", [])}
     catalogue.update({m["name"]: m for m in spec.get("end_to_end", [])})
+    end_to_end = {m["name"] for m in spec.get("end_to_end", []) if "bound" in m}
     print(f"{'workload':13} {'metric':32} {'parent':>12} {'change':>12} {'ratio':>7}  better")
     regressions = []
+    unresolved = []
     for workload in sorted(set(base) | set(cand)):
         if workload not in base or workload not in cand:
             side = "parent" if workload not in base else "change"
@@ -113,8 +131,23 @@ def compare_layerbench(base, cand):
                     flag = f"  <-- worse by {rel:.1%} (bound {entry['bound']:.0%})"
                     regressions.append((workload, name, bm, cm))
             print(f"{workload:13} {name:32} {bm:12.6g} {cm:12.6g} {ratio}  {better}{flag}")
+            if name in end_to_end:
+                bq, cq = quartiles(b), quartiles(c)
+                spread = (bq[2] - bq[0]) / abs(bm) if bm else bq[2] - bq[0]
+                tag = ""
+                if spread > entry["bound"]:
+                    tag = f"  unresolved (parent IQR/median {spread:.1%} > bound {entry['bound']:.0%})"
+                    unresolved.append((workload, name, spread, entry["bound"]))
+                quart = lambda q: " ".join(f"{v:.6g}" for v in q)
+                print(f"{'':13} {'  quartiles':32} parent [{quart(bq)}] change [{quart(cq)}]{tag}")
     print()
     compare_digests(digests(base_path), digests(cand_path))
+    if unresolved:
+        print(f"\n{len(unresolved)} end-to-end metric(s) unresolved (parent spread wider than the bound):")
+        for workload, name, spread, bound in unresolved:
+            print(f"  unresolved {workload} {name}: parent IQR/median {spread:.1%} > bound {bound:.0%}")
+    else:
+        print("\nno end-to-end metric unresolved")
     if regressions:
         print(f"\n{len(regressions)} end-to-end metric(s) worse than their bound:", file=sys.stderr)
         for workload, name, bm, cm in regressions:

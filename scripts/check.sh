@@ -3,7 +3,9 @@
 # Run from the repository root: scripts/check.sh
 #
 #   --bless    re-bless the golden files (GOLDEN_BLESS=1: the golden
-#              trace test, the layerbench city, paper_sweep and
+#              trace test, the scenario-file outcomes in
+#              tests/golden/scenario_files.txt, the layerbench city,
+#              paper_sweep and
 #              sift_capture digests at seed 1, plus city and
 #              paper_sweep at seed 7, and the quick sweep's numbers in
 #              tests/golden/quick_sweep.txt) after an intended
@@ -111,13 +113,14 @@ cargo test --workspace -q
 # a filtered `cargo test` invocation can never silently skip it.
 cargo test --release -q -p whitefi-phy --test kernel_differential
 
-# Invariant torture lane: the full 256-plan randomized fault-injection
-# sweep plus its order-independence check (ignored by default — too slow
-# for the tier-1 lane above, which already runs a 24-case slice). Any
-# protocol-oracle Violation under an adaptive run fails here; the quick
-# experiment sweep below additionally exits non-zero if any seed
-# scenario reports an adaptive oracle violation.
-cargo test --release -q -p whitefi-bench --test sim_torture -- --ignored
+# Invariant torture lane: the tier-1 lane above runs a 24-case slice of
+# the randomized fault-injection sweep; this stage widens it to 256
+# single-AP fault plans and 256 city cases, each city case run unsharded
+# and sharded. Any protocol-oracle Violation under an adaptive run fails
+# here; the quick experiment sweep below additionally exits non-zero if
+# any seed scenario reports an adaptive oracle violation.
+SIM_TORTURE_CASES="${SIM_TORTURE_CASES:-256}" \
+    cargo test --release -q -p whitefi --test sim_torture
 
 # Generative fuzz smoke (DESIGN.md §15): sample the scenario schema
 # broadly and require zero oracle violations. The tier-1 lane above runs
@@ -133,8 +136,9 @@ SCENARIO_FUZZ_CASES="${SCENARIO_FUZZ_CASES:-32}" \
 # fault-injected and fuzzed scenario also checks each interference
 # verdict against the history scan, carrier counts against the active
 # list and the re-plan obligation after every transmission (DESIGN.md
-# §8). About 1 s once the test binaries are built.
-cargo test -q -p whitefi-bench --test sim_torture -- --ignored
+# §8). About 5 s once the test binaries are built.
+SIM_TORTURE_CASES="${SIM_TORTURE_CASES:-256}" \
+    cargo test -q -p whitefi --test sim_torture
 SCENARIO_FUZZ_CASES="${SCENARIO_FUZZ_CASES:-32}" \
     cargo test -q -p whitefi --test fuzz_sweep
 
@@ -172,6 +176,20 @@ elif ! diff tests/golden/quick_sweep.txt "$sweep_dir/jobs1.txt"; then
 else
     echo "experiments: quick sweep matches tests/golden/quick_sweep.txt"
 fi
+
+# Spread check of the comparison itself: on a fixture pair whose parent
+# runs spread wider than wall_s's bound (interquartile range over the
+# median), bench_compare.sh must tag wall_s, and only wall_s,
+# `unresolved` in its summary and still exit 0, since no median is
+# worse than its bound.
+spread=$(scripts/bench_compare.sh scripts/testdata/spread_parent.jsonl scripts/testdata/spread_change.jsonl)
+if [ "$(grep -c '^  unresolved ' <<<"$spread")" != 1 ] ||
+    ! grep -q '^  unresolved paper_sweep wall_s: ' <<<"$spread"; then
+    echo "$spread" >&2
+    echo "bench_compare: the wide-spread fixture is not tagged unresolved on wall_s alone" >&2
+    exit 1
+fi
+echo "bench_compare: wide parent spread tagged unresolved"
 
 # Committed performance evidence: every bench-history/BENCH_<sha>-dirty.jsonl
 # (layerbench runs of a change, taken beside its parent with
