@@ -23,9 +23,8 @@ pub mod sweep;
 pub mod table1;
 
 use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use whitefi_phy::synth::Burst;
-use whitefi_phy::{Detection, Sift, SimDuration, StreamingSift, Synthesizer};
+use whitefi_phy::{ChaCha8Rng, Detection, Sift, SimDuration, StreamingSift, Synthesizer};
 
 /// Deterministic RNG for experiment `id`/replica.
 pub(crate) fn rng(seed: u64) -> ChaCha8Rng {

@@ -20,9 +20,8 @@
 
 use crate::frames::NodeId;
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
-use whitefi_phy::{SimDuration, SimTime};
+use whitefi_phy::{ChaCha8Rng, SimDuration, SimTime};
 
 /// Salt separating the fault RNG family from the node behaviour family
 /// (which is seeded directly from the simulator seed).

@@ -35,10 +35,9 @@ use crate::medium::{Medium, Transmission};
 use crate::stats::NodeStats;
 use crate::timers::{Deadline, DeadlineSlots, TimerKind};
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use whitefi_phy::{PhyTiming, SimDuration, SimTime};
+use whitefi_phy::{ChaCha8Rng, PhyTiming, SimDuration, SimTime};
 use whitefi_spectrum::{IncumbentSet, SpectrumMap, UhfChannel, WfChannel, Width, NUM_UHF_CHANNELS};
 
 /// Scanner sensitivity used for incumbent detection, dBm. The KNOWS

@@ -13,6 +13,8 @@
 //! * [`synth`] — synthesis of raw amplitude (`sqrt(I² + Q²)`) sample
 //!   traces from a schedule of bursts, including the low-amplitude head
 //!   of 5 MHz packets visible in Figure 5;
+//! * [`rng`] — the workspace's ChaCha8 generator, whose word reads the
+//!   synthesis kernels inline;
 //! * [`kernels`] — the batched 4-wide lane kernels behind both
 //!   [`synth`] and [`sift`], each paired with a scalar reference that
 //!   differential tests hold bit-identical;
@@ -33,6 +35,7 @@
 
 pub mod attenuation;
 pub mod kernels;
+pub mod rng;
 pub mod scanner;
 pub mod sift;
 pub mod sniffer;
@@ -41,6 +44,7 @@ pub mod time;
 pub mod timing;
 
 pub use attenuation::{amplitude_after, db_to_amplitude_ratio, NoiseModel};
+pub use rng::ChaCha8Rng;
 pub use scanner::{Scanner, VisibleBurst};
 pub use sift::{Detection, DetectionKind, RawBurst, Sift, SiftConfig, StreamingSift};
 pub use sniffer::Sniffer;

@@ -64,6 +64,11 @@ fn busy_f64(n: u64) -> f64 {
     n as f64
 }
 
+/// SIFT's tolerance, in samples, when matching gaps and burst lengths
+/// against their expected values: [`SiftConfig::default`]'s
+/// `match_tolerance`, and the margin the AP's chirp recognition allows.
+pub const MATCH_TOLERANCE: f64 = 4.0;
+
 /// SIFT detector parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiftConfig {
@@ -86,7 +91,7 @@ impl Default for SiftConfig {
         Self {
             threshold: 150.0,
             window: 5,
-            match_tolerance: 4.0,
+            match_tolerance: MATCH_TOLERANCE,
             merge_gap: 5,
         }
     }

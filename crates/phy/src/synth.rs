@@ -48,10 +48,10 @@
 
 use crate::attenuation::NoiseModel;
 use crate::kernels::{self, SplitNoise};
+use crate::rng::ChaCha8Rng;
 use crate::sift::SiftConfig;
 use crate::time::{SimDuration, SimTime};
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use whitefi_spectrum::Width;
 
 /// Nanoseconds represented by one SDR sample (1 MS/s ⇒ 1.024 µs).

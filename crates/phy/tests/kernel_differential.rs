@@ -6,13 +6,12 @@
 //! are only admissible because they reassociate nothing (DESIGN.md §12).
 
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use whitefi_phy::attenuation::NoiseModel;
 use whitefi_phy::kernels;
 use whitefi_phy::synth::{data_ack_exchange, duration_to_samples};
 use whitefi_phy::{
-    Burst, BurstKind, Sift, SimDuration, SimTime, StreamingSift, SynthStream, Synthesizer,
-    BLOCK_SAMPLES,
+    Burst, BurstKind, ChaCha8Rng, Sift, SimDuration, SimTime, StreamingSift, SynthStream,
+    Synthesizer, BLOCK_SAMPLES,
 };
 use whitefi_spectrum::Width;
 

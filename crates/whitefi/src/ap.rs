@@ -23,6 +23,7 @@ use crate::assignment::{clears_hysteresis, Assigner, Decision};
 use crate::chirp::{chirp_samples, choose_backup, choose_secondary_backup};
 use crate::mcham::{selection_score, NodeReport};
 use whitefi_mac::{Behavior, Ctx, Frame, FrameKind, NodeId};
+use whitefi_phy::sift::MATCH_TOLERANCE;
 use whitefi_phy::synth::duration_to_samples;
 use whitefi_phy::{SimDuration, SimTime};
 use whitefi_spectrum::{AirtimeVector, ChannelLoad, SpectrumMap, UhfChannel, WfChannel, Width};
@@ -115,12 +116,12 @@ enum Mode {
 }
 
 /// SIFT burst-length matching: whether a burst of this width and
-/// on-air duration is a chirp of some slot (±4 samples).
+/// on-air duration is a chirp of some slot (±[`MATCH_TOLERANCE`]
+/// samples).
 fn is_chirp(width: Width, duration: SimDuration) -> bool {
-    let tol = 4.0;
     width == Width::W5 && {
         let len = duration_to_samples(duration);
-        (0u8..=15).any(|s| (len - chirp_samples(s)).abs() <= tol)
+        (0u8..=15).any(|s| (len - chirp_samples(s)).abs() <= MATCH_TOLERANCE)
     }
 }
 

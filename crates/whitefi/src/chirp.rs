@@ -69,6 +69,7 @@ pub fn chirp_samples(slot: u8) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whitefi_phy::sift::MATCH_TOLERANCE;
 
     #[test]
     fn backup_is_free_5mhz_disjoint_from_main() {
@@ -101,7 +102,11 @@ mod tests {
     fn slot_lengths_are_separated_beyond_tolerance() {
         for s in 0..15u8 {
             let d = chirp_samples(s + 1) - chirp_samples(s);
-            assert!(d > 2.0 * 4.0, "slots {s},{} too close: {d}", s + 1);
+            assert!(
+                d > 2.0 * MATCH_TOLERANCE,
+                "slots {s},{} too close: {d}",
+                s + 1
+            );
         }
     }
 }

@@ -25,12 +25,11 @@ use crate::driver::{
     run_fixed, run_whitefi, BackgroundPair, BackgroundTraffic, Scenario, ScenarioOutcome,
 };
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 use whitefi_mac::FaultPlan;
-use whitefi_phy::{SimDuration, SimTime};
+use whitefi_phy::{ChaCha8Rng, SimDuration, SimTime};
 use whitefi_spectrum::{
     IncumbentSet, MicActivity, MicSchedule, SpectrumMap, UhfChannel, WfChannel, Width, WirelessMic,
     NUM_UHF_CHANNELS,

@@ -21,9 +21,8 @@ use crate::scenario_file::{
     ScenarioDoc, SeedSource, SingleApDoc, TrafficSpec,
 };
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use whitefi_mac::{splitmix64, FaultPlan};
-use whitefi_phy::{SimDuration, SimTime};
+use whitefi_phy::{ChaCha8Rng, SimDuration, SimTime};
 use whitefi_spectrum::{UhfChannel, NUM_UHF_CHANNELS};
 
 /// Salt mixed into every fuzz seed so fuzzer streams never collide with

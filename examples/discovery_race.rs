@@ -16,6 +16,7 @@ use whitefi::{
     baseline_discovery, expected_scans_j_sift, expected_scans_l_sift, j_sift_discovery,
     l_sift_discovery, SyntheticOracle,
 };
+use whitefi_phy::ChaCha8Rng;
 use whitefi_spectrum::{SpectrumMap, UhfChannel};
 
 fn main() {
@@ -30,11 +31,11 @@ fn main() {
             map.set_free(UhfChannel::from_index(i));
         }
         let placements = map.available_channels();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(width as u64);
+        let mut rng = ChaCha8Rng::seed_from_u64(width as u64);
         let mut sums = [0.0f64; 3];
         for _ in 0..trials {
             let ap = placements[rng.gen_range(0..placements.len())];
-            let mk = |s| SyntheticOracle::new(ap, rand_chacha::ChaCha8Rng::seed_from_u64(s));
+            let mk = |s| SyntheticOracle::new(ap, ChaCha8Rng::seed_from_u64(s));
             sums[0] += f64::from(
                 baseline_discovery(&mut mk(rng.gen()), map)
                     .expect("map has free channels")

@@ -12,7 +12,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use whitefi::driver::{run_whitefi, Scenario};
 use whitefi::{baseline_discovery, j_sift_discovery, SyntheticOracle};
-use whitefi_phy::SimDuration;
+use whitefi_phy::{ChaCha8Rng, SimDuration};
 use whitefi_spectrum::{Locale, LocaleClass};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1848);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
     for class in [LocaleClass::Rural, LocaleClass::Urban] {
         let locale = Locale::sample(class, &mut rng);
@@ -56,14 +56,14 @@ fn main() {
             // A fresh random AP placement per trial, so the deterministic
             // scan orders are averaged over positions.
             let ap = placements[rng.gen_range(0..placements.len())];
-            let mut o = SyntheticOracle::new(ap, rand_chacha::ChaCha8Rng::seed_from_u64(seed + t));
+            let mut o = SyntheticOracle::new(ap, ChaCha8Rng::seed_from_u64(seed + t));
             trials_base.push(
                 baseline_discovery(&mut o, locale.map)
                     .expect("placements nonempty")
                     .time
                     .as_secs_f64(),
             );
-            let mut o = SyntheticOracle::new(ap, rand_chacha::ChaCha8Rng::seed_from_u64(seed + t));
+            let mut o = SyntheticOracle::new(ap, ChaCha8Rng::seed_from_u64(seed + t));
             trials_j.push(
                 j_sift_discovery(&mut o, locale.map)
                     .expect("placements nonempty")

@@ -32,10 +32,25 @@ if bad:
     sys.exit("non-path dependencies: " + ", ".join(bad))
 print("registry-free: every package is a path dependency")'
 
+# One-generator gate: the workspace draws every random word from
+# whitefi_phy::ChaCha8Rng. The rand_chacha stand-in is only that
+# generator's reference twin (crates/phy/tests/rng_equivalence.rs), so a
+# package may depend on it only as a dev-dependency; a normal or build
+# dependency on it fails here, by the depending package's name.
+cargo metadata --format-version 1 --no-deps | python3 -c 'import json, sys
+bad = sorted({p["name"] + " (" + (d["kind"] or "normal") + ")"
+              for p in json.load(sys.stdin)["packages"]
+              for d in p["dependencies"]
+              if d["name"] == "rand_chacha" and d["kind"] != "dev"})
+if bad:
+    sys.exit("rand_chacha outside [dev-dependencies]: " + ", ".join(bad))
+print("one generator: rand_chacha is only a dev-dependency (the test twin)")'
+
 # Tier-1 coverage gate: `cargo test` at the root runs the default
 # members, so the root package and every crates/* package must be one,
 # or tier-1 silently shrinks. A missing package fails here, by name.
-# (The rand/rand_chacha stand-ins are implicit path members, not ours.)
+# (The rand stand-in and the rand_chacha test twin are implicit path
+# members, not ours.)
 cargo metadata --format-version 1 --no-deps | python3 -c 'import json, os, sys
 meta = json.load(sys.stdin)
 root = meta["workspace_root"]
@@ -49,9 +64,11 @@ print("default members: the root package and all", len(ours) - 1, "crates/* pack
 
 # Offline lane: the layer benchmark is a workspace of its own. The
 # rand/rand_chacha stand-ins under layerbench/stand-ins serve both
-# workspaces (this one depends on them by path, layerbench patches
-# crates.io with them), so it compiles and tests the
-# spectrum/phy/mac/whitefi libraries without crates.io access.
+# workspaces (this one depends on them by path, rand_chacha only as the
+# test twin of whitefi_phy::ChaCha8Rng; layerbench patches crates.io
+# with them and seeds its captures with the stand-in), so it compiles
+# and tests the spectrum/phy/mac/whitefi libraries without crates.io
+# access.
 cargo test --offline --release --manifest-path layerbench/Cargo.toml -q
 
 # Offline outcome-identity lane: each layer-benchmark job digests its
@@ -109,9 +126,11 @@ cargo test --workspace -q
 
 # Scalar-vs-batched differential gate: the lane kernels, the streaming
 # SIFT front end and the block synthesizer must stay bit-identical to
-# their scalar/buffered references (DESIGN.md §12). Runs explicitly so
-# a filtered `cargo test` invocation can never silently skip it.
-cargo test --release -q -p whitefi-phy --test kernel_differential
+# their scalar/buffered references, and the in-tree ChaCha8 generator
+# word-identical to its rand_chacha twin (DESIGN.md §12). Runs
+# explicitly so a filtered `cargo test` invocation can never silently
+# skip it.
+cargo test --release -q -p whitefi-phy --test kernel_differential --test rng_equivalence
 
 # Invariant torture lane: the tier-1 lane above runs a 24-case slice of
 # the randomized fault-injection sweep; this stage widens it to 256
