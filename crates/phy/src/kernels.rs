@@ -2,14 +2,16 @@
 //!
 //! SIFT and the waveform synthesizer process 1 MS/s amplitude traces;
 //! per-sample scalar loops over those traces dominated the experiment
-//! sweeps' wall time. This module rewrites the four sample-domain
-//! primitives as **4-wide lane kernels**: manual chunking over plain
-//! slices (no nightly/portable-SIMD dependency) shaped so LLVM's
-//! auto-vectorizer emits SIMD for the lane bodies.
+//! sweeps' wall time. This module rewrites the sample-domain primitives
+//! as **batched kernels**: manual chunking over plain slices (no
+//! nightly/portable-SIMD dependency) shaped so LLVM's auto-vectorizer
+//! emits SIMD for the lane bodies, and SIFT's [`RunKernel`], which
+//! classifies 64-window chunks against the threshold and sums only the
+//! windows that straddle it.
 //!
 //! Every kernel comes in two forms:
 //!
-//! * the batched kernel (`window_sums`, `above_runs`, …) — the
+//! * the batched kernel (`RunKernel::above_runs`, `add_noise`, …) — the
 //!   production path;
 //! * a `_ref` scalar reference — the semantic contract, kept forever so
 //!   differential tests (`crates/phy/tests/kernel_differential.rs`,
@@ -20,10 +22,12 @@
 //! by luck: each output element is an *independent* expression with a
 //! fixed per-lane evaluation order (f64 additions left-to-right within
 //! one element, RNG draws sample-major), so no cross-element
-//! accumulator exists whose rounding could depend on chunk width. That
-//! is also what makes the streaming SIFT chunking-invariant: an
-//! element's value never depends on where a block boundary falls. See
-//! `DESIGN.md` §12 for the full contract.
+//! accumulator exists whose rounding could depend on chunk width; and
+//! where the run kernel skips a window sum, a bound checked for its
+//! configuration proves the comparison it skipped. That is also what
+//! makes the streaming SIFT chunking-invariant: an element's value
+//! never depends on where a block boundary falls. See `DESIGN.md` §12
+//! for the full contract.
 
 use crate::sift::RawBurst;
 use rand::Rng;
@@ -41,6 +45,13 @@ fn count_u64(n: usize) -> u64 {
     n as u64
 }
 
+/// Window length as `f64`, as SIFT scales its threshold: exact for every
+/// window below 2^53 samples.
+fn count_f64(n: usize) -> f64 {
+    // lint:allow(cast, window lengths are far below 2^53, conversion is exact)
+    n as f64
+}
+
 /// Quantizes one accumulated f64 amplitude down to the scanner's f32
 /// sample type — the only lossy conversion on the synthesis path, and
 /// the point of the kernel's output format.
@@ -53,50 +64,16 @@ fn quantize(s: f64) -> f32 {
 }
 
 /// Moving-window envelope sums: `out[i] = Σ f64::from(samples[i..i+w])`,
-/// added **left-to-right**, for every window fully inside `samples`
-/// (`out.len() == samples.len() - w + 1`; empty when the trace is
-/// shorter than the window).
+/// added **left-to-right** from `0.0`, for every window fully inside
+/// `samples` (`out.len() == samples.len() - w + 1`; empty when the trace
+/// is shorter than the window or `w == 0`).
 ///
 /// SIFT's moving average at position `t` is `out[t - w + 1] / w`; the
 /// detector compares `out` against `threshold · w` instead of dividing.
 /// Unlike the classic running sum (`+ newest − oldest`), each element
 /// is an independent w-term chain, so the value is identical no matter
 /// how the trace is chunked — the property the streaming SIFT leans on.
-pub fn window_sums(samples: &[f32], w: usize, out: &mut Vec<f64>) {
-    out.clear();
-    if w == 0 || samples.len() < w {
-        return;
-    }
-    let n_out = samples.len() - w + 1;
-    out.reserve(n_out);
-    let mut i = 0;
-    while i + LANES <= n_out {
-        let mut acc = [0f64; LANES];
-        for j in 0..w {
-            // One contiguous 4-lane load per window step; the copy into
-            // a fixed-size array lets LLVM drop the per-lane bounds
-            // checks and vectorize the adds.
-            let mut lane = [0f32; LANES];
-            lane.copy_from_slice(&samples[i + j..i + j + LANES]);
-            for (a, s) in acc.iter_mut().zip(lane) {
-                *a += f64::from(s);
-            }
-        }
-        out.extend_from_slice(&acc);
-        i += LANES;
-    }
-    while i < n_out {
-        let mut a = 0f64;
-        for j in 0..w {
-            a += f64::from(samples[i + j]);
-        }
-        out.push(a);
-        i += 1;
-    }
-}
-
-/// Scalar reference for [`window_sums`]; the per-element add order is
-/// the same left-to-right chain, so outputs are bit-identical.
+/// This is the specification [`RunKernel::above_runs`] is held to.
 pub fn window_sums_ref(samples: &[f32], w: usize, out: &mut Vec<f64>) {
     out.clear();
     if w == 0 || samples.len() < w {
@@ -111,64 +88,21 @@ pub fn window_sums_ref(samples: &[f32], w: usize, out: &mut Vec<f64>) {
     }
 }
 
+/// One window's sum: `f64::from` of each sample, added left to right
+/// from `0.0`, the chain [`window_sums_ref`] computes.
+fn window_sum(window: &[f32]) -> f64 {
+    let mut a = 0f64;
+    for &s in window {
+        a += f64::from(s);
+    }
+    a
+}
+
 /// Threshold crossing / edge detection: appends every maximal run
 /// `[start, end)` of indices where `sums[i] > thr` to `out` (cleared
 /// first). A run still open at the end of the slice is reported with
 /// `end == sums.len()`; the caller decides whether that edge is a real
 /// down-crossing or a block boundary.
-///
-/// The batched path tests four lanes at a time and skips whole chunks
-/// that cannot contain an edge (all-below while idle, all-above while
-/// inside a run) — on real traces the signal is bursty, so most chunks
-/// take the skip path.
-pub fn above_runs(sums: &[f64], thr: f64, out: &mut Vec<(usize, usize)>) {
-    out.clear();
-    let n = sums.len();
-    let mut open: Option<usize> = None;
-    let mut i = 0;
-    while i + LANES <= n {
-        let a0 = sums[i] > thr;
-        let a1 = sums[i + 1] > thr;
-        let a2 = sums[i + 2] > thr;
-        let a3 = sums[i + 3] > thr;
-        if open.is_none() {
-            if !(a0 || a1 || a2 || a3) {
-                i += LANES;
-                continue;
-            }
-        } else if a0 && a1 && a2 && a3 {
-            i += LANES;
-            continue;
-        }
-        for (k, above) in [a0, a1, a2, a3].into_iter().enumerate() {
-            match (open, above) {
-                (None, true) => open = Some(i + k),
-                (Some(s), false) => {
-                    out.push((s, i + k));
-                    open = None;
-                }
-                _ => {}
-            }
-        }
-        i += LANES;
-    }
-    while i < n {
-        match (open, sums[i] > thr) {
-            (None, true) => open = Some(i),
-            (Some(s), false) => {
-                out.push((s, i));
-                open = None;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if let Some(s) = open {
-        out.push((s, n));
-    }
-}
-
-/// Scalar reference for [`above_runs`].
 pub fn above_runs_ref(sums: &[f64], thr: f64, out: &mut Vec<(usize, usize)>) {
     out.clear();
     let mut open: Option<usize> = None;
@@ -184,6 +118,184 @@ pub fn above_runs_ref(sums: &[f64], thr: f64, out: &mut Vec<(usize, usize)>) {
     }
     if let Some(st) = open {
         out.push((st, sums.len()));
+    }
+}
+
+/// Advances the run state machine by one window: an above window opens
+/// a run, a below one closes the open run at `i`.
+fn step_run(open: &mut Option<usize>, above: bool, i: usize, out: &mut Vec<(usize, usize)>) {
+    match (*open, above) {
+        (None, true) => *open = Some(i),
+        (Some(s), false) => {
+            out.push((s, i));
+            *open = None;
+        }
+        _ => {}
+    }
+}
+
+/// Windows per classified chunk of [`RunKernel::above_runs`].
+const CHUNK: usize = 64;
+
+/// SIFT's run kernel for one `(threshold, window)` configuration:
+/// [`Self::above_runs`] returns exactly
+/// `above_runs_ref(window_sums_ref(x, w), threshold · w)`, summing only
+/// the windows whose samples straddle the threshold.
+///
+/// A sample is *above* when `f64::from(s) > threshold`. The kernel tests
+/// that in f32, against `threshold` rounded **down** to f32: no f32 lies
+/// strictly between that floor and `threshold`, so `s > floor` exactly
+/// when `f64::from(s) > threshold`, for every `threshold` (NaN samples
+/// and NaN thresholds are never above). Two shortcuts then decide a
+/// window without summing it, each only when [`Self::new`] has proven it
+/// exact for the configuration (DESIGN.md §12.2):
+///
+/// * **all below**: `w` samples none of which is above sum to at most
+///   `w` copies of `threshold` summed the same way (rounding is
+///   monotone; a NaN sum is not above anything), so the window is below
+///   when that sum is at most `threshold · w`;
+/// * **all above**: `w` samples all above are each at least the next f32
+///   above `threshold`, so the window is above when `w` copies of that
+///   f32 sum to more than `threshold · w`.
+///
+/// A chunk of up to 64 windows whose samples are all below
+/// yields no run, one whose samples are all above yields one run, and in
+/// a mixed chunk the same two tests run per window on a sliding count of
+/// above samples. Every window left over is summed by the same
+/// left-to-right chain as [`window_sums_ref`].
+#[derive(Debug, Clone, Copy)]
+pub struct RunKernel {
+    window: usize,
+    /// `threshold · window`, the run threshold on window sums.
+    run_threshold: f64,
+    /// `threshold` rounded down to f32.
+    floor: f32,
+    /// Whether a window with no sample above the threshold is below it.
+    below_exact: bool,
+    /// Whether a window whose samples are all above the threshold is
+    /// above it.
+    above_exact: bool,
+}
+
+impl RunKernel {
+    /// The kernel for moving windows of `window` samples against the
+    /// per-sample `threshold`, with both shortcut bounds checked.
+    pub fn new(threshold: f64, window: usize) -> Self {
+        let floor = floor_f32(threshold);
+        let run_threshold = threshold * count_f64(window);
+        let repeated = |x: f64| window_sum_of_copies(x, window);
+        Self {
+            window,
+            run_threshold,
+            floor,
+            below_exact: repeated(threshold) <= run_threshold,
+            above_exact: repeated(f64::from(floor.next_up())) > run_threshold,
+        }
+    }
+
+    /// Whether a window with no sample above the threshold is always
+    /// below it, so all-below chunks (and quiet blocks) need no sums.
+    pub fn below_is_exact(&self) -> bool {
+        self.below_exact
+    }
+
+    /// Whether a window whose samples are all above the threshold is
+    /// always above it, so all-above chunks need no sums.
+    pub fn above_is_exact(&self) -> bool {
+        self.above_exact
+    }
+
+    /// Whether any sample has `f64::from(s) > threshold`, by the kernel's
+    /// f32 chunk classifier; exits at the first chunk with a hit.
+    pub fn any_above(&self, samples: &[f32]) -> bool {
+        samples.chunks(CHUNK).any(|c| self.classify(c).0)
+    }
+
+    /// Whether any sample of `span` is above the threshold, and whether
+    /// all are. Branch-free over the span, so it vectorizes.
+    fn classify(&self, span: &[f32]) -> (bool, bool) {
+        let (mut any, mut all) = (false, true);
+        for &s in span {
+            let above = s > self.floor;
+            any |= above;
+            all &= above;
+        }
+        (any, all)
+    }
+
+    /// Appends every maximal run `[start, end)` of window indices whose
+    /// window sum exceeds `threshold · window` to `out` (cleared first),
+    /// exactly as `above_runs_ref` over `window_sums_ref`: a run still
+    /// open at the last window ends at the window count, and a trace
+    /// shorter than the window (or a zero window) has no windows.
+    pub fn above_runs(&self, samples: &[f32], out: &mut Vec<(usize, usize)>) {
+        out.clear();
+        let w = self.window;
+        if w == 0 || samples.len() < w {
+            return;
+        }
+        let n = samples.len() - w + 1;
+        let mut open: Option<usize> = None;
+        let mut c = 0;
+        while c < n {
+            let m = CHUNK.min(n - c);
+            match self.classify(&samples[c..c + m + w - 1]) {
+                (false, _) if self.below_exact => step_run(&mut open, false, c, out),
+                (_, true) if self.above_exact => step_run(&mut open, true, c, out),
+                _ => self.mixed_chunk(samples, c, m, &mut open, out),
+            }
+            c += m;
+        }
+        if let Some(s) = open {
+            out.push((s, n));
+        }
+    }
+
+    /// Windows `c..c + m` one at a time: a sliding count of above
+    /// samples decides all-below and all-above windows, and the rest are
+    /// summed.
+    fn mixed_chunk(
+        &self,
+        samples: &[f32],
+        c: usize,
+        m: usize,
+        open: &mut Option<usize>,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let w = self.window;
+        let above = |s: f32| usize::from(s > self.floor);
+        let mut count: usize = samples[c..c + w - 1].iter().map(|&s| above(s)).sum();
+        for i in c..c + m {
+            count += above(samples[i + w - 1]);
+            let up = if count == 0 && self.below_exact {
+                false
+            } else if count == w && self.above_exact {
+                true
+            } else {
+                window_sum(&samples[i..i + w]) > self.run_threshold
+            };
+            step_run(open, up, i, out);
+            count -= above(samples[i]);
+        }
+    }
+}
+
+/// `w` copies of `x` summed as [`window_sum`] sums a window.
+fn window_sum_of_copies(x: f64, w: usize) -> f64 {
+    let mut a = 0f64;
+    for _ in 0..w {
+        a += x;
+    }
+    a
+}
+
+/// The largest f32 at most `x` (NaN for NaN).
+fn floor_f32(x: f64) -> f32 {
+    let q = quantize(x);
+    if f64::from(q) > x {
+        q.next_down()
+    } else {
+        q
     }
 }
 
@@ -225,25 +337,8 @@ pub fn rlast_above_ref(samples: &[f32], thr: f64) -> Option<usize> {
     samples.iter().rposition(|&s| f64::from(s) > thr)
 }
 
-/// Quiet-block test: whether any sample has `f64::from(s) > thr`. The
-/// batched path ORs each chunk of 16 lanes without branching and tests
-/// once per chunk; a boolean OR is exact in any order. The streaming
-/// SIFT skips its window sums for a block where this is false.
-pub fn any_above(samples: &[f32], thr: f64) -> bool {
-    let mut chunks = samples.chunks_exact(16 * LANES);
-    for c in &mut chunks {
-        let mut any = false;
-        for &s in c {
-            any |= f64::from(s) > thr;
-        }
-        if any {
-            return true;
-        }
-    }
-    chunks.remainder().iter().any(|&s| f64::from(s) > thr)
-}
-
-/// Scalar reference for [`any_above`].
+/// Whether any sample has `f64::from(s) > thr`: the specification of
+/// [`RunKernel::any_above`].
 pub fn any_above_ref(samples: &[f32], thr: f64) -> bool {
     samples.iter().any(|&s| f64::from(s) > thr)
 }
@@ -687,51 +782,90 @@ mod tests {
         }
     }
 
+    /// The run kernel's specification: the window sums compared against
+    /// `thr · w`, run by run.
+    fn runs_ref(s: &[f32], thr: f64, w: usize) -> Vec<(usize, usize)> {
+        let (mut sums, mut runs) = (Vec::new(), Vec::new());
+        window_sums_ref(s, w, &mut sums);
+        above_runs_ref(&sums, thr * w as f64, &mut runs);
+        runs
+    }
+
+    fn runs(s: &[f32], thr: f64, w: usize) -> Vec<(usize, usize)> {
+        let mut out = vec![(7, 7)];
+        RunKernel::new(thr, w).above_runs(s, &mut out);
+        out
+    }
+
     #[test]
-    fn window_sums_matches_reference_bitwise() {
+    fn above_runs_matches_reference_at_every_window() {
         for (k, &n) in SIZES.iter().enumerate() {
             for w in [1usize, 2, 5, 7] {
                 let s = trace(n, 10 + k as u64);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                window_sums(&s, w, &mut a);
-                window_sums_ref(&s, w, &mut b);
-                assert_f64_bits_eq(&a, &b);
-                if n >= w {
-                    assert_eq!(a.len(), n - w + 1, "n {n} w {w}");
-                } else {
-                    assert!(a.is_empty());
-                }
+                let got = runs(&s, 150.0, w);
+                assert_eq!(got, runs_ref(&s, 150.0, w), "n {n} w {w}");
+                // Runs lie inside the window range.
+                let n_windows = (n + 1).saturating_sub(w);
+                assert!(
+                    got.iter().all(|&(a, b)| a < b && b <= n_windows),
+                    "n {n} w {w}"
+                );
             }
         }
     }
 
     #[test]
-    fn window_sums_zero_window_is_empty() {
-        let mut out = vec![1.0];
-        window_sums(&[1.0, 2.0], 0, &mut out);
+    fn above_runs_zero_window_is_empty() {
+        let mut out = vec![(1, 2)];
+        RunKernel::new(0.0, 0).above_runs(&[1.0, 2.0], &mut out);
         assert!(out.is_empty());
+        let mut sums = vec![1.0];
+        window_sums_ref(&[1.0, 2.0], 0, &mut sums);
+        assert!(sums.is_empty());
     }
 
     #[test]
     fn above_runs_matches_reference() {
         for (k, &n) in SIZES.iter().enumerate() {
             let s = trace(n, 40 + k as u64);
-            let mut sums = Vec::new();
-            window_sums(&s, 1, &mut sums);
-            for thr in [-100.0, 0.0, 150.0, 1e9] {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                above_runs(&sums, thr, &mut a);
-                above_runs_ref(&sums, thr, &mut b);
-                assert_eq!(a, b, "n {n} thr {thr}");
+            for thr in [-100.0, 0.0, 150.0, 1e9, f64::NAN] {
+                assert_eq!(runs(&s, thr, 1), runs_ref(&s, thr, 1), "n {n} thr {thr}");
             }
         }
     }
 
     #[test]
     fn above_runs_reports_open_tail_run() {
-        let mut out = Vec::new();
-        above_runs(&[0.0, 5.0, 5.0], 1.0, &mut out);
-        assert_eq!(out, vec![(1, 3)]);
+        assert_eq!(runs(&[0.0, 5.0, 5.0], 1.0, 1), vec![(1, 3)]);
+    }
+
+    #[test]
+    fn exactness_bounds_hold_for_the_default_config() {
+        let k = RunKernel::new(150.0, 5);
+        assert!(k.below_is_exact() && k.above_is_exact());
+        // 150 is an f32, so it is its own floor; the next f32 above it,
+        // 150 + 2^-16, sums five times to 750 + 5·2^-16 > 750.
+        assert_eq!(k.floor, 150.0);
+        assert_eq!(f64::from(k.floor.next_up()), 150.0 + 2f64.powi(-16));
+    }
+
+    #[test]
+    fn the_floor_is_the_largest_f32_at_most_the_threshold() {
+        let just_below = f64::from(150.1f32).next_down();
+        for thr in [
+            150.0, 150.1, 0.1, -0.1, 1e-50, -1e-50, just_below, 1e300, -1e300,
+        ] {
+            let f = floor_f32(thr);
+            assert!(
+                f64::from(f) <= thr && f64::from(f.next_up()) > thr,
+                "thr {thr}: {f}"
+            );
+        }
+        // Round to nearest would pick 150.1f32 here, one f64 ulp above.
+        assert_eq!(floor_f32(just_below), 150.1f32.next_down());
+        assert!(floor_f32(f64::NAN).is_nan());
+        assert_eq!(floor_f32(f64::INFINITY), f32::INFINITY);
+        assert_eq!(floor_f32(f64::NEG_INFINITY), f32::NEG_INFINITY);
     }
 
     #[test]
@@ -754,21 +888,22 @@ mod tests {
             let mut s = trace(n, 90 + k as u64);
             for thr in [-100.0, 150.0, 399.0, 1e9, f64::NAN] {
                 assert_eq!(
-                    any_above(&s, thr),
+                    RunKernel::new(thr, 5).any_above(&s),
                     any_above_ref(&s, thr),
                     "n {n} thr {thr}"
                 );
             }
             // One supra-threshold sample at every position of a quiet
             // trace, so every lane and remainder slot is the only hit.
+            let kernel = RunKernel::new(150.0, 5);
             s.iter_mut().for_each(|x| *x = x.min(150.0));
-            assert!(!any_above(&s, 150.0), "n {n}");
+            assert!(!kernel.any_above(&s), "n {n}");
             for i in 0..n {
                 let mut t = s.clone();
                 t[i] = 150.01;
-                assert!(any_above(&t, 150.0), "n {n} at {i}");
+                assert!(kernel.any_above(&t), "n {n} at {i}");
                 t[i] = f32::NAN;
-                assert!(!any_above(&t, 150.0), "n {n} NaN at {i}");
+                assert!(!kernel.any_above(&t), "n {n} NaN at {i}");
             }
         }
     }

@@ -186,16 +186,15 @@ impl Sift {
     /// first below-threshold window — edges stay accurate to ±1 sample
     /// across signal strengths.
     ///
-    /// This is the batched production path (see [`crate::kernels`]);
-    /// [`Self::extract_bursts_ref`] is the scalar reference held
-    /// bit-identical by the differential suite.
+    /// This is the production path, on [`kernels::RunKernel`], whose
+    /// shortcut bounds are checked for the configuration at each call
+    /// (`config` is a public field); [`Self::extract_bursts_ref`] is the
+    /// scalar reference held bit-identical by the differential suite.
     pub fn extract_bursts(&self, samples: &[f32]) -> Vec<RawBurst> {
         let w = self.config.window;
         let thr = self.config.threshold;
-        let mut sums = Vec::new();
-        kernels::window_sums(samples, w, &mut sums);
         let mut runs = Vec::new();
-        kernels::above_runs(&sums, thr * count_f64(w), &mut runs);
+        kernels::RunKernel::new(thr, w).above_runs(samples, &mut runs);
         let mut bursts = Vec::with_capacity(runs.len());
         for (i0, i1) in runs {
             let start = (i0..i0 + w)
@@ -361,10 +360,14 @@ struct OpenRun {
 /// sample, the merge-stage burst that a future sub-SIFS neighbor could
 /// still extend, and the classify queue's unpaired burst. A block with
 /// no sample above the threshold (carry included) and no open run skips
-/// the window sums: no window can rise above the threshold there.
+/// the run kernel when its all-below bound holds: no window can rise
+/// above the threshold there.
 #[derive(Debug, Clone)]
 pub struct StreamingSift {
     sift: Sift,
+    /// The run kernel, with its shortcut bounds checked for the
+    /// configuration.
+    kernel: kernels::RunKernel,
     /// Last `window − 1` samples of the stream (fewer near the start).
     carry: Vec<f32>,
     /// Total samples consumed so far.
@@ -382,34 +385,11 @@ pub struct StreamingSift {
     busy: u64,
     /// Scratch: carry + current block.
     ext: Vec<f32>,
-    /// Scratch: window sums over `ext`.
-    sums: Vec<f64>,
-    /// Scratch: above-threshold runs over `sums`.
+    /// Scratch: above-threshold window runs over `ext`.
     runs: Vec<(usize, usize)>,
     /// Scratch: bursts finalized by the current call, batched for
     /// [`kernels::sum_lens`].
     finalized: Vec<RawBurst>,
-    /// Whether a block with no sample above the threshold is known to
-    /// have no window above it either (see [`quiet_blocks_are_exact`]).
-    skip_quiet: bool,
-}
-
-/// Whether `window` samples that are each at most `threshold` always sum
-/// to at most the run threshold `threshold · window`, so a block with
-/// no sample above the threshold opens no moving-average run.
-///
-/// [`kernels::window_sums`] adds a window left to right from `0.0`, and
-/// rounding is monotone, so each partial sum is at most the same
-/// partial sum of `window` copies of `threshold`; the bound holds iff
-/// that sum is at most `threshold · window`. It does for the default
-/// 150 × 5, whose multiples are exact, and it is checked here rather
-/// than assumed for other configurations.
-fn quiet_blocks_are_exact(config: &SiftConfig) -> bool {
-    let mut sum = 0f64;
-    for _ in 0..config.window {
-        sum += config.threshold;
-    }
-    sum <= config.threshold * count_f64(config.window)
 }
 
 impl StreamingSift {
@@ -417,6 +397,7 @@ impl StreamingSift {
     pub fn new(config: SiftConfig) -> Self {
         Self {
             sift: Sift::new(config),
+            kernel: kernels::RunKernel::new(config.threshold, config.window),
             carry: Vec::new(),
             samples_seen: 0,
             open: None,
@@ -425,10 +406,8 @@ impl StreamingSift {
             ready: Vec::new(),
             busy: 0,
             ext: Vec::new(),
-            sums: Vec::new(),
             runs: Vec::new(),
             finalized: Vec::new(),
-            skip_quiet: quiet_blocks_are_exact(&config),
         }
     }
 
@@ -502,13 +481,14 @@ impl StreamingSift {
             return;
         }
         // Quiet block: no sample of `carry + block` is above the
-        // threshold, so no window is either and `runs` would be empty.
-        // With no run open, nothing opens, closes or refines; only the
-        // merge stage and the carry advance.
-        if self.skip_quiet
+        // threshold, so by the kernel's all-below bound no window is
+        // either and `runs` would be empty. With no run open, nothing
+        // opens, closes or refines; only the merge stage and the carry
+        // advance.
+        if self.kernel.below_is_exact()
             && self.open.is_none()
-            && !kernels::any_above(&self.carry, thr)
-            && !kernels::any_above(block, thr)
+            && !self.kernel.any_above(&self.carry)
+            && !self.kernel.any_above(block)
         {
             self.samples_seen += block.len();
             self.finalize_pending();
@@ -526,9 +506,8 @@ impl StreamingSift {
         self.ext.clear();
         self.ext.extend_from_slice(&self.carry);
         self.ext.extend_from_slice(block);
-        kernels::window_sums(&self.ext, w, &mut self.sums);
-        kernels::above_runs(&self.sums, thr * count_f64(w), &mut self.runs);
-        let n_windows = self.sums.len();
+        self.kernel.above_runs(&self.ext, &mut self.runs);
+        let n_windows = (self.ext.len() + 1).saturating_sub(w);
 
         // The carried open run either continues through this block's
         // first run (which then begins at window 0) or closes at the

@@ -40,17 +40,33 @@ fn structured_trace(len: usize, seed: u64) -> Vec<f32> {
 // Kernel-level: batched vs scalar reference, bit for bit.
 // ---------------------------------------------------------------------
 
+/// The run kernel's specification: every window's left-to-right sum
+/// compared against `thr · w`, run by run.
+fn ref_runs(trace: &[f32], thr: f64, w: usize) -> Vec<(usize, usize)> {
+    let (mut sums, mut runs) = (Vec::new(), Vec::new());
+    kernels::window_sums_ref(trace, w, &mut sums);
+    kernels::above_runs_ref(&sums, thr * w as f64, &mut runs);
+    runs
+}
+
+fn kernel_runs(trace: &[f32], thr: f64, w: usize) -> Vec<(usize, usize)> {
+    let mut runs = Vec::new();
+    kernels::RunKernel::new(thr, w).above_runs(trace, &mut runs);
+    runs
+}
+
 #[test]
-fn window_sums_batched_matches_ref_across_sizes() {
+fn run_kernel_matches_ref_across_sizes() {
     for &len in &[0usize, 1, 4, 5, 31, 32, 1000, 4097] {
         let trace = structured_trace(len, 7 + len as u64);
         for &w in &[1usize, 2, 5, 16] {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            kernels::window_sums(&trace, w, &mut a);
-            kernels::window_sums_ref(&trace, w, &mut b);
-            let ab: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
-            let bb: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(ab, bb, "len {len} w {w}");
+            for thr in [150.0, 600.0] {
+                assert_eq!(
+                    kernel_runs(&trace, thr, w),
+                    ref_runs(&trace, thr, w),
+                    "len {len} w {w} thr {thr}"
+                );
+            }
         }
     }
 }
@@ -59,19 +75,136 @@ fn window_sums_batched_matches_ref_across_sizes() {
 fn above_runs_and_rlast_batched_match_ref() {
     for &len in &[0usize, 3, 64, 1000, 4097] {
         let trace = structured_trace(len, 19 + len as u64);
-        let mut sums = Vec::new();
-        kernels::window_sums(&trace, 5.min(len.max(1)), &mut sums);
-        for &thr in &[0.0f64, 150.0 * 5.0, 1e9] {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            kernels::above_runs(&sums, thr, &mut a);
-            kernels::above_runs_ref(&sums, thr, &mut b);
-            assert_eq!(a, b, "len {len} thr {thr}");
+        let w = 5.min(len.max(1));
+        for &thr in &[0.0f64, 150.0, 2e8] {
+            assert_eq!(
+                kernel_runs(&trace, thr, w),
+                ref_runs(&trace, thr, w),
+                "len {len} thr {thr}"
+            );
         }
         assert_eq!(
             kernels::rlast_above(&trace, 150.0),
             kernels::rlast_above_ref(&trace, 150.0),
             "len {len}"
         );
+    }
+}
+
+/// The largest f32 at most `thr`, computed independently of the kernel.
+#[allow(clippy::cast_possible_truncation)] // rounding to f32 is the point
+fn f32_floor(thr: f64) -> f32 {
+    let q = thr as f32;
+    if f64::from(q) > thr {
+        q.next_down()
+    } else {
+        q
+    }
+}
+
+/// Traces of `len` samples that put the run kernel's shortcuts on the
+/// spot, each with a name for failure messages: every sample at the
+/// threshold's f32 floor (all below) or at the next f32 (all above); one
+/// sample of the other kind at every position of each; and seeded
+/// traces of runs drawn from all-below, all-above and mixed palettes
+/// holding the floor and its neighbours, zeros of both signs,
+/// negatives, subnormals, NaN and ±inf.
+fn edge_traces(thr: f64, len: usize) -> Vec<(String, Vec<f32>)> {
+    let lo = f32_floor(thr);
+    let hi = lo.next_up();
+    let tiny = f32::from_bits(1);
+    let below = [
+        lo,
+        lo.next_down(),
+        0.0,
+        -0.0,
+        -hi,
+        tiny,
+        -tiny,
+        f32::MIN_POSITIVE / 2.0,
+    ];
+    let above = [hi, hi.next_up(), 1000.0, f32::INFINITY];
+    let odd = [f32::NAN, f32::NEG_INFINITY, -1000.0, lo, hi];
+    let mut out = vec![
+        ("all below".to_string(), vec![lo; len]),
+        ("all above".to_string(), vec![hi; len]),
+    ];
+    for at in 0..len {
+        let mut t = vec![lo; len];
+        t[at] = hi;
+        out.push((format!("one above at {at}"), t));
+        let mut t = vec![hi; len];
+        t[at] = lo;
+        out.push((format!("one below at {at}"), t));
+    }
+    for seed in 0..6u64 {
+        let mut r = rng(seed ^ len as u64);
+        let mut t = Vec::with_capacity(len);
+        while t.len() < len {
+            let palette: Vec<f32> = match r.gen_range(0..4) {
+                0 => below.to_vec(),
+                1 => above.to_vec(),
+                2 => [&below[..], &above[..]].concat(),
+                _ => [&below[..], &above[..], &odd[..]].concat(),
+            };
+            for _ in 0..r.gen_range(1..80).min(len - t.len()) {
+                t.push(palette[r.gen_range(0..palette.len())]);
+            }
+        }
+        out.push((format!("palette runs, seed {seed}"), t));
+    }
+    out
+}
+
+/// Holds the run kernel to its specification on [`edge_traces`] of
+/// 63, 64, 65, 127, 128 and 129 windows (one chunk, minus one, plus
+/// one, two chunks and around), at window `w`.
+fn assert_edge_fixtures_match(thr: f64, w: usize) {
+    for n_windows in [63usize, 64, 65, 127, 128, 129] {
+        let len = n_windows + w.saturating_sub(1);
+        for (name, trace) in edge_traces(thr, len) {
+            assert_eq!(
+                kernel_runs(&trace, thr, w),
+                ref_runs(&trace, thr, w),
+                "thr {thr} w {w} windows {n_windows}: {name}"
+            );
+        }
+    }
+}
+
+/// Thresholds 150 (an f32), 150.1 and 0.1 (not f32s) and one exactly
+/// one f64 ulp below an f32, where rounding the threshold to the
+/// nearest f32 instead of down would misclassify that f32; windows 0,
+/// 1, 2, 5, 8 and 70 (wider than a chunk).
+#[test]
+fn run_kernel_matches_ref_on_edge_fixtures() {
+    let ulp_below_f32 = f64::from(150.1f32).next_down();
+    for thr in [150.0, 150.1, 0.1, ulp_below_f32] {
+        for w in [0usize, 1, 2, 5, 8, 70] {
+            assert_edge_fixtures_match(thr, w);
+        }
+    }
+}
+
+/// Configurations whose bounds fail sum the windows a failed bound
+/// cannot decide, and still equal the specification: 150.1 × 6 fails
+/// the all-below bound, 1e308 × 5 (whose `thr · w` overflows) the
+/// all-above one, and a NaN threshold both.
+#[test]
+fn configs_failing_a_bound_match_ref_on_edge_fixtures() {
+    for (thr, w, below, above) in [
+        (150.0, 5, true, true),
+        (150.1, 6, false, true),
+        (1e308, 5, true, false),
+        (f64::NAN, 5, false, false),
+    ] {
+        let k = kernels::RunKernel::new(thr, w);
+        assert_eq!(
+            (k.below_is_exact(), k.above_is_exact()),
+            (below, above),
+            "thr {thr} w {w}"
+        );
+        assert_edge_fixtures_match(thr, w);
     }
 }
 
@@ -420,6 +553,8 @@ fn any_chunking_matches_whole_buffer_detect() {
 #[allow(clippy::cast_possible_truncation)]
 fn quiet_block_path_matches_whole_buffer_detect() {
     let sift = Sift::default();
+    let kernel = kernels::RunKernel::new(sift.config.threshold, sift.config.window);
+    let mut quiet_blocks = 0;
     for case in 0..48 {
         let mut r = rng(case);
         let len = r.gen_range(1..4 * BLOCK_SAMPLES);
@@ -448,5 +583,18 @@ fn quiet_block_path_matches_whole_buffer_detect() {
             assert_eq!(streamed, sift.detect(&trace), "{ctx} / {chunking:?}");
             assert_eq!(busy, busy_truth, "{ctx} / {chunking:?}");
         }
+        // The quiet-block test is the run kernel's classifier; it agrees
+        // with the f64 reference on every block of the chunking.
+        for block in trace.chunks(chunks[0]) {
+            let quiet = !kernel.any_above(block);
+            assert_eq!(quiet, !kernels::any_above_ref(block, 150.0), "{ctx}");
+            quiet_blocks += usize::from(quiet);
+        }
+        assert_eq!(
+            sift.extract_bursts(&trace),
+            sift.extract_bursts_ref(&trace),
+            "{ctx}"
+        );
     }
+    assert!(quiet_blocks > 0, "no quiet block in any case");
 }

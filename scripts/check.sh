@@ -5,9 +5,8 @@
 #   --bless    re-bless the golden files (GOLDEN_BLESS=1: the golden
 #              trace test, the scenario-file outcomes in
 #              tests/golden/scenario_files.txt, the layerbench city,
-#              paper_sweep and
-#              sift_capture digests at seed 1, plus city and
-#              paper_sweep at seed 7, and the quick sweep's numbers in
+#              paper_sweep and sift_capture digests at seeds 1 and 7,
+#              and the quick sweep's numbers in
 #              tests/golden/quick_sweep.txt) after an intended
 #              protocol, timing or synthesis change
 set -euo pipefail
@@ -79,8 +78,9 @@ cargo test --offline --release --manifest-path layerbench/Cargo.toml -q
 # CSMA-timer-heavy workload. `sift_capture` (the
 # Table 1 grid streamed through SynthStream and StreamingSift) is the
 # only one that synthesizes samples, so it alone sees drift in the noise,
-# ripple and head draws. The MAC workloads are pinned at a second seed
-# too, so an optimisation that is exact at seed 1 by luck still fails.
+# ripple and head draws, and the only one that runs the SIFT run kernel.
+# Every workload is pinned at a second seed too, so an optimisation that
+# is exact at seed 1 by luck still fails.
 # After an intended behaviour change, re-bless with --bless.
 layerbench_golden() {
     local workload=$1 seed=$2 golden=$3 digest
@@ -102,6 +102,7 @@ layerbench_golden paper_sweep 1 tests/golden/layerbench_paper_sweep.digest
 layerbench_golden sift_capture 1 tests/golden/layerbench_sift_capture.digest
 layerbench_golden city 7 tests/golden/layerbench_city_seed7.digest
 layerbench_golden paper_sweep 7 tests/golden/layerbench_paper_sweep_seed7.digest
+layerbench_golden sift_capture 7 tests/golden/layerbench_sift_capture_seed7.digest
 
 cargo build --workspace --release
 cargo clippy --workspace --all-targets -- -D warnings
