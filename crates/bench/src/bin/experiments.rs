@@ -4,7 +4,7 @@
 //! experiments list                     # show available experiment ids
 //! experiments all [--quick]            # run everything
 //! experiments fig11 table1 ...         # run selected experiments
-//! experiments all --jobs 8             # parallel trials + overlapped experiments
+//! experiments all --jobs 8             # each experiment's trials on 8 workers
 //! experiments all --seed 42            # perturb every trial seed (default 0 = historical outputs)
 //! ```
 //!
@@ -12,6 +12,10 @@
 //! `results/<id>.json`. Performance is measured by `layerbench/`, not
 //! here: the only wall-clock output is each experiment's
 //! `(… completed in …)` line and the closing `ran … experiments` line.
+//!
+//! Experiments run one at a time, in registry order, and every `--jobs`
+//! worker serves the running experiment's trials. Each experiment's
+//! text, JSON and oracle verdict are emitted as soon as it finishes.
 //!
 //! Determinism contract: for a fixed `--seed`, the JSON outputs are
 //! byte-identical for every `--jobs` value — each trial derives its RNG
@@ -21,8 +25,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
-use whitefi::{global_oracle_totals, OracleTotals};
-use whitefi_bench::{registry, ExperimentReport, RunCtx, Runner};
+use whitefi::global_oracle_totals;
+use whitefi_bench::{registry, RunCtx};
 
 /// Default chart axes per experiment for `--plot`.
 fn plot_axes(id: &str) -> Option<(&'static str, Vec<&'static str>)> {
@@ -61,6 +65,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+#[derive(Debug, PartialEq)]
 struct Options {
     quick: bool,
     plot: bool,
@@ -69,8 +74,21 @@ struct Options {
     selected: Vec<String>,
 }
 
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the value of `--jobs` or `--seed`, in either spelling, into
+/// `opts`. A `--jobs` of 0 means 1.
+fn set_value(opts: &mut Options, name: &str, v: &str) -> Result<(), String> {
+    let invalid = |_| format!("invalid value for {name}: {v}");
+    if name == "--jobs" {
+        opts.jobs = v.parse::<usize>().map_err(invalid)?.max(1);
+    } else {
+        opts.seed = v.parse::<u64>().map_err(invalid)?;
+    }
+    Ok(())
+}
+
+/// Parses the command line (without the program name); an error is the
+/// message to print before the usage line.
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let default_jobs = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -81,70 +99,32 @@ fn parse_args() -> Options {
         seed: 0,
         selected: Vec::new(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--quick" {
-            opts.quick = true;
-        } else if a == "--plot" {
-            opts.plot = true;
-        } else if a == "--jobs" || a == "--seed" {
-            i += 1;
-            let Some(v) = args.get(i) else {
-                eprintln!("{a} requires a value");
-                usage();
-            };
-            match (a.as_str(), v.parse::<u64>()) {
-                ("--jobs", Ok(n)) => {
-                    opts.jobs = usize::try_from(n).unwrap_or(usize::MAX).max(1);
-                }
-                ("--seed", Ok(s)) => opts.seed = s,
-                _ => {
-                    eprintln!("invalid value for {a}: {v}");
-                    usage();
-                }
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" => opts.quick = true,
+            "--plot" => opts.plot = true,
+            "--jobs" | "--seed" => {
+                let v = args.next().ok_or_else(|| format!("{a} requires a value"))?;
+                set_value(&mut opts, a, v)?;
             }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            match v.parse::<usize>() {
-                Ok(n) => opts.jobs = n.max(1),
-                Err(_) => {
-                    eprintln!("invalid value for --jobs: {v}");
-                    usage();
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            match v.parse::<u64>() {
-                Ok(s) => opts.seed = s,
-                Err(_) => {
-                    eprintln!("invalid value for --seed: {v}");
-                    usage();
-                }
-            }
-        } else if a.starts_with("--") {
-            eprintln!("unknown option: {a}");
-            usage();
-        } else {
-            opts.selected.push(a.clone());
+            _ => match a.split_once('=') {
+                Some((name @ ("--jobs" | "--seed"), v)) => set_value(&mut opts, name, v)?,
+                _ if a.starts_with("--") => return Err(format!("unknown option: {a}")),
+                _ => opts.selected.push(a.clone()),
+            },
         }
-        i += 1;
     }
-    opts
-}
-
-/// One finished experiment, in registry order.
-struct Finished {
-    id: &'static str,
-    report: ExperimentReport,
-    wall_s: f64,
-    /// Invariant-oracle totals accumulated while this experiment ran
-    /// (delta of the process-wide totals: exact when experiments run
-    /// one at a time, approximate attribution when they overlap).
-    oracles: OracleTotals,
+    Ok(opts)
 }
 
 // lint:allow(taint, the experiments binary times its own phases; sims only see scenario seeds)
 fn main() {
-    let opts = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     let registry = registry();
 
     if opts.selected.first().map(|s| s.as_str()) == Some("list") {
@@ -172,80 +152,101 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Split the job budget: overlap whole experiments (outer) and give
-    // each the remaining slots for its own trials (inner). Single-shot
-    // experiments (e.g. fig14) parallelize only through the outer level.
-    let outer = if entries.len() > 1 {
-        opts.jobs.min(entries.len())
-    } else {
-        1
-    };
-    let inner = (opts.jobs / outer).max(1);
-
+    fs::create_dir_all("results").ok();
+    let ctx = RunCtx::new(opts.quick, opts.jobs, opts.seed);
+    let mut failed = false;
     let total_start = Instant::now();
-    // Whole experiments fan out through the same pool as their trials:
-    // `Runner::map` hands each worker's results back through its join
-    // handle and returns them in registry order (with one outer slot it
-    // runs them in turn on this thread).
-    let finished: Vec<Finished> = Runner::new(outer, opts.seed).map(entries.len(), |k| {
-        let (id, _desc, runner) = entries[k];
-        let ctx = RunCtx::new(opts.quick, inner, opts.seed);
+    for &(id, _desc, run) in &entries {
+        // Experiments run one at a time, so the change in the
+        // process-wide oracle totals is exactly this experiment's.
         let oracles_before = global_oracle_totals();
         let start = Instant::now();
-        let report = runner(&ctx);
-        Finished {
-            id,
-            report,
-            wall_s: start.elapsed().as_secs_f64(),
-            oracles: global_oracle_totals().delta_since(oracles_before),
-        }
-    });
-    let total_wall_s = total_start.elapsed().as_secs_f64();
+        let report = run(&ctx);
+        let wall_s = start.elapsed().as_secs_f64();
+        let oracles = global_oracle_totals().delta_since(oracles_before);
 
-    fs::create_dir_all("results").ok();
-    let mut failed = false;
-    for f in &finished {
-        println!("{}", f.report.render_text());
+        println!("{}", report.render_text());
         if opts.plot {
-            if let Some((x, ys)) = plot_axes(f.id) {
-                println!("{}", f.report.render_ascii_chart(x, &ys));
+            if let Some((x, ys)) = plot_axes(id) {
+                println!("{}", report.render_ascii_chart(x, &ys));
             }
         }
-        println!("({} completed in {:.1}s)\n", f.id, f.wall_s);
-        if let Err(e) = f.report.validate() {
+        println!("({id} completed in {wall_s:.1}s)\n");
+        if let Err(e) = report.validate() {
             eprintln!("error: invalid report: {e}");
             failed = true;
         }
-        let path = format!("results/{}.json", f.id);
-        if let Err(e) = write_atomic(&path, &f.report.to_json()) {
+        let path = format!("results/{id}.json");
+        if let Err(e) = write_atomic(&path, &report.to_json()) {
             eprintln!("warning: could not write {path}: {e}");
         }
-    }
-
-    // Invariant gate: adaptive (WhiteFi-mode) runs must never violate an
-    // oracle on the seed scenarios. Fixed-baseline violations are the
-    // paper's motivating failure (a static channel cannot vacate for an
-    // incumbent) and are reported but do not fail the run.
-    let adaptive_violations: u64 = finished.iter().map(|f| f.oracles.adaptive_violations).sum();
-    if adaptive_violations > 0 {
-        for f in finished
-            .iter()
-            .filter(|f| f.oracles.adaptive_violations > 0)
-        {
+        // Invariant gate: adaptive (WhiteFi-mode) runs must never
+        // violate an oracle on the seed scenarios. Fixed-baseline
+        // violations are the paper's motivating failure (a static
+        // channel cannot vacate for an incumbent) and are reported but
+        // do not fail the run.
+        if oracles.adaptive_violations > 0 {
             eprintln!(
-                "error: {} adaptive oracle violation(s) during {}",
-                f.oracles.adaptive_violations, f.id
+                "error: {} adaptive oracle violation(s) during {id}",
+                oracles.adaptive_violations
             );
+            failed = true;
         }
-        failed = true;
     }
 
     println!(
-        "ran {} experiments in {total_wall_s:.1}s (jobs {}, overlap {outer}x{inner})",
-        finished.len(),
+        "ran {} experiments in {:.1}s (jobs {})",
+        entries.len(),
+        total_start.elapsed().as_secs_f64(),
         opts.jobs
     );
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn both_spellings_parse_alike() {
+        for (spaced, joined) in [
+            (vec!["--jobs", "3"], vec!["--jobs=3"]),
+            (vec!["--seed", "42"], vec!["--seed=42"]),
+            (vec!["--jobs", "0"], vec!["--jobs=0"]),
+            (vec!["--seed", "0"], vec!["--seed=0"]),
+        ] {
+            assert_eq!(parse(&spaced), parse(&joined), "{spaced:?}");
+        }
+        let opts = parse(&["fig8", "--jobs", "3", "--seed=42", "--quick"]).unwrap();
+        assert_eq!((opts.jobs, opts.seed, opts.quick), (3, 42, true));
+        assert_eq!(opts.selected, ["fig8"]);
+    }
+
+    #[test]
+    fn zero_jobs_means_one() {
+        assert_eq!(parse(&["--jobs", "0"]).unwrap().jobs, 1);
+        assert_eq!(parse(&["--jobs=0"]).unwrap().jobs, 1);
+    }
+
+    #[test]
+    fn bad_values_keep_their_messages() {
+        for (args, msg) in [
+            (vec!["--jobs", "x"], "invalid value for --jobs: x"),
+            (vec!["--jobs=x"], "invalid value for --jobs: x"),
+            (vec!["--seed", "-1"], "invalid value for --seed: -1"),
+            (vec!["--seed="], "invalid value for --seed: "),
+            (vec!["--jobs"], "--jobs requires a value"),
+            (vec!["--seed"], "--seed requires a value"),
+            (vec!["--quick=1"], "unknown option: --quick=1"),
+            (vec!["--frobnicate"], "unknown option: --frobnicate"),
+        ] {
+            assert_eq!(parse(&args), Err(msg.to_string()), "{args:?}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! always within 14% of the optimal value throughput OPT."
 
 use crate::json;
-use crate::report::{mean_columns, round4, ExperimentReport};
+use crate::report::{mean_columns, round4, rounded4, ExperimentReport};
 use crate::runner::RunCtx;
 use rand::Rng;
 use whitefi::driver::{BackgroundPair, BackgroundTraffic, Scenario};
@@ -95,10 +95,17 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         .collect();
     let runs = per_client(ctx, &scenarios);
     let mut worst_frac: f64 = 1.0;
+    // Best static width per point, from the printed row (the narrower
+    // width on a tie).
+    let mut best = Vec::new();
     for (pi, &pairs) in points.iter().enumerate() {
         let [w, o5, o10, o20, o] = mean_columns(&runs[pi * seeds.len()..(pi + 1) * seeds.len()]);
         let frac = if o > 0.0 { w / o } else { 1.0 };
         worst_frac = worst_frac.min(frac);
+        let (width, _) = [(5, rounded4(o5)), (10, rounded4(o10)), (20, rounded4(o20))]
+            .into_iter()
+            .fold((0, f64::NEG_INFINITY), |b, c| if c.1 > b.1 { c } else { b });
+        best.push((pairs, width));
         report.push_row(&[
             ("pairs", json!(pairs)),
             ("whitefi", round4(w)),
@@ -112,9 +119,18 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     report.note(format!(
         "worst WhiteFi/OPT fraction {worst_frac:.3} (paper: always within 14% of OPT)"
     ));
-    report.note(
-        "OPT-20 degrades as pairs increase; narrower static widths catch up — no single best width",
-    );
+    let per_point: Vec<String> = best
+        .iter()
+        .map(|(pairs, width)| format!("{width} MHz at {pairs}"))
+        .collect();
+    let verdict = match best.first() {
+        Some(&(_, w0)) if best.iter().all(|&(_, w)| w == w0) => format!("{w0} MHz at every point"),
+        _ => "no single best width".to_string(),
+    };
+    report.note(format!(
+        "best static width by pairs: {} — {verdict} (paper: OPT 10 MHz becomes better at about 10 pairs)",
+        per_point.join(", ")
+    ));
     report
 }
 

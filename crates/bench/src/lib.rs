@@ -18,7 +18,7 @@ pub mod report;
 pub mod runner;
 
 pub use report::ExperimentReport;
-pub use runner::{RunCtx, Runner};
+pub use runner::RunCtx;
 
 /// One registry entry: `(id, description, runner)`.
 pub type ExperimentEntry = (&'static str, &'static str, fn(&RunCtx) -> ExperimentReport);

@@ -243,7 +243,13 @@ impl ExperimentReport {
 
 /// Rounds to 4 decimal places for stable, readable output.
 pub fn round4(x: f64) -> Value {
-    json!((x * 1e4).round() / 1e4)
+    json!(rounded4(x))
+}
+
+/// `x` rounded to 4 decimal places, the number [`round4`] prints; notes
+/// computed from it agree with the rows they sit under.
+pub fn rounded4(x: f64) -> f64 {
+    (x * 1e4).round() / 1e4
 }
 
 /// Mean of a slice.

@@ -2,8 +2,8 @@
 //!
 //! Every experiment is a bag of independent seeded trials: each trial's
 //! RNG seed is derived purely from the experiment's fixed base constants
-//! and the trial index, never from execution order. The runner fans the
-//! trial indices across a scoped-thread work pool (`std::thread::scope`
+//! and the trial index, never from execution order. [`RunCtx::map`] fans
+//! the trial indices across a scoped-thread work pool (`std::thread::scope`
 //! plus an `AtomicUsize` work index — no extra dependencies) and then
 //! reassembles the results in index order, so the output of `--jobs N`
 //! is byte-identical to `--jobs 1` by construction. Each worker returns
@@ -12,7 +12,7 @@
 //! state. A test in `tests/determinism.rs` enforces the byte-identity
 //! end-to-end through the real experiment registry.
 //!
-//! The runner also owns the `--seed` perturbation: a user seed of 0 (the
+//! [`RunCtx`] also owns the `--seed` perturbation: a user seed of 0 (the
 //! default) leaves every base seed untouched, keeping historical outputs
 //! stable; any other value mixes it into each derived seed via
 //! splitmix64.
@@ -20,22 +20,35 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use whitefi_mac::splitmix64;
 
-/// Work-pool state shared by every trial of one experiment run.
+/// Per-experiment execution context handed to every experiment runner:
+/// the quick/full switch plus the trial pool.
 #[derive(Debug)]
-pub struct Runner {
+pub struct RunCtx {
+    quick: bool,
     jobs: usize,
     user_seed: u64,
 }
 
-impl Runner {
-    /// A runner executing up to `jobs` trials concurrently (clamped to at
+impl RunCtx {
+    /// A context running trials on up to `jobs` threads (clamped to at
     /// least 1). `user_seed = 0` keeps all derived seeds identical to the
     /// sequential historical outputs.
-    pub fn new(jobs: usize, user_seed: u64) -> Self {
+    pub fn new(quick: bool, jobs: usize, user_seed: u64) -> Self {
         Self {
+            quick,
             jobs: jobs.max(1),
             user_seed,
         }
+    }
+
+    /// Today's single-threaded behaviour with unperturbed seeds.
+    pub fn sequential(quick: bool) -> Self {
+        Self::new(quick, 1, 0)
+    }
+
+    /// Whether the experiment should run its abbreviated grid.
+    pub fn quick(&self) -> bool {
+        self.quick
     }
 
     /// Derives the effective seed for a trial from its base seed. The
@@ -89,48 +102,6 @@ impl Runner {
     }
 }
 
-/// Per-experiment execution context handed to every experiment runner:
-/// the quick/full switch plus the trial pool.
-#[derive(Debug)]
-pub struct RunCtx {
-    quick: bool,
-    runner: Runner,
-}
-
-impl RunCtx {
-    /// A context running trials on up to `jobs` threads.
-    pub fn new(quick: bool, jobs: usize, user_seed: u64) -> Self {
-        Self {
-            quick,
-            runner: Runner::new(jobs, user_seed),
-        }
-    }
-
-    /// Today's single-threaded behaviour with unperturbed seeds.
-    pub fn sequential(quick: bool) -> Self {
-        Self::new(quick, 1, 0)
-    }
-
-    /// Whether the experiment should run its abbreviated grid.
-    pub fn quick(&self) -> bool {
-        self.quick
-    }
-
-    /// See [`Runner::seed`].
-    pub fn seed(&self, base: u64) -> u64 {
-        self.runner.seed(base)
-    }
-
-    /// See [`Runner::map`].
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.runner.map(n, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,29 +115,29 @@ mod tests {
 
     #[test]
     fn map_preserves_index_order() {
-        let r = Runner::new(8, 0);
-        let out = r.map(100, |i| i * 3);
+        let ctx = RunCtx::new(true, 8, 0);
+        let out = ctx.map(100, |i| i * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_matches_sequential_bitwise() {
-        let seq = Runner::new(1, 0).map(40, |i| trial(i, 42));
-        let par = Runner::new(7, 0).map(40, |i| trial(i, 42));
+        let seq = RunCtx::new(true, 1, 0).map(40, |i| trial(i, 42));
+        let par = RunCtx::new(true, 7, 0).map(40, |i| trial(i, 42));
         assert_eq!(seq, par);
     }
 
     #[test]
     fn seed_zero_is_identity_nonzero_perturbs() {
-        let plain = Runner::new(1, 0);
+        let plain = RunCtx::new(true, 1, 0);
         assert_eq!(plain.seed(1234), 1234);
         assert_eq!(plain.seed(0), 0);
-        let salted = Runner::new(1, 7);
+        let salted = RunCtx::new(true, 1, 7);
         assert_ne!(salted.seed(1234), 1234);
         // Distinct bases stay distinct after perturbation.
         assert_ne!(salted.seed(1), salted.seed(2));
         // Same base, same user seed: stable.
-        assert_eq!(salted.seed(9), Runner::new(1, 7).seed(9));
+        assert_eq!(salted.seed(9), RunCtx::new(true, 1, 7).seed(9));
     }
 
     /// Every index comes back exactly once and in index order, whatever
@@ -175,9 +146,9 @@ mod tests {
     #[test]
     fn map_returns_each_index_once_in_order() {
         for jobs in [1, 2, 4, 7] {
-            let r = Runner::new(jobs, 0);
+            let ctx = RunCtx::new(true, jobs, 0);
             for n in [0, 1, 3, 1000] {
-                let out = r.map(n, |i| {
+                let out = ctx.map(n, |i| {
                     let spins = if i % 17 == 0 { 20_000 } else { i % 5 * 100 };
                     let work = (0..spins as u64).fold(i as u64, |a, k| a.wrapping_mul(31) ^ k);
                     (i, std::hint::black_box(work))
@@ -190,8 +161,8 @@ mod tests {
 
     #[test]
     fn zero_and_single_item_maps() {
-        let r = Runner::new(4, 0);
-        assert!(r.map(0, |i| i).is_empty());
-        assert_eq!(r.map(1, |i| i + 1), vec![1]);
+        let ctx = RunCtx::new(true, 4, 0);
+        assert!(ctx.map(0, |i| i).is_empty());
+        assert_eq!(ctx.map(1, |i| i + 1), vec![1]);
     }
 }

@@ -150,10 +150,12 @@ const CHUNK: usize = 64;
 /// window without summing it, each only when [`Self::new`] has proven it
 /// exact for the configuration (DESIGN.md §12.2):
 ///
-/// * **all below**: `w` samples none of which is above sum to at most
-///   `w` copies of `threshold` summed the same way (rounding is
-///   monotone; a NaN sum is not above anything), so the window is below
-///   when that sum is at most `threshold · w`;
+/// * **all below**: a sample that is not above is at most the floor, so
+///   `w` such samples sum to at most `w` copies of the floor summed the
+///   same way (rounding is monotone; a NaN sum is not above anything),
+///   and the window is below when that sum is at most `threshold · w`.
+///   For any window under 2^29 samples the copies sum exactly to at
+///   most `threshold · w`, so this fails only for a NaN threshold;
 /// * **all above**: `w` samples all above are each at least the next f32
 ///   above `threshold`, so the window is above when `w` copies of that
 ///   f32 sum to more than `threshold · w`.
@@ -188,7 +190,7 @@ impl RunKernel {
             window,
             run_threshold,
             floor,
-            below_exact: repeated(threshold) <= run_threshold,
+            below_exact: repeated(f64::from(floor)) <= run_threshold,
             above_exact: repeated(f64::from(floor.next_up())) > run_threshold,
         }
     }
@@ -847,6 +849,29 @@ mod tests {
         // 150 + 2^-16, sums five times to 750 + 5·2^-16 > 750.
         assert_eq!(k.floor, 150.0);
         assert_eq!(f64::from(k.floor.next_up()), 150.0 + 2f64.powi(-16));
+    }
+
+    /// `w` copies of the f32 floor sum exactly in f64 to at most
+    /// `thr · w`, so the all-below bound fails only for a NaN threshold.
+    #[test]
+    fn all_below_bound_fails_only_for_nan() {
+        let just_below = f64::from(150.1f32).next_down();
+        for thr in [
+            150.1,
+            0.1,
+            -0.1,
+            1e-50,
+            just_below,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            for w in [1, 2, 5, 6, 64, 1000] {
+                assert!(RunKernel::new(thr, w).below_is_exact(), "thr {thr} w {w}");
+            }
+        }
+        assert!(!RunKernel::new(f64::NAN, 5).below_is_exact());
     }
 
     #[test]

@@ -187,14 +187,15 @@ fn run_kernel_matches_ref_on_edge_fixtures() {
 }
 
 /// Configurations whose bounds fail sum the windows a failed bound
-/// cannot decide, and still equal the specification: 150.1 × 6 fails
-/// the all-below bound, 1e308 × 5 (whose `thr · w` overflows) the
-/// all-above one, and a NaN threshold both.
+/// cannot decide, and still equal the specification: 1e308 × 5 (whose
+/// `thr · w` overflows) fails the all-above bound and a NaN threshold
+/// both. 150.1 × 6, not an f32, passes both: the all-below bound sums
+/// copies of the threshold's f32 floor.
 #[test]
 fn configs_failing_a_bound_match_ref_on_edge_fixtures() {
     for (thr, w, below, above) in [
         (150.0, 5, true, true),
-        (150.1, 6, false, true),
+        (150.1, 6, true, true),
         (1e308, 5, true, false),
         (f64::NAN, 5, false, false),
     ] {

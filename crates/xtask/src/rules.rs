@@ -344,7 +344,7 @@ fn scan_rules(ctx: &FileCtx, lexed: &Lexed, test_regions: &[(u32, u32)]) -> Vec<
     let r1 = ctx.in_sim_crate();
     let r2 = ctx.kind != FileKind::Benches && !WALL_CLOCK_ALLOWLIST.contains(&ctx.rel.as_str());
     // Shared-memory synchronization primitives have no place in sim-crate
-    // library code: cross-thread work fans out through `Runner::map`,
+    // library code: cross-thread work fans out through `RunCtx::map`,
     // which hands results back through scoped-thread join handles — an
     // ad-hoc lock or channel is exactly how schedule-dependent state
     // leaks into byte-identical runs.
@@ -392,7 +392,7 @@ fn scan_rules(ctx: &FileCtx, lexed: &Lexed, test_regions: &[(u32, u32)]) -> Vec<
                 rule: RuleId::R2Nondet,
                 line: t.line,
                 message: "`thread::spawn` outside the runner pool (ambient scheduling; fan \
-                          work out through Runner::map / RunCtx::map so results reassemble \
+                          work out through RunCtx::map so results reassemble \
                           deterministically)"
                     .to_string(),
             }),
@@ -402,7 +402,7 @@ fn scan_rules(ctx: &FileCtx, lexed: &Lexed, test_regions: &[(u32, u32)]) -> Vec<
                     line: t.line,
                     message: format!(
                         "`{}` in sim-crate library code — fan \
-                         work out through Runner::map / RunCtx::map, which returns results \
+                         work out through RunCtx::map, which returns results \
                          through join handles instead of shared state",
                         t.text
                     ),
@@ -736,8 +736,8 @@ mod tests {
         assert!(r.diagnostics.iter().all(|d| d.rule == RuleId::R2Nondet));
         assert_eq!(r.diagnostics[0].line, 1);
         assert_eq!(r.diagnostics[1].line, 2);
-        // No file is exempt: the runner pool and the experiments binary's
-        // outer pool both return results through join handles.
+        // No file is exempt: the runner pool returns results through
+        // join handles, and the experiments binary has no pool of its own.
         assert_eq!(lint("crates/bench/src/runner.rs", src).diagnostics.len(), 2);
         assert_eq!(
             lint("crates/bench/src/bin/experiments.rs", src)
