@@ -6,9 +6,10 @@
 #              trace test, the scenario-file outcomes in
 #              tests/golden/scenario_files.txt, the layerbench city,
 #              paper_sweep and sift_capture digests at seeds 1 and 7,
-#              and the quick sweep's numbers in
-#              tests/golden/quick_sweep.txt) after an intended
-#              protocol, timing or synthesis change
+#              the quick sweep's numbers in
+#              tests/golden/quick_sweep.txt and the full sweep's record
+#              in experiments_output.txt) after an intended protocol,
+#              timing or synthesis change
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -177,12 +178,12 @@ echo "examples: all ran cleanly"
 # committed tests/golden/quick_sweep.txt, so any drift in the figures'
 # numbers fails here (re-bless with --bless). Each run also exits
 # non-zero on an invalid report or an adaptive oracle violation.
+timing_lines='^\([a-z0-9_]+ completed in [0-9.]+s\)$|^ran [0-9]+ experiments in '
 sweep_dir=$(mktemp -d)
 trap 'rm -rf "$sweep_dir"' EXIT
 for jobs in 1 2; do
     cargo run --release -p whitefi-bench --bin experiments -- all --quick --jobs "$jobs" |
-        grep -Ev '^\([a-z0-9_]+ completed in [0-9.]+s\)$|^ran [0-9]+ experiments in ' \
-            > "$sweep_dir/jobs$jobs.txt"
+        grep -Ev "$timing_lines" > "$sweep_dir/jobs$jobs.txt"
 done
 diff "$sweep_dir/jobs1.txt" "$sweep_dir/jobs2.txt"
 echo "experiments: quick sweep byte-identical at --jobs 1 and --jobs 2"
@@ -195,6 +196,24 @@ elif ! diff tests/golden/quick_sweep.txt "$sweep_dir/jobs1.txt"; then
     exit 1
 else
     echo "experiments: quick sweep matches tests/golden/quick_sweep.txt"
+fi
+
+# Full-sweep record lane: the full sweep's stdout at --jobs 2, minus the
+# same timing lines, equals the committed experiments_output.txt, the
+# repository's record of every table and figure at full size, so a
+# change that moves any full-size number must re-bless it (--bless).
+# About 6-8 s on 2 vCPUs.
+cargo run --release -p whitefi-bench --bin experiments -- all --jobs 2 |
+    grep -Ev "$timing_lines" > "$sweep_dir/full.txt"
+if [ "${GOLDEN_BLESS:-}" = 1 ]; then
+    cp "$sweep_dir/full.txt" experiments_output.txt
+    echo "experiments: full sweep blessed into experiments_output.txt"
+elif ! diff experiments_output.txt "$sweep_dir/full.txt"; then
+    echo "experiments: full sweep differs from experiments_output.txt;" \
+        "re-bless with scripts/check.sh --bless if the change is intended" >&2
+    exit 1
+else
+    echo "experiments: full sweep matches experiments_output.txt"
 fi
 
 # Spread check of the comparison itself: on a fixture pair whose parent
