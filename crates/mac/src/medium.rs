@@ -129,10 +129,11 @@ pub struct Medium {
     /// tighten this when no scanner will ever look back (fixed-channel
     /// baseline runs keep 300 ms); queries never reach past their
     /// window, so shrinking the horizon below the longest query window
-    /// actually issued is the only way it can change results. It must
-    /// also cover the longest frame: the engine's interference fallback,
-    /// [`Medium::interferer_sources_into`], looks back from a frame's end
-    /// to its start (a few milliseconds; debug builds assert it).
+    /// actually issued is the only way it can change results. In debug
+    /// builds it must also cover the longest frame (a few milliseconds,
+    /// asserted): the engine checks every interference verdict against
+    /// [`Medium::interferer_sources_into`], which looks back from a
+    /// frame's end to its start.
     pub history_horizon: SimDuration,
     /// Cumulative busy time per UHF channel since simulation start
     /// (union of overlapping transmissions — exact, via active counts).
@@ -174,6 +175,11 @@ impl Medium {
             keys: VecDeque::new(),
         });
         self.by_src.len() - 1
+    }
+
+    /// The id the next [`Medium::start`] assigns: ids follow start order.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
     }
 
     /// Starts a transmission by registered source `src`; returns its id.
@@ -494,10 +500,7 @@ impl Medium {
     ///
     /// This walks every transmission in the window, heard or not. The
     /// engine decides delivery interference from per-node carrier
-    /// bookkeeping instead and calls this only as the fallback for the
-    /// few verdicts that bookkeeping cannot give (a receiver that
-    /// retuned or joined mid-frame, or saw two more frames start on its
-    /// channel before this one ended) and, in debug builds, as the
+    /// bookkeeping instead and calls this only in debug builds, as the
     /// reference every verdict is checked against.
     pub fn interferer_sources_into(
         &self,

@@ -21,9 +21,10 @@
 //!   (Backoff is redrawn when a deferral is interrupted — a documented
 //!   simplification that preserves binary exponential backoff on losses.)
 //! * A frame is delivered only to nodes tuned to the *exact same* `(F,W)`
-//!   (the width/centre mismatch drop rule) that are in range, not
-//!   themselves transmitting, and see no interfering transmission
-//!   overlapping the frame in time and spectrum.
+//!   since before it started (the width/centre mismatch drop rule; a
+//!   receiver locks onto the preamble) that are in range, not themselves
+//!   transmitting, and see no interfering transmission overlapping the
+//!   frame in time and spectrum.
 //! * Unicast data elicits an ACK one SIFS later; beacons elicit a
 //!   CTS-to-self one SIFS later (the SIFT discovery signature, §4.2.1).
 //!   Both are sent without carrier sensing, as in 802.11.
@@ -313,12 +314,16 @@ struct Node {
     /// current channel, its own included (recomputed on a retune and by
     /// `add_node`): the carrier bookkeeping behind [`Core::interfered`].
     latest_end: SimTime,
+    /// The medium's next transmission id at this node's last retune or
+    /// `add_node`: only transmissions from that id on can reach it as
+    /// receptions (DESIGN.md §8, "Per-receiver interference verdicts").
+    tuned_at: u64,
     /// The latest transmission on this node's exact channel that
     /// reaches it, and whether it has been interfered with here so far
-    /// (`None` after a retune).
+    /// (stale after a retune, and then never read: see `tuned_at`).
     watch: Option<Watch>,
-    /// The last watch a later one replaced before its frame's `TxEnd`,
-    /// with its final verdict.
+    /// The last watch a later start replaced at exactly its frame's end,
+    /// ahead of that frame's `TxEnd`, with its final verdict.
     settled: Option<Watch>,
     /// The node's private deterministic RNG: `ChaCha8Rng` seeded from
     /// the simulator seed on this node's stream. Backoff draws and
@@ -432,9 +437,8 @@ pub struct Core {
     /// ascending: the delivery fan-out index. Ascending order fixes the
     /// behaviour dispatch order to match a full id-order scan.
     on_channel: Vec<Vec<NodeId>>,
-    /// Reusable scratch buffers for the per-transmission hot paths.
+    /// Reusable scratch buffer for the per-transmission delivery pass.
     delivery_buf: Vec<NodeId>,
-    interferer_buf: Vec<NodeId>,
     /// Installed fault plan, if any (`None` ⇒ the fault paths are
     /// strict no-ops and the event sequence is the historical one).
     faults: Option<FaultState>,
@@ -534,7 +538,7 @@ impl Core {
             self.nodes[n].channel = new;
             self.nodes[n].sensed = self.count_sensed(n);
             self.nodes[n].latest_end = self.latest_carrier_end(n);
-            self.nodes[n].watch = None;
+            self.nodes[n].tuned_at = self.medium.next_id();
         }
     }
 
@@ -586,75 +590,66 @@ impl Core {
 
     /// Whether a transmission other than `tx` that overlaps it in time
     /// and spectrum reached node `m`, a delivery candidate of `tx` (in
-    /// range of `tx.src` and tuned to exactly `tx.channel` at its end),
-    /// read from `m`'s carrier bookkeeping in O(1). `None` when the
-    /// bookkeeping cannot tell and the history scan must decide
+    /// range of `tx.src`, and tuned to exactly `tx.channel` since before
+    /// `tx` started), read from `m`'s carrier bookkeeping in O(1)
     /// (DESIGN.md §8, "Per-receiver interference verdicts").
     ///
-    /// `m` watches `tx` from its start until a retune or the next
-    /// watched start. While it does, `m` sits on `tx.channel`, so
-    /// "overlaps `tx.channel`" is "overlaps `m`'s channel", the test
-    /// `Node::hit` applies. An interferer then either reached `m` before
-    /// `tx` started and was still on the air (`latest_end` after
-    /// `tx.start`, which sets `hit` when the watch begins), or started
-    /// later but before `tx.end` (a hit while watched). When the next
-    /// watched start replaces the watch, the verdict is final: a later
-    /// start is not before that one, and so not before `tx.end` unless
-    /// that one already was; `settled` keeps it.
-    fn interfered(&self, m: NodeId, tx: &Transmission) -> Option<bool> {
+    /// `m` watches `tx` from its start until the next watched start.
+    /// While it does, `m` sits on `tx.channel`, so "overlaps
+    /// `tx.channel`" is "overlaps `m`'s channel", the test `Node::hit`
+    /// applies. An interferer then either reached `m` before `tx`
+    /// started and was still on the air (`latest_end` after `tx.start`,
+    /// which sets `hit` when the watch begins), or started later but
+    /// before `tx.end` (a hit while watched). A watch replaced at
+    /// exactly `tx.end`, ahead of its `TxEnd`, is final, and `settled`
+    /// keeps it. A watch replaced earlier was replaced by a start on
+    /// `tx.channel` while `tx` was on the air: a hit.
+    fn interfered(&self, m: NodeId, tx: &Transmission) -> bool {
         let node = &self.nodes[m];
         [node.watch, node.settled]
             .into_iter()
             .flatten()
             .find(|w| w.id == tx.id)
-            .map(|w| w.hit)
+            .is_none_or(|w| w.hit)
     }
 
     /// Filters `tx`'s delivery candidates in place down to its
     /// receivers: not transmitting (half duplex), and not reached by
     /// another transmission overlapping `tx` in time and spectrum
     /// (interference, counted as a collision). Verdicts come from
-    /// [`Core::interfered`]. The history scan
-    /// ([`Medium::interferer_sources_into`]) runs at most once per
-    /// transmission: when a verdict needs it and, in debug builds, as
-    /// the reference every verdict is checked against.
+    /// [`Core::interfered`]; debug builds check each one against the
+    /// history scan ([`Medium::interferer_sources_into`]), the
+    /// reference implementation.
     fn keep_receivers(&mut self, tx: &Transmission, candidates: &mut Vec<NodeId>) {
-        let mut interferers = std::mem::take(&mut self.interferer_buf);
-        interferers.clear();
-        let mut scanned = false;
+        #[cfg(debug_assertions)]
+        let interferers = {
+            assert!(
+                tx.end.since(tx.start) <= self.medium.history_horizon,
+                "the history horizon must cover every frame"
+            );
+            let mut out = Vec::new();
+            self.medium
+                .interferer_sources_into(tx.channel, tx.start, tx.end, tx.id, &mut out);
+            out
+        };
         candidates.retain(|&m| {
             if self.is_transmitting(m) {
                 return false;
             }
-            let fast = self.interfered(m, tx);
-            if !scanned && (fast.is_none() || cfg!(debug_assertions)) {
-                debug_assert!(
-                    tx.end.since(tx.start) <= self.medium.history_horizon,
-                    "the history horizon must cover every frame"
-                );
-                self.medium.interferer_sources_into(
-                    tx.channel,
-                    tx.start,
-                    tx.end,
-                    tx.id,
-                    &mut interferers,
-                );
-                scanned = true;
-            }
-            let scan = || interferers.iter().any(|&s| self.in_range(s, m));
-            debug_assert!(
-                fast.is_none_or(|hit| hit == scan()),
+            let hit = self.interfered(m, tx);
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                hit,
+                interferers.iter().any(|&s| self.in_range(s, m)),
                 "node {m}: interference verdict on transmission {} at {:?} disagrees with the scan",
                 tx.id,
                 tx.end
             );
-            let hit = fast.unwrap_or_else(scan);
             if hit {
                 self.nodes[m].stats.rx_collisions += 1;
             }
             !hit
         });
-        self.interferer_buf = interferers;
     }
 
     /// The first Idle node with a queued frame that is not [`blocked`]
@@ -772,9 +767,10 @@ impl Core {
             }
             if node.channel == channel {
                 let hit = busy;
-                // A watch whose frame has ended was read at its `TxEnd`.
+                // A watch whose frame ended earlier was read at its
+                // `TxEnd`, and one whose frame is still on the air is hit.
                 let done = node.watch.replace(Watch { id, end, hit });
-                if let Some(done) = done.filter(|w| w.end >= now) {
+                if let Some(done) = done.filter(|w| w.end == now) {
                     node.settled = Some(done);
                 }
             }
@@ -976,7 +972,6 @@ impl Simulator {
                 heard_by: Vec::new(),
                 on_channel: vec![Vec::new(); 3 * NUM_UHF_CHANNELS],
                 delivery_buf: Vec::new(),
-                interferer_buf: Vec::new(),
                 faults: None,
                 observer: None,
             },
@@ -1054,6 +1049,7 @@ impl Simulator {
             active_tx: 0,
             sensed: 0,
             latest_end: SimTime::ZERO,
+            tuned_at: self.core.medium.next_id(),
             watch: None,
             settled: None,
             rng,
@@ -1325,9 +1321,9 @@ impl Simulator {
 
         // --- Receiver side ---------------------------------------------
         // Candidates are the nodes in range of `src` and tuned to exactly
-        // `tx.channel` (the width/centre match), ascending by id: the
-        // same set and order a full scan would produce, read off the
-        // ascending `hears[src]`.
+        // `tx.channel` (the width/centre match) since before `tx` started
+        // (ids follow start order), ascending by id: the same set and
+        // order a full scan would produce, read off `hears[src]`.
         let mut deliveries = std::mem::take(&mut self.core.delivery_buf);
         deliveries.clear();
         // A faulted drop loses the frame at *every* receiver: delivery
@@ -1336,11 +1332,10 @@ impl Simulator {
         // normal CSMA paths.
         if !fault.drop {
             let core = &self.core;
-            deliveries.extend(
-                core.hears[src]
-                    .iter()
-                    .filter(|&&m| m != src && core.nodes[m].channel == tx.channel),
-            );
+            deliveries.extend(core.hears[src].iter().filter(|&&m| {
+                let node = &core.nodes[m];
+                m != src && node.channel == tx.channel && node.tuned_at <= tx.id
+            }));
         }
         self.core.keep_receivers(&tx, &mut deliveries);
 
@@ -2349,15 +2344,16 @@ mod tests {
     }
 
     /// A receiver that retunes onto the frame's channel mid-frame, or
-    /// away and back, holds no watch on it, and the history scan gives
-    /// the verdict: a carrier that overlapped the frame while the
-    /// receiver was elsewhere still counts, as it always has.
+    /// away and back, missed the frame's start: it neither receives the
+    /// frame nor counts it as a collision, whether or not a carrier
+    /// overlapped the frame, while it was away or not. Once it stays on
+    /// the channel, the next frame is received.
     #[test]
-    fn retune_mid_frame_falls_back_to_the_scan() {
+    fn retune_mid_frame_neither_receives_nor_collides() {
         let off = ch(20, Width::W5);
         let (dn, d) = (airtime(narrow(), 100), airtime(wide(), 1500));
         assert!(d / 4 + dn < d * 3 / 4);
-        let t = [1, 10, 20, 30].map(SimTime::from_millis);
+        let t = [1, 10, 20, 30, 40].map(SimTime::from_millis);
         let mut sim = Simulator::new(1);
         let log = Log::default();
         let hops = vec![
@@ -2385,21 +2381,78 @@ mod tests {
         for at in t {
             force_at(&mut sim, at, Frame::data(a, rx, 1500));
         }
-        sim.run_until(SimTime::from_millis(40));
+        sim.run_until(SimTime::from_millis(50));
         assert_eq!(sim.node_channel(rx), wide());
-        assert_eq!(sim.stats(rx).rx_collisions, 2);
-        assert_eq!(sim.stats(rx).rx_data_frames, 2);
-        assert_eq!(*log.borrow(), [(t[2] + d, a), (t[3] + d, a)]);
+        assert_eq!(sim.stats(rx).rx_collisions, 0);
+        assert_eq!(sim.stats(rx).rx_data_frames, 1);
+        assert_eq!(*log.borrow(), [(t[4] + d, a)]);
+    }
+
+    /// The rule's tie: a receiver that tunes onto the frame's channel
+    /// at the frame's start watched it from its start only if the retune
+    /// ran first in event order. Tuned in time, it receives a clean
+    /// frame and counts a frame hit by a carrier as a collision; tuned
+    /// late, it does neither.
+    #[test]
+    fn retune_at_the_start_is_decided_by_event_order() {
+        let off = ch(20, Width::W5);
+        let d = airtime(wide(), 1000);
+        let t0 = SimTime::from_millis(1);
+        let us = SimDuration::from_micros(1);
+        // (rx_data_frames, rx_collisions) after one frame at `t0`, with
+        // the receiver retuning onto its channel at `hop`, and a carrier
+        // mid-frame if `carrier`.
+        let run = |hop: SimTime, hop_first: bool, carrier: bool| {
+            let mut sim = Simulator::new(1);
+            let p = Probe {
+                log: Log::default(),
+                hops: vec![(hop, wide())],
+            };
+            let rx = sim.add_node(NodeConfig::on_channel(off), Box::new(p));
+            let a = sim.add_node(NodeConfig::on_channel(wide()), Box::new(Sink));
+            let c = sim.add_node(NodeConfig::on_channel(narrow()), Box::new(Sink));
+            // The probe arms its hop when it starts, at time zero: a
+            // frame forced before that runs ahead of the hop at `t0`, one
+            // forced after it behind.
+            if !hop_first {
+                force_at(&mut sim, t0, Frame::data(a, rx, 1000));
+            }
+            sim.run_until(SimTime::ZERO);
+            if hop_first {
+                force_at(&mut sim, t0, Frame::data(a, rx, 1000));
+            }
+            if carrier {
+                force_at(&mut sim, t0 + d / 2, bcast(c, 100));
+            }
+            sim.run_until(SimTime::from_millis(10));
+            (sim.stats(rx).rx_data_frames, sim.stats(rx).rx_collisions)
+        };
+        for (hop, hop_first, watched) in [
+            (t0 - us, false, true),
+            (t0, true, true),
+            (t0, false, false),
+            (t0 + us, true, false),
+        ] {
+            let (clean, hit) = if watched {
+                ((1, 0), (0, 1))
+            } else {
+                ((0, 0), (0, 0))
+            };
+            let case = format!("hop at {hop:?}, hop first: {hop_first}");
+            assert_eq!(run(hop, hop_first, false), clean, "{case}, clean");
+            assert_eq!(run(hop, hop_first, true), hit, "{case}, carrier");
+        }
     }
 
     /// One receiver watching overlapping same-channel frames. The second
     /// start replaces the watch on the first while it is on the air,
-    /// which settles the first as hit, and both collide. A second frame
+    /// which makes the first a hit, and both collide. A second frame
     /// starting exactly at the first's end (ahead of its `TxEnd`) also
-    /// replaces the watch, yet does not overlap it: the first is
-    /// delivered, and the second is then hit by the receiver's own ACK.
-    /// Three staggered frames replace the first one's watch twice before
-    /// it ends, and the history scan decides it.
+    /// replaces the watch, yet does not overlap it: the first is settled
+    /// clean and delivered, and the second is then hit by the receiver's
+    /// own ACK. Three staggered frames replace the first one's watch
+    /// twice before it ends, and all three collide, read from the
+    /// bookkeeping alone like every other verdict.
     #[test]
     fn overlapping_watched_frames() {
         let mut sim = Simulator::new(1);
@@ -2455,8 +2508,8 @@ mod tests {
     /// A node added mid-run starts its carrier bookkeeping from the
     /// carriers already on the air: a frame that starts after it joined,
     /// while a carrier from before is still on the air, collides there,
-    /// and a frame that started before it joined is decided by the
-    /// history scan.
+    /// and a frame that started before it joined is neither received
+    /// nor counted as a collision.
     #[test]
     fn node_added_mid_run_counts_carriers_on_the_air() {
         let mut sim = Simulator::new(1);
@@ -2475,7 +2528,7 @@ mod tests {
         let t2 = t0 + dn + SimDuration::from_millis(1);
         force_at(&mut sim, t2, Frame::data(a, rx, 200));
         sim.run_until(t2 + SimDuration::from_millis(10));
-        assert_eq!(sim.stats(rx).rx_collisions, 2);
+        assert_eq!(sim.stats(rx).rx_collisions, 1);
         assert_eq!(sim.stats(rx).rx_data_frames, 1);
         assert_eq!(sim.stats(rx).rx_broadcast_frames, 0);
         assert_eq!(*log.borrow(), [(t2 + d, a)]);

@@ -359,65 +359,98 @@ impl Behavior for Roamer {
     }
 }
 
-/// Collisions per node, recounted from the recorded events by the
+/// One node's verdicts by the brute-force rule.
+#[derive(Clone, Default)]
+struct Recount {
+    collisions: u64,
+    /// Data frames addressed to the node, and broadcasts, that it
+    /// received (what `rx_data_frames` and `rx_broadcast_frames` count).
+    received: u64,
+    /// Frames on the node's channel at their end that it tuned to after
+    /// they started: neither received nor counted as collisions.
+    late: u64,
+}
+
+/// Verdicts per node, recounted from the recorded events by the
 /// brute-force rule: at each end of an undropped transmission `tx`, every
 /// node other than its sender that `tx.src` reaches, tuned to exactly
-/// `tx.channel` and not on the air, collides if any other transmission
-/// overlapping `tx` in time and spectrum reaches it.
-fn brute_force_collisions(log: &[Seen], sim: &Simulator) -> Vec<u64> {
+/// `tx.channel` since before `tx` started (its last `Added` or `Retune`
+/// entry precedes `tx`'s `Start` in the log) and not on the air, collides
+/// if any other transmission overlapping `tx` in time and spectrum
+/// reaches it, and receives `tx` otherwise.
+fn brute_force_verdicts(log: &[Seen], sim: &Simulator) -> Vec<Recount> {
     // Longer than any frame: an older start cannot overlap `tx`.
     let longest = SimDuration::from_millis(20);
     let n = sim.node_count();
-    let mut channel: Vec<Option<WfChannel>> = vec![None; n];
+    // Each node's channel, and the log position where it tuned to it.
+    let mut tuned: Vec<Option<(WfChannel, usize)>> = vec![None; n];
     let mut on_air = vec![0u32; n];
-    let mut started: Vec<&Transmission> = Vec::new();
-    let mut collisions = vec![0u64; n];
-    for seen in log {
+    let mut started: Vec<(usize, &Transmission)> = Vec::new();
+    let mut out = vec![Recount::default(); n];
+    for (pos, seen) in log.iter().enumerate() {
         match seen {
-            Seen::Added(m, c) | Seen::Retune(m, c) => channel[*m] = Some(*c),
+            Seen::Added(m, c) | Seen::Retune(m, c) => tuned[*m] = Some((*c, pos)),
             Seen::Start(t) => {
                 on_air[t.src] += 1;
-                started.push(t);
+                started.push((pos, t));
             }
             Seen::End(tx, dropped) => {
                 on_air[tx.src] -= 1;
                 if *dropped {
                     continue;
                 }
-                for m in 0..n {
+                let (begun, _) = started
+                    .iter()
+                    .rev()
+                    .find(|(_, t)| t.id == tx.id)
+                    .expect("every ended transmission started");
+                for (m, verdict) in out.iter_mut().enumerate() {
+                    let Some((channel, since)) = tuned[m] else {
+                        continue;
+                    };
                     if m == tx.src
-                        || channel[m] != Some(tx.channel)
+                        || channel != tx.channel
                         || !sim.reaches(tx.src, m)
                         || on_air[m] > 0
                     {
                         continue;
                     }
+                    if since > *begun {
+                        verdict.late += 1;
+                        continue;
+                    }
                     let hit = started
                         .iter()
                         .rev()
-                        .take_while(|t| t.start + longest > tx.start)
-                        .any(|t| {
+                        .take_while(|(_, t)| t.start + longest > tx.start)
+                        .any(|(_, t)| {
                             t.id != tx.id
                                 && t.channel.overlaps(tx.channel)
                                 && t.start < tx.end
                                 && t.end > tx.start
                                 && sim.reaches(t.src, m)
                         });
-                    collisions[m] += u64::from(hit);
+                    if hit {
+                        verdict.collisions += 1;
+                    } else if tx.frame.dst.is_none_or(|d| d == m && tx.frame.needs_ack()) {
+                        verdict.received += 1;
+                    }
                 }
             }
         }
     }
-    collisions
+    out
 }
 
 /// Interference verdicts on random topologies with partial reach, mixed
 /// overlapping widths, nodes hopping channels every few hundred
 /// microseconds, simultaneous starts (equal backoff draws), nodes added
 /// mid-run while carriers are on the air, and faulted drops: every
-/// node's collision count equals a brute-force recount from the recorded
-/// events. In debug builds the engine also checks each verdict it reads
-/// from its carrier bookkeeping against its own history scan.
+/// node's collision and reception counts equal a brute-force recount
+/// from the recorded events, so no node receives a frame, or collides on
+/// one, that it was not tuned to for the frame's whole duration. In
+/// debug builds the engine also checks each verdict it reads from its
+/// carrier bookkeeping against its own history scan.
 #[test]
 fn interference_verdicts_match_bruteforce() {
     let channels = [
@@ -428,7 +461,8 @@ fn interference_verdicts_match_bruteforce() {
         channel_for(10, Width::W5),
         channel_for(12, Width::W5),
     ];
-    let (mut simultaneous, mut retunes, mut collisions) = (0, 0, 0);
+    let (mut simultaneous, mut retunes) = (0, 0);
+    let mut total = Recount::default();
     for case in 0..CASES {
         let mut rng = ChaCha8Rng::seed_from_u64(case);
         let seed = rng.gen_range(0..1000);
@@ -474,11 +508,15 @@ fn interference_verdicts_match_bruteforce() {
         }
         sim.run_until(SimTime::from_millis(400));
         let log = log.borrow();
-        let expect = brute_force_collisions(&log, &sim);
-        for (m, &want) in expect.iter().enumerate() {
-            let got = sim.stats(m).rx_collisions;
-            assert_eq!(got, want, "case {case}: seed {seed}: node {m} collisions");
-            collisions += got;
+        for (m, want) in brute_force_verdicts(&log, &sim).iter().enumerate() {
+            let stats = sim.stats(m);
+            let received = stats.rx_data_frames + stats.rx_broadcast_frames;
+            let case = format!("case {case}: seed {seed}: node {m}");
+            assert_eq!(stats.rx_collisions, want.collisions, "{case} collisions");
+            assert_eq!(received, want.received, "{case} received frames");
+            total.collisions += want.collisions;
+            total.received += want.received;
+            total.late += want.late;
         }
         let starts: Vec<SimTime> = log
             .iter()
@@ -491,8 +529,13 @@ fn interference_verdicts_match_bruteforce() {
         retunes += log.iter().filter(|s| matches!(s, Seen::Retune(..))).count();
     }
     assert!(simultaneous > 0, "no two transmissions started together");
+    let Recount {
+        collisions,
+        received,
+        late,
+    } = total;
     assert!(
-        retunes > 0 && collisions > 0,
-        "{retunes} retunes, {collisions} collisions"
+        retunes > 0 && collisions > 0 && received > 0 && late > 0,
+        "{retunes} retunes, {collisions} collisions, {received} received, {late} late"
     );
 }

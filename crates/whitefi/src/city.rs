@@ -70,8 +70,8 @@ use whitefi_spectrum::{
 /// footprints never overlap).
 pub fn locale_map(class: LocaleClass) -> SpectrumMap {
     match class {
-        LocaleClass::Urban => free_map(&[12, 13, 14, 26]),
-        LocaleClass::Suburban => free_map(&[2, 3, 4, 5, 6, 17, 18, 19]),
+        LocaleClass::Urban => SpectrumMap::from_free([12, 13, 14, 26]),
+        LocaleClass::Suburban => SpectrumMap::from_free([2, 3, 4, 5, 6, 17, 18, 19]),
         LocaleClass::Rural => occupied_map(&[0, 15]),
     }
 }
@@ -80,16 +80,6 @@ fn occupied_map(occupied: &[usize]) -> SpectrumMap {
     let mut map = SpectrumMap::all_free();
     for &i in occupied {
         map.set_occupied(UhfChannel::from_index(i));
-    }
-    map
-}
-
-fn free_map(free: &[usize]) -> SpectrumMap {
-    let mut map = occupied_map(&[]);
-    for i in 0..whitefi_spectrum::NUM_UHF_CHANNELS {
-        if !free.contains(&i) {
-            map.set_occupied(UhfChannel::from_index(i));
-        }
     }
     map
 }
@@ -232,7 +222,7 @@ impl CityScenario {
             } else {
                 &[2, 3, 4, 17, 18, 19, 26]
             };
-            cell.map = free_map(free);
+            cell.map = SpectrumMap::from_free(free.iter().copied());
         }
         city
     }

@@ -185,10 +185,10 @@ fn run(
     if !adaptive {
         // Fixed-channel runs issue no scanner queries (SCAN/BACKUP_SCAN
         // timers are disabled in `add_bss`), so the only history consumer
-        // left is the delivery interference scan (the engine's fallback
-        // and debug-build reference), which never looks back further
-        // than one frame duration (≲ 8 ms at W5). 300 ms keeps a wide
-        // margin while making trace retention pay-as-you-go.
+        // left is the debug-build reference scan of each delivery's
+        // interferers, which never looks back further than one frame
+        // duration (≲ 8 ms at W5). 300 ms keeps a wide margin while
+        // making trace retention pay-as-you-go.
         sim.medium_mut().history_horizon = SimDuration::from_millis(300);
     }
     // The fault plan must be installed before any node registers (each
@@ -313,8 +313,8 @@ pub fn run_fixed(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
 }
 
 /// [`run_fixed`] without the spectral slicing: every background pair is
-/// simulated. Reference implementation for the differential tests and
-/// the `fixed_run_pruned_vs_full` bench.
+/// simulated. Reference implementation for the pruning differential
+/// tests.
 pub fn run_fixed_unpruned(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
     run(scenario, channel, false, None)
 }
