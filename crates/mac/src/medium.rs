@@ -178,7 +178,7 @@ impl Medium {
     }
 
     /// The id the next [`Medium::start`] assigns: ids follow start order.
-    pub fn next_id(&self) -> u64 {
+    pub(crate) fn next_id(&self) -> u64 {
         self.next_id
     }
 
