@@ -146,7 +146,7 @@ mod tests {
     }
 
     /// A simulator holding one sink per `(x, range)` on the x axis, all
-    /// on `channel`, so `reaches` answers from the engine's table.
+    /// on `channel`, so `reaches` answers from the engine's neighbour lists.
     fn sim_with(channel: WfChannel, nodes: &[(f64, f64)]) -> Simulator {
         let mut sim = Simulator::new(1);
         for &(x, range) in nodes {
@@ -174,7 +174,7 @@ mod tests {
         assert!(potential_influences(&b, &a));
     }
 
-    /// The range predicate is directed — the engine's reach table says
+    /// The range predicate is directed — the engine's neighbour lists say
     /// only the long-range node reaches the other — while
     /// `potential_influences` joins the pair both ways.
     #[test]
@@ -263,7 +263,7 @@ mod tests {
     }
 
     /// Components are closed under the engine's own directed coupling:
-    /// wherever the simulator's reach table says `u` reaches `v` and
+    /// wherever the simulator's neighbour lists say `u` reaches `v` and
     /// their channel spans overlap, both sit in one component.
     #[test]
     fn components_are_influence_closed() {

@@ -7,15 +7,13 @@ use std::collections::VecDeque;
 use whitefi_phy::{Burst, SimDuration, SimTime, VisibleBurst};
 use whitefi_spectrum::{UhfChannel, WfChannel, NUM_UHF_CHANNELS};
 
-/// One frame on the air. Facts about the transmitter that do not change
-/// per frame (its AP flag and SSID) live in the medium's source registry,
-/// not here.
+/// One frame on the air, sent by `frame.src`. Facts about the
+/// transmitter that do not change per frame (its AP flag and SSID) live
+/// in the medium's source registry, not here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transmission {
     /// Unique id.
     pub id: u64,
-    /// Transmitting node.
-    pub src: NodeId,
     /// The `(F, W)` channel the frame is sent on.
     pub channel: WfChannel,
     /// Start of the transmission.
@@ -53,7 +51,7 @@ impl Transmission {
 
 /// The per-source index's copy of a history entry's span: its finish
 /// sequence number plus the `start`, `end` and `channel` every scanner
-/// filter tests, so a query touches the 80-byte [`Transmission`] itself
+/// filter tests, so a query touches the 72-byte [`Transmission`] itself
 /// only to materialize a burst.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HistoryKey {
@@ -182,15 +180,9 @@ impl Medium {
         self.next_id
     }
 
-    /// Starts a transmission by registered source `src`; returns its id.
-    pub fn start(
-        &mut self,
-        src: NodeId,
-        channel: WfChannel,
-        start: SimTime,
-        end: SimTime,
-        frame: Frame,
-    ) -> u64 {
+    /// Starts a transmission of `frame` by its registered source
+    /// `frame.src`; returns its id.
+    pub fn start(&mut self, channel: WfChannel, start: SimTime, end: SimTime, frame: Frame) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         for ch in channel.spanned() {
@@ -200,7 +192,6 @@ impl Medium {
         self.active_ids.push(id);
         self.active.push(Transmission {
             id,
-            src,
             channel,
             start,
             end,
@@ -235,7 +226,7 @@ impl Medium {
             "history must stay sorted by end time"
         );
         let seq = self.history_base + self.history.len();
-        self.by_src[tx.src].keys.push_back(HistoryKey {
+        self.by_src[tx.frame.src].keys.push_back(HistoryKey {
             seq,
             start: tx.start,
             end: tx.end,
@@ -280,7 +271,7 @@ impl Medium {
     ) -> impl Iterator<Item = &'a Transmission> {
         self.active
             .iter()
-            .filter(move |t| heard.is_none_or(|h| h.binary_search(&t.src).is_ok()))
+            .filter(move |t| heard.is_none_or(|h| h.binary_search(&t.frame.src).is_ok()))
     }
 
     fn accrue(&mut self, ch: UhfChannel, now: SimTime) {
@@ -296,7 +287,7 @@ impl Medium {
         let cutoff = SimTime::ZERO + cutoff;
         while let Some(front) = self.history.front() {
             if front.end < cutoff {
-                let src = front.src;
+                let src = front.frame.src;
                 self.history.pop_front();
                 let head = self.by_src[src].keys.pop_front();
                 debug_assert_eq!(
@@ -370,7 +361,7 @@ impl Medium {
             for t in self.active_heard(heard) {
                 if t.channel.contains(ch)
                     && t.overlaps_window(from, to)
-                    && !self.by_src[t.src].excluded(exclude_ssid)
+                    && !self.by_src[t.frame.src].excluded(exclude_ssid)
                 {
                     busy += clipped(t.start, t.end);
                 }
@@ -399,12 +390,13 @@ impl Medium {
         let mut seen: Vec<NodeId> = Vec::new();
         if self.active_count[ch.index()] > 0 {
             for t in self.active_heard(heard) {
-                if counts(&self.by_src[t.src])
+                let src = t.frame.src;
+                if counts(&self.by_src[src])
                     && t.channel.contains(ch)
                     && t.overlaps_window(from, to)
-                    && !seen.contains(&t.src)
+                    && !seen.contains(&src)
                 {
-                    seen.push(t.src);
+                    seen.push(src);
                 }
             }
         }
@@ -512,7 +504,7 @@ impl Medium {
     ) {
         for t in self.recent_history(from).chain(self.active.iter()) {
             if t.id != exclude_id && t.channel.overlaps(channel) && t.overlaps_window(from, to) {
-                out.push(t.src);
+                out.push(t.frame.src);
             }
         }
     }
@@ -524,8 +516,9 @@ mod tests {
 
     use whitefi_spectrum::Width;
 
-    fn frame() -> Frame {
-        Frame::data(0, 1, 500)
+    /// A data frame from `src`.
+    fn frame(src: NodeId) -> Frame {
+        Frame::data(src, 0, 500)
     }
 
     fn ch(center: usize, w: Width) -> WfChannel {
@@ -554,18 +547,16 @@ mod tests {
         // Two overlapping transmissions on the same channel: busy time is
         // the union, not the sum.
         let a = m.start(
-            0,
             c,
             SimTime::from_micros(0),
             SimTime::from_micros(100),
-            frame(),
+            frame(0),
         );
         let b = m.start(
-            1,
             c,
             SimTime::from_micros(50),
             SimTime::from_micros(150),
-            frame(),
+            frame(1),
         );
         m.finish(a, SimTime::from_micros(100));
         m.finish(b, SimTime::from_micros(150));
@@ -578,11 +569,10 @@ mod tests {
         let mut m = medium(1);
         let c = ch(5, Width::W5);
         let a = m.start(
-            0,
             c,
             SimTime::from_millis(10),
             SimTime::from_millis(20),
-            frame(),
+            frame(0),
         );
         m.finish(a, SimTime::from_millis(20));
         let u = UhfChannel::from_index(5);
@@ -613,11 +603,10 @@ mod tests {
         let c = ch(5, Width::W5);
         for src in [0, 0, 1, 2] {
             let id = m.start(
-                src,
                 c,
                 SimTime::from_millis(1),
                 SimTime::from_millis(2),
-                frame(),
+                frame(src),
             );
             m.finish(id, SimTime::from_millis(2));
         }
@@ -636,11 +625,10 @@ mod tests {
         let mut m = medium(1);
         let c = ch(5, Width::W10);
         let a = m.start(
-            0,
             c,
             SimTime::from_millis(1),
             SimTime::from_millis(2),
-            frame(),
+            frame(0),
         );
         m.finish(a, SimTime::from_millis(2));
         assert_eq!(
@@ -660,7 +648,7 @@ mod tests {
     fn history_pruned_beyond_horizon() {
         let mut m = medium(1);
         let c = ch(5, Width::W5);
-        let a = m.start(0, c, SimTime::ZERO, SimTime::from_millis(1), frame());
+        let a = m.start(c, SimTime::ZERO, SimTime::from_millis(1), frame(0));
         m.finish(a, SimTime::from_millis(1));
         assert_eq!(
             m.visible_bursts(SimTime::ZERO, SimTime::from_secs(100), None, all)
@@ -668,13 +656,7 @@ mod tests {
             1
         );
         // A later transmission triggers pruning of the stale one.
-        let b = m.start(
-            0,
-            c,
-            SimTime::from_secs(10),
-            SimTime::from_secs(11),
-            frame(),
-        );
+        let b = m.start(c, SimTime::from_secs(10), SimTime::from_secs(11), frame(0));
         m.finish(b, SimTime::from_secs(11));
         let bursts = m.visible_bursts(SimTime::ZERO, SimTime::from_secs(100), None, all);
         assert_eq!(bursts.len(), 1);
@@ -684,13 +666,12 @@ mod tests {
     fn interferers_exclude_self() {
         let mut m = medium(2);
         let c = ch(5, Width::W5);
-        let a = m.start(0, c, SimTime::ZERO, SimTime::from_millis(2), frame());
+        let a = m.start(c, SimTime::ZERO, SimTime::from_millis(2), frame(0));
         let _b = m.start(
-            1,
             c,
             SimTime::from_millis(1),
             SimTime::from_millis(3),
-            frame(),
+            frame(1),
         );
         let mut srcs = Vec::new();
         m.interferer_sources_into(c, SimTime::ZERO, SimTime::from_millis(2), a, &mut srcs);
@@ -706,25 +687,23 @@ mod tests {
         // return them oldest-first, then the active one.
         for k in 0..5u64 {
             let id = m.start(
-                NodeId::try_from(k).unwrap(),
                 c,
                 SimTime::from_millis(10 * k),
                 SimTime::from_millis(10 * k + 5),
-                frame(),
+                frame(NodeId::try_from(k).unwrap()),
             );
             m.finish(id, SimTime::from_millis(10 * k + 5));
         }
         m.start(
-            9,
             c,
             SimTime::from_millis(50),
             SimTime::from_millis(60),
-            frame(),
+            frame(9),
         );
         let from = SimTime::from_millis(21);
         let to = SimTime::from_millis(100);
         let txs = m.visible_window_transmissions(from, to);
-        let srcs: Vec<NodeId> = txs.iter().map(|t| t.src).collect();
+        let srcs: Vec<NodeId> = txs.iter().map(|t| t.frame.src).collect();
         assert_eq!(srcs, vec![2, 3, 4, 9]);
         let mut collected = Vec::new();
         m.interferer_sources_into(c, from, to, u64::MAX, &mut collected);
@@ -754,11 +733,10 @@ mod tests {
         let c = ch(5, Width::W5);
         for src in [0usize, 1] {
             let id = m.start(
-                src,
                 c,
                 SimTime::ZERO + SimDuration::from_millis(src as u64),
                 SimTime::from_millis(10),
-                frame(),
+                frame(src),
             );
             m.finish(id, SimTime::from_millis(10));
         }
@@ -795,7 +773,7 @@ mod tests {
     fn brute_heard(m: &Medium, from: SimTime, to: SimTime, heard: &[NodeId]) -> Vec<Transmission> {
         m.visible_window_transmissions(from, to)
             .into_iter()
-            .filter(|t| heard.contains(&t.src))
+            .filter(|t| heard.contains(&t.frame.src))
             .collect()
     }
 
@@ -849,7 +827,7 @@ mod tests {
                     }
                     let c = chans[rng.gen_range(0..chans.len())];
                     let end = now + SimDuration::from_micros(rng.gen_range(50..4000));
-                    let id = m.start(src, c, now, end, frame());
+                    let id = m.start(c, now, end, frame(src));
                     on_air.push((end, id));
                 } else {
                     // Finish the earliest-ending transmission (ties by id).
@@ -866,7 +844,7 @@ mod tests {
                         .history
                         .iter()
                         .enumerate()
-                        .filter(|(_, t)| t.src == src)
+                        .filter(|(_, t)| t.frame.src == src)
                         .map(|(i, t)| HistoryKey {
                             seq: m.history_base + i,
                             start: t.start,
@@ -932,7 +910,7 @@ mod tests {
                 );
 
                 let keep = |t: &&Transmission| {
-                    t.channel.contains(u) && !(excl.is_some() && ssid[t.src] == excl)
+                    t.channel.contains(u) && !(excl.is_some() && ssid[t.frame.src] == excl)
                 };
                 let busy: u64 = brute
                     .iter()
@@ -950,8 +928,8 @@ mod tests {
                 let mut aps: Vec<NodeId> = brute
                     .iter()
                     .filter(keep)
-                    .filter(|t| is_ap[t.src])
-                    .map(|t| t.src)
+                    .filter(|t| is_ap[t.frame.src])
+                    .map(|t| t.frame.src)
                     .collect();
                 aps.sort_unstable();
                 aps.dedup();
@@ -983,11 +961,10 @@ mod tests {
         let mut m = medium(1);
         let c = ch(5, Width::W5);
         let id = m.start(
-            0,
             c,
             SimTime::from_micros(10),
             SimTime::from_micros(20),
-            frame(),
+            frame(0),
         );
         m.finish(id, SimTime::from_micros(20));
         let t = &m.visible_window_transmissions(SimTime::ZERO, SimTime::from_micros(100))[0];
@@ -1012,14 +989,13 @@ mod tests {
         let mut m = medium(2);
         let c = ch(5, Width::W5);
         let u = UhfChannel::from_index(5);
-        let a = m.start(0, c, SimTime::ZERO, SimTime::from_micros(10), frame());
+        let a = m.start(c, SimTime::ZERO, SimTime::from_micros(10), frame(0));
         m.finish(a, SimTime::from_micros(10));
         let b = m.start(
-            1,
             c,
             SimTime::from_micros(10),
             SimTime::from_micros(20),
-            frame(),
+            frame(1),
         );
         m.finish(b, SimTime::from_micros(20));
         assert_eq!(
@@ -1059,20 +1035,18 @@ mod tests {
         let mut m = medium(2);
         // A wide transmission spanning UHF 8..=12 for [0, 100) µs.
         let wide = m.start(
-            0,
             ch(10, Width::W20),
             SimTime::ZERO,
             SimTime::from_micros(100),
-            frame(),
+            frame(0),
         );
         // Mid-flight, a second node (having just retuned to a narrow
         // overlapping channel) transmits on UHF 12 for [50, 150) µs.
         let narrow = m.start(
-            1,
             ch(12, Width::W5),
             SimTime::from_micros(50),
             SimTime::from_micros(150),
-            frame(),
+            frame(1),
         );
         // Query while both are active: the union on UHF 12 is [0, 75).
         let u12 = UhfChannel::from_index(12);

@@ -39,7 +39,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use whitefi_phy::{ChaCha8Rng, PhyTiming, SimDuration, SimTime};
-use whitefi_spectrum::{IncumbentSet, SpectrumMap, UhfChannel, WfChannel, Width, NUM_UHF_CHANNELS};
+use whitefi_spectrum::{IncumbentSet, SpectrumMap, UhfChannel, WfChannel, Width};
 
 /// Scanner sensitivity used for incumbent detection, dBm. The KNOWS
 /// scanner detects TV at −114 dBm and mics at −110 dBm (§3).
@@ -290,7 +290,6 @@ struct Node {
     state: CsmaState,
     cw: u32,
     retries: u32,
-    wants_tx: bool,
     current_tx: Option<u64>,
     observed_map: SpectrumMap,
     stats: NodeStats,
@@ -418,25 +417,18 @@ pub struct Core {
     /// distinct stream (see [`NodeConfig::rng_stream`]).
     seed: u64,
     counters: EventCounters,
-    /// `reach[i]` is a bitset over node ids: bit `j` set iff node `i`'s
-    /// transmissions reach node `j`. Positions and ranges never change
-    /// after `add_node`, so the float range predicate is evaluated once
-    /// per pair (with the exact same expression the query would use —
-    /// no `d² ≤ r²` rewrite that could flip at rounding boundaries).
-    reach: Vec<Vec<u64>>,
     /// `hears[n]`: the nodes that hear `n` — every `j` with `n`'s
-    /// transmissions reaching `j` — ascending. The same relation as
-    /// `reach`, as lists, so per-transmission work visits a sender's
-    /// neighbourhood instead of every node.
+    /// transmissions reaching `j` — ascending, so per-transmission work
+    /// visits a sender's neighbourhood instead of every node. Positions
+    /// and ranges never change after `add_node`, so the float range
+    /// predicate is evaluated once per ordered pair (`within_range`
+    /// itself — no `d² ≤ r²` rewrite that could flip at rounding
+    /// boundaries).
     hears: Vec<Vec<NodeId>>,
     /// `heard_by[n]`: the nodes `n` hears — every `i` whose transmissions
-    /// reach `n` — ascending. The heard-source list of `n`'s scanner
-    /// queries.
+    /// reach `n` — ascending: `hears` transposed. The heard-source list
+    /// of `n`'s scanner queries.
     heard_by: Vec<Vec<NodeId>>,
-    /// Node ids currently tuned to each exact `(F, W)` channel, sorted
-    /// ascending: the delivery fan-out index. Ascending order fixes the
-    /// behaviour dispatch order to match a full id-order scan.
-    on_channel: Vec<Vec<NodeId>>,
     /// Reusable scratch buffer for the per-transmission delivery pass.
     delivery_buf: Vec<NodeId>,
     /// Installed fault plan, if any (`None` ⇒ the fault paths are
@@ -471,70 +463,30 @@ impl Core {
         });
     }
 
-    /// Index of an exact `(F, W)` channel in the `on_channel` table.
-    fn chan_slot(channel: WfChannel) -> usize {
-        let w = match channel.width() {
-            Width::W5 => 0,
-            Width::W10 => 1,
-            Width::W20 => 2,
-        };
-        w * NUM_UHF_CHANNELS + channel.center().index()
-    }
-
-    /// Nodes currently tuned to exactly `channel`, ascending by id.
-    fn nodes_on(&self, channel: WfChannel) -> &[NodeId] {
-        &self.on_channel[Self::chan_slot(channel)]
-    }
-
-    /// Registers a freshly added node in the channel index and extends
-    /// the reachability bitsets and the neighbour lists derived from
-    /// them. The new node has the largest id, so appending keeps every
-    /// list ascending.
+    /// Extends the neighbour lists with a freshly added node. It has the
+    /// largest id, so appending keeps every list ascending.
     fn register_node(&mut self, id: NodeId) {
-        let channel = self.nodes[id].channel;
-        self.on_channel[Self::chan_slot(channel)].push(id);
-        debug_assert_eq!(self.reach.len(), id);
-        let word = id / 64;
-        let bit = 1u64 << (id % 64);
+        debug_assert_eq!(self.hears.len(), id);
         self.hears.push(Vec::new());
         self.heard_by.push(Vec::new());
         for i in 0..id {
-            let hit = self.in_range_geom(i, id);
-            let row = &mut self.reach[i];
-            if row.len() <= word {
-                row.resize(word + 1, 0);
-            }
-            if hit {
-                row[word] |= bit;
+            if self.in_range_geom(i, id) {
                 self.hears[i].push(id);
                 self.heard_by[id].push(i);
             }
         }
-        let mut row = vec![0u64; word + 1];
         for j in 0..=id {
             if self.in_range_geom(id, j) {
-                row[j / 64] |= 1u64 << (j % 64);
                 self.hears[id].push(j);
                 self.heard_by[j].push(id);
             }
         }
-        self.reach.push(row);
     }
 
-    /// Moves node `n` between `(F, W)` index lists when it retunes,
-    /// keeping both sorted ascending, recounts its carrier sense and
-    /// restarts its interference bookkeeping on the new channel.
+    /// Retunes node `n`: recounts its carrier sense and restarts its
+    /// interference bookkeeping on the new channel.
     fn retune(&mut self, n: NodeId, new: WfChannel) {
-        let old = self.nodes[n].channel;
-        if old != new {
-            let s = Self::chan_slot(old);
-            if let Ok(i) = self.on_channel[s].binary_search(&n) {
-                self.on_channel[s].remove(i);
-            }
-            let s = Self::chan_slot(new);
-            if let Err(i) = self.on_channel[s].binary_search(&n) {
-                self.on_channel[s].insert(i, n);
-            }
+        if self.nodes[n].channel != new {
             self.nodes[n].channel = new;
             self.nodes[n].sensed = self.count_sensed(n);
             self.nodes[n].latest_end = self.latest_carrier_end(n);
@@ -542,12 +494,16 @@ impl Core {
         }
     }
 
+    /// Whether `from`'s transmissions reach `to`, read from the
+    /// neighbour lists (on a retune or `add_node`, and in debug checks).
     fn in_range(&self, from: NodeId, to: NodeId) -> bool {
-        self.reach[from][to / 64] & (1u64 << (to % 64)) != 0
+        let hit = self.hears[from].binary_search(&to).is_ok();
+        debug_assert_eq!(hit, self.heard_by[to].binary_search(&from).is_ok());
+        hit
     }
 
     /// The underlying float range predicate, evaluated once per node
-    /// pair at `add_node` time to fill the `reach` bitsets.
+    /// pair at `add_node` time to fill the neighbour lists.
     fn in_range_geom(&self, from: NodeId, to: NodeId) -> bool {
         let from = &self.nodes[from].cfg;
         within_range(from.pos, self.nodes[to].cfg.pos, from.range)
@@ -561,7 +517,10 @@ impl Core {
     /// (on retune and `add_node`, and to check every carrier sense).
     fn count_sensed(&self, n: NodeId) -> usize {
         let c = self.nodes[n].channel;
-        let hit = |t: &Transmission| t.src != n && t.channel.overlaps(c) && self.in_range(t.src, n);
+        let hit = |t: &Transmission| {
+            let src = t.frame.src;
+            src != n && t.channel.overlaps(c) && self.in_range(src, n)
+        };
         self.medium.active().iter().filter(|t| hit(t)).count()
     }
 
@@ -575,7 +534,7 @@ impl Core {
         self.medium
             .active()
             .iter()
-            .filter(|t| t.channel.overlaps(c) && self.in_range(t.src, n))
+            .filter(|t| t.channel.overlaps(c) && self.in_range(t.frame.src, n))
             .map(|t| t.end)
             .max()
             .unwrap_or(SimTime::ZERO)
@@ -590,8 +549,8 @@ impl Core {
 
     /// Whether a transmission other than `tx` that overlaps it in time
     /// and spectrum reached node `m`, a delivery candidate of `tx` (in
-    /// range of `tx.src`, and tuned to exactly `tx.channel` since before
-    /// `tx` started), read from `m`'s carrier bookkeeping in O(1)
+    /// range of `tx.frame.src`, and tuned to exactly `tx.channel` since
+    /// before `tx` started), read from `m`'s carrier bookkeeping in O(1)
     /// (DESIGN.md §8, "Per-receiver interference verdicts").
     ///
     /// `m` watches `tx` from its start until the next watched start.
@@ -669,7 +628,7 @@ impl Core {
 
     /// Plans node `m` if it is Idle with frames to send.
     fn replan_idle(&mut self, m: NodeId) {
-        if self.nodes[m].wants_tx && self.nodes[m].state == CsmaState::Idle {
+        if !self.nodes[m].queue.is_empty() && self.nodes[m].state == CsmaState::Idle {
             self.plan(m);
         }
     }
@@ -677,14 +636,12 @@ impl Core {
     /// (Re-)evaluates whether node `n` should schedule a transmission.
     fn plan(&mut self, n: NodeId) {
         if self.nodes[n].queue.is_empty() {
-            self.nodes[n].wants_tx = false;
             if self.nodes[n].state == CsmaState::Pending {
                 self.timers.remove(n);
                 self.nodes[n].state = CsmaState::Idle;
             }
             return;
         }
-        self.nodes[n].wants_tx = true;
         if self.nodes[n].state != CsmaState::Idle {
             return;
         }
@@ -707,7 +664,9 @@ impl Core {
         self.arm(n, at, TimerKind::Tentative);
     }
 
-    fn start_transmission(&mut self, n: NodeId, frame: Frame, from_queue: bool) {
+    /// Puts `frame` on the air from its sender, `frame.src`.
+    fn start_transmission(&mut self, frame: Frame, from_queue: bool) {
+        let n = frame.src;
         let node = &self.nodes[n];
         let channel = node.channel;
         let timing = PhyTiming::for_width(channel.width());
@@ -724,7 +683,7 @@ impl Core {
         let violates = !observed.admits(channel);
         let broadcast = frame.dst.is_none();
 
-        let id = self.medium.start(n, channel, self.now, end, frame);
+        let id = self.medium.start(channel, self.now, end, frame);
         let node = &mut self.nodes[n];
         node.stats.tx_attempts += 1;
         node.active_tx += 1;
@@ -967,10 +926,8 @@ impl Simulator {
                 medium: Medium::new(),
                 seed,
                 counters: EventCounters::default(),
-                reach: Vec::new(),
                 hears: Vec::new(),
                 heard_by: Vec::new(),
-                on_channel: vec![Vec::new(); 3 * NUM_UHF_CHANNELS],
                 delivery_buf: Vec::new(),
                 faults: None,
                 observer: None,
@@ -1039,7 +996,6 @@ impl Simulator {
             queue: VecDeque::new(),
             state: CsmaState::Idle,
             retries: 0,
-            wants_tx: false,
             current_tx: None,
             observed_map,
             stats: NodeStats::default(),
@@ -1108,21 +1064,16 @@ impl Simulator {
     }
 
     /// Whether `from`'s transmissions reach `to`, answered from the
-    /// precomputed reachability bitsets the hot paths use.
+    /// neighbour lists the hot paths use (debug builds check that both
+    /// lists agree).
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
         self.core.in_range(from, to)
     }
 
     /// The same reachability predicate recomputed from node positions —
-    /// the brute-force reference for verifying the precomputed bitsets.
+    /// the brute-force reference for verifying the neighbour lists.
     pub fn reaches_geometric(&self, from: NodeId, to: NodeId) -> bool {
         self.core.in_range_geom(from, to)
-    }
-
-    /// Nodes currently tuned to exactly `channel`, ascending by id —
-    /// the delivery fan-out index.
-    pub fn nodes_on_channel(&self, channel: WfChannel) -> &[NodeId] {
-        self.core.nodes_on(channel)
     }
 
     /// Stats of node `n`.
@@ -1235,11 +1186,10 @@ impl Simulator {
                 }
             }
             Ev::ForcedTx { frame } => {
-                let node = frame.src;
-                if self.core.is_transmitting(node) {
+                if self.core.is_transmitting(frame.src) {
                     return; // half-duplex: cannot send the control frame
                 }
-                self.core.start_transmission(node, frame, false);
+                self.core.start_transmission(frame, false);
             }
             Ev::TxEnd { id } => self.tx_end(id),
             Ev::FaultDeliver { node, frame } => {
@@ -1267,7 +1217,7 @@ impl Simulator {
             // lint:allow(unwrap, a node only enters Pending with a queued frame and dequeues on TxEnd; documented panic)
             .expect("pending tx with empty queue")
             .clone();
-        self.core.start_transmission(node, frame, true);
+        self.core.start_transmission(frame, true);
     }
 
     /// Node `node`'s ACK wait expired: retry with a doubled window, or
@@ -1299,7 +1249,7 @@ impl Simulator {
     fn tx_end(&mut self, id: u64) {
         let now = self.core.now;
         let tx = self.core.medium.finish(id, now);
-        let src = tx.src;
+        let src = tx.frame.src;
         self.core.nodes[src].active_tx -= 1;
         // The carrier is gone for every node that counted it. This runs
         // before anything below can `plan`.
@@ -1514,7 +1464,7 @@ mod tests {
             size_of::<Frame>()
         );
         assert!(
-            size_of::<Transmission>() <= 80,
+            size_of::<Transmission>() <= 72,
             "Transmission is {} B; {why}",
             size_of::<Transmission>()
         );
@@ -1903,40 +1853,6 @@ mod tests {
         assert_eq!(sim.node_channel(n), c1);
     }
 
-    #[test]
-    fn channel_index_matches_full_scan() {
-        struct Hop {
-            target: WfChannel,
-        }
-        impl Behavior for Hop {
-            fn on_start(&mut self, ctx: &mut Ctx) {
-                ctx.set_timer(SimDuration::from_millis(1), 7);
-            }
-            fn on_timer(&mut self, _key: u64, ctx: &mut Ctx) {
-                ctx.set_channel(self.target);
-            }
-        }
-        let mut sim = Simulator::new(4);
-        let a = ch(10, Width::W20);
-        let b = ch(12, Width::W5);
-        sim.add_node(NodeConfig::on_channel(a), Box::new(Sink));
-        sim.add_node(NodeConfig::on_channel(b), Box::new(Sink));
-        sim.add_node(NodeConfig::on_channel(a), Box::new(Hop { target: b }));
-        sim.add_node(NodeConfig::on_channel(a), Box::new(Sink));
-        // Before and after the retune, the index must equal a full scan
-        // over current node channels, in ascending id order.
-        for _ in 0..2 {
-            for chx in [a, b] {
-                let scan: Vec<NodeId> = (0..sim.node_count())
-                    .filter(|&m| sim.node_channel(m) == chx)
-                    .collect();
-                assert_eq!(sim.nodes_on_channel(chx), scan.as_slice());
-            }
-            sim.run_until(sim.now() + SimDuration::from_millis(5));
-        }
-        assert_eq!(sim.nodes_on_channel(b), [1usize, 2].as_slice());
-    }
-
     /// Contended traffic — three saturating senders on overlapping
     /// widths, unicast with ACKs, one mid-run retune — interrupts
     /// deferrals and disarms ACK timeouts all the time, yet no pop is
@@ -2123,9 +2039,9 @@ mod tests {
                     .active()
                     .iter()
                     .filter(|t| {
-                        t.src != n
+                        t.frame.src != n
                             && t.channel.overlaps(sim.node_channel(n))
-                            && sim.reaches_geometric(t.src, n)
+                            && sim.reaches_geometric(t.frame.src, n)
                     })
                     .count();
                 assert_eq!(

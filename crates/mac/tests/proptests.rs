@@ -246,9 +246,11 @@ fn shard_components_match_bruteforce_reachability() {
     }
 }
 
-/// The precomputed reachability bitsets agree with the brute-force
-/// geometric range predicate for every ordered pair, across random
-/// topologies (positions and per-node ranges).
+/// The engine's neighbour lists agree with the brute-force geometric
+/// range predicate for every ordered pair, across random topologies
+/// (positions and per-node ranges): `reaches` reads `hears[from]`, and
+/// in debug builds (the test profile) asserts that `heard_by[to]`
+/// agrees, so both lists are checked.
 #[test]
 fn reachability_sets_match_bruteforce() {
     for case in 0..CASES {
@@ -271,7 +273,8 @@ fn reachability_sets_match_bruteforce() {
     }
 }
 
-/// Exact range boundary: the bitsets must preserve the original
+/// Exact range boundary: both neighbour lists (read as in
+/// `reachability_sets_match_bruteforce`) must preserve the original
 /// `sqrt(d²) <= range` comparison, including the equality case.
 #[test]
 fn reachability_exact_boundary() {
@@ -373,7 +376,7 @@ struct Recount {
 
 /// Verdicts per node, recounted from the recorded events by the
 /// brute-force rule: at each end of an undropped transmission `tx`, every
-/// node other than its sender that `tx.src` reaches, tuned to exactly
+/// node other than its sender that `tx.frame.src` reaches, tuned to exactly
 /// `tx.channel` since before `tx` started (its last `Added` or `Retune`
 /// entry precedes `tx`'s `Start` in the log) and not on the air, collides
 /// if any other transmission overlapping `tx` in time and spectrum
@@ -391,11 +394,11 @@ fn brute_force_verdicts(log: &[Seen], sim: &Simulator) -> Vec<Recount> {
         match seen {
             Seen::Added(m, c) | Seen::Retune(m, c) => tuned[*m] = Some((*c, pos)),
             Seen::Start(t) => {
-                on_air[t.src] += 1;
+                on_air[t.frame.src] += 1;
                 started.push((pos, t));
             }
             Seen::End(tx, dropped) => {
-                on_air[tx.src] -= 1;
+                on_air[tx.frame.src] -= 1;
                 if *dropped {
                     continue;
                 }
@@ -408,9 +411,9 @@ fn brute_force_verdicts(log: &[Seen], sim: &Simulator) -> Vec<Recount> {
                     let Some((channel, since)) = tuned[m] else {
                         continue;
                     };
-                    if m == tx.src
+                    if m == tx.frame.src
                         || channel != tx.channel
-                        || !sim.reaches(tx.src, m)
+                        || !sim.reaches(tx.frame.src, m)
                         || on_air[m] > 0
                     {
                         continue;
@@ -428,7 +431,7 @@ fn brute_force_verdicts(log: &[Seen], sim: &Simulator) -> Vec<Recount> {
                                 && t.channel.overlaps(tx.channel)
                                 && t.start < tx.end
                                 && t.end > tx.start
-                                && sim.reaches(t.src, m)
+                                && sim.reaches(t.frame.src, m)
                         });
                     if hit {
                         verdict.collisions += 1;

@@ -29,7 +29,6 @@
 //! never depends on where a block boundary falls. See `DESIGN.md` §12
 //! for the full contract.
 
-use crate::sift::RawBurst;
 use rand::Rng;
 use std::sync::LazyLock;
 
@@ -37,13 +36,6 @@ use std::sync::LazyLock;
 /// register; the remainder loops reuse the identical per-element
 /// expressions, so lane width is a pure performance knob.
 pub const LANES: usize = 4;
-
-/// Sample count as `u64`. `usize` is at most 64 bits on every supported
-/// target, so this never truncates.
-fn count_u64(n: usize) -> u64 {
-    // lint:allow(cast, usize is at most 64 bits on all supported targets)
-    n as u64
-}
 
 /// Window length as `f64`, as SIFT scales its threshold: exact for every
 /// window below 2^53 samples.
@@ -343,31 +335,6 @@ pub fn rlast_above_ref(samples: &[f32], thr: f64) -> Option<usize> {
 /// [`RunKernel::any_above`].
 pub fn any_above_ref(samples: &[f32], thr: f64) -> bool {
     samples.iter().any(|&s| f64::from(s) > thr)
-}
-
-/// Busy-fraction accumulation: total sample count of a batch of bursts,
-/// reduced across four independent u64 lanes (integer addition is
-/// associative, so lane order cannot change the result). The streaming
-/// SIFT feeds each block's newly finalized bursts through this to keep
-/// the airtime numerator without a per-sample pass.
-pub fn sum_lens(bursts: &[RawBurst]) -> u64 {
-    let mut acc = [0u64; LANES];
-    let mut chunks = bursts.chunks_exact(LANES);
-    for c in &mut chunks {
-        for (l, a) in acc.iter_mut().enumerate() {
-            *a += count_u64(c[l].len);
-        }
-    }
-    let mut total: u64 = acc.iter().sum();
-    for b in chunks.remainder() {
-        total += count_u64(b.len);
-    }
-    total
-}
-
-/// Scalar reference for [`sum_lens`].
-pub fn sum_lens_ref(bursts: &[RawBurst]) -> u64 {
-    bursts.iter().map(|b| count_u64(b.len)).sum()
 }
 
 /// `2^-24`: the weight of one step of a 24-bit uniform.
@@ -930,19 +897,6 @@ mod tests {
                 t[i] = f32::NAN;
                 assert!(!kernel.any_above(&t), "n {n} NaN at {i}");
             }
-        }
-    }
-
-    #[test]
-    fn sum_lens_matches_reference() {
-        for n in SIZES {
-            let bursts: Vec<RawBurst> = (0..n)
-                .map(|i| RawBurst {
-                    start: i * 10,
-                    len: i + 1,
-                })
-                .collect();
-            assert_eq!(sum_lens(&bursts), sum_lens_ref(&bursts));
         }
     }
 

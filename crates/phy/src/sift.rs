@@ -324,7 +324,8 @@ impl Sift {
         if samples.is_empty() {
             return 0.0;
         }
-        let busy = kernels::sum_lens(&self.extract_bursts(samples));
+        let bursts = self.extract_bursts(samples);
+        let busy: u64 = bursts.iter().map(|b| count_u64(b.len)).sum();
         busy_f64(busy) / count_f64(samples.len())
     }
 }
@@ -387,8 +388,7 @@ pub struct StreamingSift {
     ext: Vec<f32>,
     /// Scratch: above-threshold window runs over `ext`.
     runs: Vec<(usize, usize)>,
-    /// Scratch: bursts finalized by the current call, batched for
-    /// [`kernels::sum_lens`].
+    /// Scratch: bursts finalized by the current call.
     finalized: Vec<RawBurst>,
 }
 
@@ -636,7 +636,7 @@ impl StreamingSift {
         if self.finalized.is_empty() {
             return;
         }
-        self.busy += kernels::sum_lens(&self.finalized);
+        self.busy += self.finalized.iter().map(|b| count_u64(b.len)).sum::<u64>();
         self.unclassified.extend(self.finalized.drain(..));
         while self.unclassified.len() >= 2 {
             let first = self.unclassified[0];
@@ -888,7 +888,10 @@ mod tests {
         assert_eq!(buffered, streamed);
         assert_eq!(
             stream.busy_samples(),
-            kernels::sum_lens(&sift.extract_bursts(&trace))
+            sift.extract_bursts(&trace)
+                .iter()
+                .map(|b| count_u64(b.len))
+                .sum::<u64>()
         );
         assert_eq!(stream.samples_seen(), trace.len());
     }

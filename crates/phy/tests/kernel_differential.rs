@@ -10,7 +10,7 @@ use whitefi_phy::attenuation::NoiseModel;
 use whitefi_phy::kernels;
 use whitefi_phy::synth::{data_ack_exchange, duration_to_samples};
 use whitefi_phy::{
-    Burst, BurstKind, ChaCha8Rng, Sift, SimDuration, SimTime, StreamingSift, SynthStream,
+    Burst, BurstKind, ChaCha8Rng, RawBurst, Sift, SimDuration, SimTime, StreamingSift, SynthStream,
     Synthesizer, BLOCK_SAMPLES,
 };
 use whitefi_spectrum::Width;
@@ -339,8 +339,8 @@ fn sift_cannot_see_samples_beyond_reach_of_the_threshold() {
             assert!(zeroed > 10_000, "{ctx}");
             assert_eq!(sift.detect(&masked), sift.detect(&trace), "{ctx}");
             assert_eq!(
-                kernels::sum_lens(&sift.extract_bursts(&masked)),
-                kernels::sum_lens(&sift.extract_bursts(&trace)),
+                busy_samples(&sift.extract_bursts(&masked)),
+                busy_samples(&sift.extract_bursts(&trace)),
                 "{ctx}"
             );
         }
@@ -375,7 +375,7 @@ fn streaming_sift_on_sparse_stream_equals_detect_on_its_concatenation() {
                 let buffered = sift.detect(&cat);
                 assert_eq!(streamed, buffered, "{ctx}");
                 assert!(!buffered.is_empty(), "{ctx}: no detection");
-                let busy = kernels::sum_lens(&sift.extract_bursts(&cat));
+                let busy = busy_samples(&sift.extract_bursts(&cat));
                 assert_eq!(s.busy_samples(), busy, "{ctx}");
                 let (rechunked, busy2) =
                     run_streaming(&sift, &cat, &[1 + usize::try_from(seed % 700).unwrap(), 3]);
@@ -384,6 +384,11 @@ fn streaming_sift_on_sparse_stream_equals_detect_on_its_concatenation() {
             }
         }
     }
+}
+
+/// Total samples of `bursts`: the busy count `StreamingSift` keeps.
+fn busy_samples(bursts: &[RawBurst]) -> u64 {
+    bursts.iter().map(|b| b.len as u64).sum()
 }
 
 /// Feeds `trace` to a fresh `StreamingSift` in chunks of the given sizes

@@ -301,8 +301,9 @@ fn fixed_keep_mask(scenario: &Scenario, channel: WfChannel) -> Vec<bool> {
 /// protocol) — the building block of the static baselines. Background
 /// pairs that provably cannot deliver to, defer, or interfere with the
 /// foreground on `channel` are pruned from the simulation; the outcome
-/// is exactly equal to [`run_fixed_unpruned`] (the pruning differential
-/// tests enforce this, DESIGN.md §9 states why it holds).
+/// is exactly equal to the unpruned run that simulates every pair (the
+/// pruning differential tests enforce this, DESIGN.md §9 states why it
+/// holds).
 pub fn run_fixed(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
     run(
         scenario,
@@ -310,13 +311,6 @@ pub fn run_fixed(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
         false,
         Some(&fixed_keep_mask(scenario, channel)),
     )
-}
-
-/// [`run_fixed`] without the spectral slicing: every background pair is
-/// simulated. Reference implementation for the pruning differential
-/// tests.
-pub fn run_fixed_unpruned(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
-    run(scenario, channel, false, None)
 }
 
 /// The UHF channels some background pair spans or some AP/client extra
@@ -451,6 +445,13 @@ pub fn measure_airtime(scenario: &Scenario, window: SimDuration) -> AirtimeVecto
 mod tests {
     use super::*;
     use whitefi_spectrum::{MicActivity, MicSchedule, WirelessMic};
+
+    /// [`run_fixed`] without the spectral slicing: every background pair
+    /// is simulated. Reference implementation for the pruning
+    /// differential tests.
+    fn run_fixed_unpruned(scenario: &Scenario, channel: WfChannel) -> ScenarioOutcome {
+        run(scenario, channel, false, None)
+    }
 
     fn quick(mut s: Scenario) -> Scenario {
         s.duration = SimDuration::from_secs(2);

@@ -258,7 +258,7 @@ impl BankState {
     /// A member transmission started.
     fn tx_start(&mut self, now: SimTime, tx: &Transmission) {
         let now_ns = now.as_nanos();
-        let Some(k) = self.slot(tx.src) else {
+        let Some(k) = self.slot(tx.frame.src) else {
             return; // the router only hands over member transmissions
         };
         let src_stable = self.members[k].stable;
@@ -284,9 +284,9 @@ impl BankState {
             let split_live = self
                 .fg_active
                 .iter()
-                .any(|&(_, n, c)| n != tx.src && c != tx.channel);
+                .any(|&(_, n, c)| n != tx.frame.src && c != tx.channel);
             let split_recent = self.members.iter().any(|e| {
-                e.node != tx.src
+                e.node != tx.frame.src
                     && e.last_tx_channel.is_some_and(|c| c != tx.channel)
                     && now.saturating_since(e.last_tx_time) <= grace
             });
@@ -362,7 +362,7 @@ impl BankState {
                     // require a shared channel again).
                     if let Some(open) = env.live_open.take() {
                         if now.since(open) > bound {
-                            self.pending_liveness.push((tx.src, open, now));
+                            self.pending_liveness.push((tx.frame.src, open, now));
                         }
                     }
                 }
@@ -373,7 +373,7 @@ impl BankState {
         let env = &mut self.members[k];
         env.last_tx_channel = Some(tx.channel);
         env.last_tx_time = now;
-        self.fg_active.push((tx.id, tx.src, tx.channel));
+        self.fg_active.push((tx.id, tx.frame.src, tx.channel));
     }
 
     /// A member transmission left the medium.
@@ -386,7 +386,7 @@ impl BankState {
         // their stable identity so the digest is invariant under
         // sim-local renumbering (sharded == unsharded, DESIGN.md §13).
         let mut h = self.digest;
-        h = fnv1a_word(h, self.stable_of(tx.src) as u64);
+        h = fnv1a_word(h, self.stable_of(tx.frame.src) as u64);
         h = fnv1a_word(h, tx.channel.low_index() as u64);
         h = fnv1a_word(h, width_tag(tx.channel));
         h = fnv1a_word(h, tx.start.as_nanos());
@@ -746,7 +746,7 @@ impl SimObserver for OracleObserver {
     fn on_tx_start(&mut self, now: SimTime, tx: &Transmission) {
         let mut hub = self.hub.borrow_mut();
         hub.airtime.tx_start(now, tx);
-        if let Some(bank) = hub.bank_of(tx.src) {
+        if let Some(bank) = hub.bank_of(tx.frame.src) {
             bank.tx_start(now, tx);
         }
     }
@@ -754,7 +754,7 @@ impl SimObserver for OracleObserver {
     fn on_tx_end(&mut self, now: SimTime, tx: &Transmission, faulted_drop: bool) {
         let mut hub = self.hub.borrow_mut();
         hub.airtime.tx_end(now, tx);
-        if let Some(bank) = hub.bank_of(tx.src) {
+        if let Some(bank) = hub.bank_of(tx.frame.src) {
             bank.tx_end(tx, faulted_drop);
         }
     }

@@ -1067,6 +1067,25 @@ pub enum GridSpec {
     },
 }
 
+impl GridSpec {
+    /// Builds the city this constructor names under `seed` (topology
+    /// only — no overrides applied).
+    pub fn build(&self, seed: u64) -> CityScenario {
+        match *self {
+            GridSpec::Grid {
+                aps,
+                clients_per_ap,
+                spacing_m,
+                range_m,
+            } => CityScenario::grid(seed, aps, clients_per_ap, spacing_m, range_m),
+            GridSpec::Checkerboard {
+                aps,
+                clients_per_ap,
+            } => CityScenario::checkerboard(seed, aps, clients_per_ap),
+        }
+    }
+}
+
 /// Per-cell strike override.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellOverride {
@@ -1259,26 +1278,10 @@ impl SingleApDoc {
 }
 
 impl CityDoc {
-    /// Builds the base city (topology only — no overrides applied).
-    pub fn base_city(&self) -> CityScenario {
-        match self.grid {
-            GridSpec::Grid {
-                aps,
-                clients_per_ap,
-                spacing_m,
-                range_m,
-            } => CityScenario::grid(self.seed, aps, clients_per_ap, spacing_m, range_m),
-            GridSpec::Checkerboard {
-                aps,
-                clients_per_ap,
-            } => CityScenario::checkerboard(self.seed, aps, clients_per_ap),
-        }
-    }
-
     /// Compiles to the engine [`CityScenario`]. Infallible: every
     /// cross-field constraint was validated at decode time.
     pub fn compile(&self) -> CityScenario {
-        let mut city = self.base_city();
+        let mut city = self.grid.build(self.seed);
         city.warmup = self.warmup;
         city.duration = self.duration;
         city.sample_interval = self.sample_interval;
@@ -1975,18 +1978,7 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
     };
     // The base city is built here once so per-cell overrides can be
     // validated against the actual cell maps.
-    let base = match grid {
-        GridSpec::Grid {
-            aps,
-            clients_per_ap,
-            spacing_m,
-            range_m,
-        } => CityScenario::grid(seed, aps, clients_per_ap, spacing_m, range_m),
-        GridSpec::Checkerboard {
-            aps,
-            clients_per_ap,
-        } => CityScenario::checkerboard(seed, aps, clients_per_ap),
-    };
+    let base = grid.build(seed);
     let mut overrides = Vec::new();
     if let Some(v) = f.get("overrides") {
         for o in list_of(v)? {

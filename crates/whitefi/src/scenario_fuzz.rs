@@ -15,7 +15,6 @@
 //! inside the run horizon, background pairs use admitted channels, and
 //! fault probabilities stay inside the `sim_torture` bounds.
 
-use crate::city::CityScenario;
 use crate::scenario_file::{
     BgSpec, CellOverride, CityDoc, GridSpec, MapSpec, MicAt, MicStorm, MicStrike, RunSpec,
     ScenarioDoc, SeedSource, SingleApDoc, TrafficSpec,
@@ -248,18 +247,7 @@ pub fn generate_city(seed: u64) -> CityDoc {
     let sample_interval = ms_dur(50 * timing.gen_range(1..=2u64));
 
     // The base city decides which channels a cell strike may use.
-    let base = match grid {
-        GridSpec::Grid {
-            aps,
-            clients_per_ap,
-            spacing_m,
-            range_m,
-        } => CityScenario::grid(city_seed, aps, clients_per_ap, spacing_m, range_m),
-        GridSpec::Checkerboard {
-            aps,
-            clients_per_ap,
-        } => CityScenario::checkerboard(city_seed, aps, clients_per_ap),
-    };
+    let base = grid.build(city_seed);
     let mut micr = stream(seed, STREAM_MICS);
     let mut overrides = Vec::new();
     if micr.gen_bool(0.5) {

@@ -22,24 +22,24 @@
 
 use whitefi::driver::{run_whitefi, BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi::{run_city, CityScenario};
-use whitefi_mac::FaultPlan;
+use whitefi_mac::{splitmix64, FaultPlan};
 use whitefi_phy::{SimDuration, SimTime};
 use whitefi_spectrum::{
     IncumbentSet, MicActivity, MicSchedule, SpectrumMap, UhfChannel, WfChannel, Width, WirelessMic,
 };
 
-/// SplitMix64 — a tiny self-contained parameter PRNG so the generator
+/// The SplitMix64 sequence — a tiny parameter PRNG so the generator
 /// needs no dev-dependencies and every case is a pure function of its
 /// index.
 struct Mix(u64);
 
 impl Mix {
+    /// The next word: [`splitmix64`] of the state, which then advances
+    /// by the same golden-ratio step `splitmix64` adds.
     fn next(&mut self) -> u64 {
+        let word = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        word
     }
 
     /// Uniform in `[0, n)`.
