@@ -27,7 +27,7 @@
 //! continue to work as long as we can detect even a single packet").
 
 use rand::Rng;
-use whitefi_phy::SimDuration;
+use whitefi_phy::{Burst, RawBurst, Sift, SimDuration, VisibleBurst, SAMPLE_NS};
 use whitefi_spectrum::{SpectrumMap, UhfChannel, WfChannel, Width, NUM_UHF_CHANNELS};
 
 /// A scanning front-end the discovery algorithms drive.
@@ -283,39 +283,34 @@ pub fn expected_scans_j_sift(nc: usize, nw: usize) -> f64 {
 /// data/ACK or beacon/CTS signature among scanner-visible bursts whose
 /// band covers `scanned`, and returns the transmitter's width.
 ///
-/// This is the same signature logic as [`whitefi_phy::Sift`] applied to
-/// the medium's burst records directly (durations are exact there); the
-/// sample-level path is exercised end-to-end in the integration tests.
-pub fn sift_match_bursts(
-    bursts: &[whitefi_phy::VisibleBurst],
-    scanned: UhfChannel,
-) -> Option<Width> {
-    const TOL_NS: u64 = 5_000; // ≈ 5 SDR samples
-    let mut visible: Vec<&whitefi_phy::VisibleBurst> = bursts
+/// Each burst is quantized to SDR samples as the synthesizer clips it,
+/// and each consecutive same-channel pair goes through
+/// [`Sift::classify_pair`]: SIFT's own pair rule on the medium's burst
+/// records. The sample-level path is exercised end-to-end in the
+/// integration tests.
+// Sample indices of simulated times fit `usize` on every supported
+// (64-bit) target.
+#[allow(clippy::cast_possible_truncation)]
+pub fn sift_match_bursts(bursts: &[VisibleBurst], scanned: UhfChannel) -> Option<Width> {
+    let raw = |b: &Burst| {
+        let start = (b.start.as_nanos() / SAMPLE_NS) as usize;
+        let end = ((b.start + b.duration).as_nanos() / SAMPLE_NS) as usize;
+        RawBurst {
+            start,
+            len: end - start,
+        }
+    };
+    let mut visible: Vec<&VisibleBurst> = bursts
         .iter()
         .filter(|vb| vb.channel.contains(scanned))
         .collect();
     visible.sort_by_key(|vb| vb.burst.start);
-    for pair in visible.windows(2) {
-        let (a, b) = (&pair[0].burst, &pair[1].burst);
-        if pair[0].channel != pair[1].channel {
-            continue;
-        }
-        let a_end = a.start + a.duration;
-        if b.start < a_end {
-            continue;
-        }
-        let gap = b.start.since(a_end).as_nanos();
-        for width in Width::ALL {
-            let t = whitefi_phy::PhyTiming::for_width(width);
-            let sifs = t.sifs().as_nanos();
-            let ack = t.ack_duration().as_nanos();
-            if gap.abs_diff(sifs) <= TOL_NS && b.duration.as_nanos().abs_diff(ack) <= TOL_NS {
-                return Some(width);
-            }
-        }
-    }
-    None
+    let sift = Sift::default();
+    visible
+        .windows(2)
+        .filter(|pair| pair[0].channel == pair[1].channel)
+        .find_map(|pair| sift.classify_pair(raw(&pair[0].burst), raw(&pair[1].burst)))
+        .map(|d| d.width)
 }
 
 /// A synthetic oracle for fast Monte-Carlo sweeps: one AP at a known
@@ -533,6 +528,36 @@ mod tests {
             let r = j_sift_discovery(&mut o, map).unwrap();
             // ≤ 6 stride-5 dwells + ≤ 5 endgame decodes.
             assert!(r.scans <= 11, "AP {ap}: {} scans", r.scans);
+        }
+    }
+
+    /// Live matching applies SIFT's pair rule: each width's data/ACK
+    /// exchange is found at that width, and an ACK one SIFS behind a
+    /// burst shorter than itself is no exchange.
+    #[test]
+    fn burst_matching_applies_the_sift_pair_rule() {
+        use whitefi_phy::synth::data_ack_exchange;
+        use whitefi_phy::{PhyTiming, SimTime};
+        let scanned = UhfChannel::from_index(10);
+        for width in Width::ALL {
+            let channel = WfChannel::new(scanned, width).expect("fits the band");
+            let seen = |bursts: [Burst; 2]| bursts.map(|burst| VisibleBurst { channel, burst });
+            let [data, ack] = data_ack_exchange(SimTime::from_nanos(1_000_000), width, 1000, 1.0);
+            assert_eq!(sift_match_bursts(&seen([data, ack]), scanned), Some(width));
+            let t = PhyTiming::for_width(width);
+            let short = Burst {
+                duration: SimDuration::from_nanos(t.ack_duration().as_nanos() / 2),
+                ..data
+            };
+            let ack = Burst {
+                start: short.start + short.duration + t.sifs(),
+                ..ack
+            };
+            assert_eq!(
+                sift_match_bursts(&seen([short, ack]), scanned),
+                None,
+                "{width:?}"
+            );
         }
     }
 }

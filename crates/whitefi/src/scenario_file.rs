@@ -13,8 +13,8 @@
 //! * `City(...)` — a multi-AP city grid ([`CityDoc`] →
 //!   [`CityScenario`]) with per-cell strike overrides.
 //!
-//! The grammar is the RON subset `ident`, integers, floats, strings,
-//! `[lists]`, `Name(field: value, ...)` structs, `Name(v0, v1)` tuples,
+//! The grammar is the RON subset `ident`, integers, floats, `[lists]`,
+//! `Name(field: value, ...)` structs, `Name(v0, v1)` tuples,
 //! `Some(x)`/`None`, with `//` and `/* */` comments and trailing
 //! commas. Every diagnostic carries an exact `line:col`; [`load`]
 //! prefixes the file path so failures print `file:line:col: message`.
@@ -118,7 +118,6 @@ enum Tok {
     Ident(String),
     Int(i128),
     Float(f64),
-    Str(String),
     LParen,
     RParen,
     LBracket,
@@ -134,7 +133,6 @@ impl Tok {
             Tok::Ident(s) => format!("identifier `{s}`"),
             Tok::Int(v) => format!("integer `{v}`"),
             Tok::Float(v) => format!("float `{v:?}`"),
-            Tok::Str(_) => "string".into(),
             Tok::LParen => "`(`".into(),
             Tok::RParen => "`)`".into(),
             Tok::LBracket => "`[`".into(),
@@ -281,24 +279,6 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_string(&mut self, span: Span) -> Res<Tok> {
-        self.bump(); // opening quote
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(SchemaError::at(span, "unterminated string literal")),
-                Some(b'"') => return Ok(Tok::Str(out)),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    _ => return Err(SchemaError::at(span, "unsupported string escape")),
-                },
-                Some(b) => out.push(b as char),
-            }
-        }
-    }
-
     fn tokens(mut self) -> Res<Vec<STok>> {
         let mut out = Vec::new();
         loop {
@@ -336,7 +316,6 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     Tok::Colon
                 }
-                b'"' => self.lex_string(span)?,
                 b'-' | b'0'..=b'9' => self.lex_number(span)?,
                 b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
                     let start = self.i;
@@ -370,7 +349,6 @@ impl<'a> Lexer<'a> {
 enum Node {
     Int(i128),
     Float(f64),
-    Str(String),
     Ident(String),
     List(Vec<SNode>),
     Struct {
@@ -388,7 +366,6 @@ impl Node {
         match self {
             Node::Int(_) => "an integer",
             Node::Float(_) => "a float",
-            Node::Str(_) => "a string",
             Node::Ident(_) => "an identifier",
             Node::List(_) => "a list",
             Node::Struct { .. } => "a struct",
@@ -446,7 +423,6 @@ impl Parser {
         let node = match t.tok {
             Tok::Int(v) => Node::Int(v),
             Tok::Float(v) => Node::Float(v),
-            Tok::Str(s) => Node::Str(s),
             Tok::Ident(name) => {
                 if self.peek().tok == Tok::LParen {
                     return self.parse_paren(Some(name), span);
@@ -596,11 +572,15 @@ fn parse_root(src: &str) -> Res<SNode> {
 // Decode helpers
 // ---------------------------------------------------------------------------
 
+/// A struct's fields as its decoder reads them. The keys it asks for,
+/// in ask order, are the struct's allowed keys: [`Fields::finish`]
+/// rejects any other and lists these.
 struct Fields<'a> {
     name: &'a str,
     span: Span,
     entries: &'a [(String, Span, SNode)],
     used: Vec<bool>,
+    asked: Vec<&'static str>,
 }
 
 impl<'a> Fields<'a> {
@@ -614,6 +594,7 @@ impl<'a> Fields<'a> {
                 span: n.span,
                 entries: fields,
                 used: vec![false; fields.len()],
+                asked: Vec::new(),
             }),
             _ => Err(SchemaError::at(
                 n.span,
@@ -622,7 +603,8 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<&'a SNode> {
+    fn get(&mut self, key: &'static str) -> Option<&'a SNode> {
+        self.asked.push(key);
         for (i, (k, _, v)) in self.entries.iter().enumerate() {
             if k == key {
                 self.used[i] = true;
@@ -632,7 +614,7 @@ impl<'a> Fields<'a> {
         None
     }
 
-    fn req(&mut self, key: &str) -> Res<&'a SNode> {
+    fn req(&mut self, key: &'static str) -> Res<&'a SNode> {
         let name = self.name;
         let span = self.span;
         self.get(key).ok_or_else(|| {
@@ -640,7 +622,7 @@ impl<'a> Fields<'a> {
         })
     }
 
-    fn finish(self, allowed: &[&str]) -> Res<()> {
+    fn finish(self) -> Res<()> {
         for (i, (k, kspan, _)) in self.entries.iter().enumerate() {
             if !self.used[i] {
                 return Err(SchemaError::at(
@@ -648,7 +630,7 @@ impl<'a> Fields<'a> {
                     format!(
                         "unknown key `{k}` in `{}` (expected one of: {})",
                         self.name,
-                        allowed.join(", ")
+                        self.asked.join(", ")
                     ),
                 ));
             }
@@ -876,6 +858,19 @@ pub struct MicStrike {
     pub off: SimTime,
     /// Audience.
     pub at: MicAt,
+}
+
+impl MicStrike {
+    /// The scripted mic this strike switches on and off.
+    fn mic(&self) -> WirelessMic {
+        WirelessMic::new(
+            self.channel,
+            MicSchedule::scripted(vec![MicActivity {
+                start: self.on.as_nanos(),
+                end: self.off.as_nanos(),
+            }]),
+        )
+    }
 }
 
 /// Where a sampled process takes its seed from.
@@ -1189,10 +1184,10 @@ impl SingleApDoc {
         s.downlink_bytes = self.downlink_bytes;
         s.uplink_bytes = self.uplink_bytes;
 
-        let mut ap_set = IncumbentSet::default();
-        let mut ap_used = false;
-        let mut client_sets: Vec<(IncumbentSet, bool)> =
-            vec![(IncumbentSet::default(), false); self.clients];
+        // A node's set is `Some` once a strike or the storm reaches it
+        // (a storm that samples no mic still yields an empty `Some`).
+        let mut ap_set: Option<IncumbentSet> = None;
+        let mut client_sets: Vec<Option<IncumbentSet>> = vec![None; self.clients];
 
         if let Some(storm) = &self.mic_storm {
             // Draw-for-draw the campus_day process: one ChaCha8 stream,
@@ -1214,49 +1209,33 @@ impl SingleApDoc {
                     sampled.mics.push(WirelessMic::new(ch, schedule));
                 }
             }
-            ap_set.mics.extend(sampled.mics.iter().cloned());
-            ap_used = true;
-            for (set, used) in &mut client_sets {
-                set.mics.extend(sampled.mics.iter().cloned());
-                *used = true;
-            }
+            ap_set = Some(sampled.clone());
+            client_sets.fill(Some(sampled));
         }
 
+        let push = |set: &mut Option<IncumbentSet>, mic| {
+            set.get_or_insert_with(IncumbentSet::default).mics.push(mic);
+        };
         for strike in &self.mics {
-            let mic = WirelessMic::new(
-                strike.channel,
-                MicSchedule::scripted(vec![MicActivity {
-                    start: strike.on.as_nanos(),
-                    end: strike.off.as_nanos(),
-                }]),
-            );
+            let mic = strike.mic();
             match strike.at {
-                MicAt::Ap => {
-                    ap_set.mics.push(mic);
-                    ap_used = true;
-                }
+                MicAt::Ap => push(&mut ap_set, mic),
                 MicAt::Client(i) => {
-                    if let Some((set, used)) = client_sets.get_mut(i) {
-                        set.mics.push(mic);
-                        *used = true;
+                    if let Some(set) = client_sets.get_mut(i) {
+                        push(set, mic);
                     }
                 }
                 MicAt::Everyone => {
-                    ap_set.mics.push(mic.clone());
-                    ap_used = true;
-                    for (set, used) in &mut client_sets {
-                        set.mics.push(mic.clone());
-                        *used = true;
+                    push(&mut ap_set, mic.clone());
+                    for set in &mut client_sets {
+                        push(set, mic.clone());
                     }
                 }
             }
         }
 
-        s.ap_extra_incumbents = ap_used.then_some(ap_set);
-        s.client_extra_incumbents = client_sets
-            .into_iter()
-            .map(|(set, used)| used.then_some(set))
-            .collect();
+        s.ap_extra_incumbents = ap_set;
+        s.client_extra_incumbents = client_sets;
 
         let horizon = self.horizon();
         s.background = self
@@ -1288,18 +1267,11 @@ impl CityDoc {
         city.downlink_bytes = self.downlink_bytes;
         city.uplink_bytes = self.uplink_bytes;
         for o in &self.overrides {
-            let mut set = IncumbentSet::default();
-            for strike in &o.mics {
-                set.mics.push(WirelessMic::new(
-                    strike.channel,
-                    MicSchedule::scripted(vec![MicActivity {
-                        start: strike.on.as_nanos(),
-                        end: strike.off.as_nanos(),
-                    }]),
-                ));
-            }
             if let Some(cell) = city.cells.get_mut(o.cell) {
-                cell.extra_incumbents = Some(set);
+                cell.extra_incumbents = Some(IncumbentSet {
+                    mics: o.mics.iter().map(MicStrike::mic).collect(),
+                    ..IncumbentSet::default()
+                });
             }
         }
         city.faults = self.faults.clone();
@@ -1389,17 +1361,6 @@ fn check_version(f: &mut Fields) -> Res<()> {
     Ok(())
 }
 
-fn channel_index_of(n: &SNode) -> Res<usize> {
-    let idx = usize_of(n)?;
-    if idx >= NUM_UHF_CHANNELS {
-        return Err(SchemaError::at(
-            n.span,
-            format!("channel index {idx} out of band (0..{NUM_UHF_CHANNELS})"),
-        ));
-    }
-    Ok(idx)
-}
-
 fn map_spec_of(n: &SNode) -> Res<MapSpec> {
     let Node::Tuple {
         name: Some(name),
@@ -1419,7 +1380,7 @@ fn map_spec_of(n: &SNode) -> Res<MapSpec> {
     };
     let idx = list_of(inner)?
         .iter()
-        .map(channel_index_of)
+        .map(|c| uhf_of(c).map(UhfChannel::index))
         .collect::<Res<Vec<usize>>>()?;
     let spec = match name.as_str() {
         "Free" => MapSpec::Free(idx),
@@ -1492,20 +1453,12 @@ fn strike_of(n: &SNode, map: SpectrumMap, clients: Option<usize>) -> Res<(MicStr
             "`off_s` must be after `on_s`",
         ));
     }
-    let at = if let Some(clients) = clients {
-        match f.get("at") {
-            Some(v) => mic_at_of(v, clients)?,
-            None => MicAt::Everyone,
-        }
-    } else {
-        MicAt::Everyone
+    // Only a single-AP strike asks for `at`, so only there is it a key.
+    let at = match clients.map(|c| (c, f.get("at"))) {
+        Some((clients, Some(v))) => mic_at_of(v, clients)?,
+        _ => MicAt::Everyone,
     };
-    let allowed: &[&str] = if clients.is_some() {
-        &["channel", "on_s", "off_s", "at"]
-    } else {
-        &["channel", "on_s", "off_s"]
-    };
-    f.finish(allowed)?;
+    f.finish()?;
     Ok((
         MicStrike {
             channel,
@@ -1594,7 +1547,7 @@ fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
         "Cbr" => {
             let mut f = Fields::new(n, "Cbr")?;
             let interval = pos_dur_of(f.req("interval_s")?, "interval_s")?;
-            f.finish(&["interval_s"])?;
+            f.finish()?;
             Ok(TrafficSpec::Cbr { interval })
         }
         "Markov" => {
@@ -1602,7 +1555,7 @@ fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
             let interval = pos_dur_of(f.req("interval_s")?, "interval_s")?;
             let mean_active = pos_dur_of(f.req("mean_active_s")?, "mean_active_s")?;
             let mean_passive = pos_dur_of(f.req("mean_passive_s")?, "mean_passive_s")?;
-            f.finish(&["interval_s", "mean_active_s", "mean_passive_s"])?;
+            f.finish()?;
             Ok(TrafficSpec::Markov {
                 interval,
                 mean_active,
@@ -1616,7 +1569,7 @@ fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
                 .iter()
                 .map(window_of)
                 .collect::<Res<Vec<_>>>()?;
-            f.finish(&["interval_s", "windows"])?;
+            f.finish()?;
             Ok(TrafficSpec::Scripted { interval, windows })
         }
         "Diurnal" => {
@@ -1628,7 +1581,7 @@ fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
                 Some(v) => dur_of(v, "phase_s")?,
                 None => SimDuration::ZERO,
             };
-            f.finish(&["interval_s", "on_s", "off_s", "phase_s"])?;
+            f.finish()?;
             Ok(TrafficSpec::Diurnal {
                 interval,
                 on,
@@ -1645,16 +1598,9 @@ fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
 
 fn bg_of(n: &SNode, map: SpectrumMap) -> Res<BgSpec> {
     let mut f = Fields::new(n, "Background")?;
-    let ch_node = f.req("channel")?;
-    let channel = wf_of(ch_node)?;
-    if !map.available_channels().contains(&channel) {
-        return Err(SchemaError::at(
-            ch_node.span,
-            format!("background channel {channel} is not admitted by the map"),
-        ));
-    }
+    let channel = admitted_wf_of(f.req("channel")?, map, "background channel")?;
     let traffic = traffic_of(f.req("traffic")?)?;
-    f.finish(&["channel", "traffic"])?;
+    f.finish()?;
     Ok(BgSpec { channel, traffic })
 }
 
@@ -1687,7 +1633,7 @@ fn storm_of(n: &SNode) -> Res<MicStorm> {
         Some(v) => seed_source_of(v)?,
         None => SeedSource::Scenario,
     };
-    f.finish(&["prob", "mean_off_s", "mean_on_s", "horizon_s", "seed"])?;
+    f.finish()?;
     Ok(MicStorm {
         prob,
         mean_off_s,
@@ -1724,15 +1670,7 @@ fn faults_of(n: &SNode) -> Res<FaultPlan> {
         },
         None => None,
     };
-    f.finish(&[
-        "seed",
-        "drop_prob",
-        "dup_prob",
-        "delay_prob",
-        "max_delay_s",
-        "max_detection_extra_s",
-        "history_skew_s",
-    ])?;
+    f.finish()?;
     Ok(FaultPlan {
         seed,
         drop_prob,
@@ -1767,13 +1705,13 @@ fn run_of(n: &SNode, map: SpectrumMap) -> Res<RunSpec> {
                 },
                 None => None,
             };
-            f.finish(&["initial"])?;
+            f.finish()?;
             Ok(RunSpec::Whitefi { initial })
         }
         Node::Struct { name: Some(nm), .. } if nm == "Fixed" => {
             let mut f = Fields::new(n, "Fixed")?;
             let channel = admitted_wf_of(f.req("channel")?, map, "fixed channel")?;
-            f.finish(&["channel"])?;
+            f.finish()?;
             Ok(RunSpec::Fixed { channel })
         }
         _ => Err(SchemaError::at(
@@ -1783,20 +1721,34 @@ fn run_of(n: &SNode, map: SpectrumMap) -> Res<RunSpec> {
     }
 }
 
-fn opt_usize_of(n: &SNode, key: &str) -> Res<Option<usize>> {
-    match opt_of(n)? {
-        Some(inner) => {
-            let v = usize_of(inner)?;
-            if v == 0 {
+/// Decodes `downlink_bytes` (default 1000) and `uplink_bytes` (default
+/// `Some(500)`; `None` disables uplink).
+fn payloads_of(f: &mut Fields) -> Res<(usize, Option<usize>)> {
+    let downlink = match f.get("downlink_bytes") {
+        Some(v) => {
+            let b = usize_of(v)?;
+            if b == 0 {
+                return Err(SchemaError::at(v.span, "`downlink_bytes` must be positive"));
+            }
+            b
+        }
+        None => 1000,
+    };
+    let uplink = match f.get("uplink_bytes").map(opt_of).transpose()? {
+        None => Some(500),
+        Some(None) => None,
+        Some(Some(inner)) => {
+            let b = usize_of(inner)?;
+            if b == 0 {
                 return Err(SchemaError::at(
                     inner.span,
-                    format!("`{key}` payload must be positive (use None to disable)"),
+                    "`uplink_bytes` payload must be positive (use None to disable)",
                 ));
             }
-            Ok(Some(v))
+            Some(b)
         }
-        None => Ok(None),
-    }
+    };
+    Ok((downlink, uplink))
 }
 
 fn decode_single(n: &SNode) -> Res<SingleApDoc> {
@@ -1816,20 +1768,7 @@ fn decode_single(n: &SNode) -> Res<SingleApDoc> {
     let warmup = dur_of(f.req("warmup_s")?, "warmup_s")?;
     let duration = pos_dur_of(f.req("duration_s")?, "duration_s")?;
     let sample_interval = pos_dur_of(f.req("sample_interval_s")?, "sample_interval_s")?;
-    let downlink_bytes = match f.get("downlink_bytes") {
-        Some(v) => {
-            let b = usize_of(v)?;
-            if b == 0 {
-                return Err(SchemaError::at(v.span, "`downlink_bytes` must be positive"));
-            }
-            b
-        }
-        None => 1000,
-    };
-    let uplink_bytes = match f.get("uplink_bytes") {
-        Some(v) => opt_usize_of(v, "uplink_bytes")?,
-        None => Some(500),
-    };
+    let (downlink_bytes, uplink_bytes) = payloads_of(&mut f)?;
     let mics = match f.get("mics") {
         Some(v) => strike_list_of(v, built, Some(clients))?,
         None => Vec::new(),
@@ -1857,23 +1796,7 @@ fn decode_single(n: &SNode) -> Res<SingleApDoc> {
         Some(v) => Some(admitted_wf_of(v, built, "contrast channel")?),
         None => None,
     };
-    f.finish(&[
-        "version",
-        "seed",
-        "map",
-        "clients",
-        "warmup_s",
-        "duration_s",
-        "sample_interval_s",
-        "downlink_bytes",
-        "uplink_bytes",
-        "mics",
-        "mic_storm",
-        "background",
-        "faults",
-        "run",
-        "contrast_fixed",
-    ])?;
+    f.finish()?;
     Ok(SingleApDoc {
         seed,
         map,
@@ -1920,7 +1843,7 @@ fn grid_of(n: &SNode) -> Res<GridSpec> {
             let clients_per_ap = count(&mut f, "clients_per_ap")?;
             let spacing_m = pos_f64_of(f.req("spacing_m")?, "spacing_m")?;
             let range_m = pos_f64_of(f.req("range_m")?, "range_m")?;
-            f.finish(&["aps", "clients_per_ap", "spacing_m", "range_m"])?;
+            f.finish()?;
             Ok(GridSpec::Grid {
                 aps,
                 clients_per_ap,
@@ -1932,7 +1855,7 @@ fn grid_of(n: &SNode) -> Res<GridSpec> {
             let mut f = Fields::new(n, "Checkerboard")?;
             let aps = count(&mut f, "aps")?;
             let clients_per_ap = count(&mut f, "clients_per_ap")?;
-            f.finish(&["aps", "clients_per_ap"])?;
+            f.finish()?;
             Ok(GridSpec::Checkerboard {
                 aps,
                 clients_per_ap,
@@ -1962,20 +1885,7 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         Some(v) => pos_dur_of(v, "sample_interval_s")?,
         None => SimDuration::from_millis(100),
     };
-    let downlink_bytes = match f.get("downlink_bytes") {
-        Some(v) => {
-            let b = usize_of(v)?;
-            if b == 0 {
-                return Err(SchemaError::at(v.span, "`downlink_bytes` must be positive"));
-            }
-            b
-        }
-        None => 1000,
-    };
-    let uplink_bytes = match f.get("uplink_bytes") {
-        Some(v) => opt_usize_of(v, "uplink_bytes")?,
-        None => Some(500),
-    };
+    let (downlink_bytes, uplink_bytes) = payloads_of(&mut f)?;
     // The base city is built here once so per-cell overrides can be
     // validated against the actual cell maps.
     let base = grid.build(seed);
@@ -2001,7 +1911,7 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
                 ));
             }
             let mics = strike_list_of(of.req("mics")?, city_cell.map, None)?;
-            of.finish(&["cell", "mics"])?;
+            of.finish()?;
             overrides.push(CellOverride { cell, mics });
         }
     }
@@ -2009,18 +1919,7 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
         Some(v) => Some(faults_of(v)?),
         None => None,
     };
-    f.finish(&[
-        "version",
-        "seed",
-        "grid",
-        "warmup_s",
-        "duration_s",
-        "sample_interval_s",
-        "downlink_bytes",
-        "uplink_bytes",
-        "overrides",
-        "faults",
-    ])?;
+    f.finish()?;
     Ok(CityDoc {
         seed,
         grid,
@@ -2183,6 +2082,23 @@ fn write_traffic(out: &mut String, t: &TrafficSpec) {
     }
 }
 
+/// Writes the timing and payload keys both document kinds carry:
+/// `warmup_s`, `duration_s` and `sample_interval_s` from `times`.
+fn write_timing(out: &mut String, times: [SimDuration; 3], downlink: usize, uplink: Option<usize>) {
+    for (key, d) in ["warmup_s", "duration_s", "sample_interval_s"]
+        .iter()
+        .zip(times)
+    {
+        let _ = writeln!(out, "    {key}: {},", fmt_dur(d));
+    }
+    let _ = writeln!(out, "    downlink_bytes: {downlink},");
+    let uplink = match uplink {
+        Some(b) => format!("Some({b})"),
+        None => "None".into(),
+    };
+    let _ = writeln!(out, "    uplink_bytes: {uplink},");
+}
+
 fn write_faults(out: &mut String, indent: &str, p: &FaultPlan) {
     let _ = writeln!(out, "{indent}faults: Faults(");
     let _ = writeln!(out, "{indent}    seed: {},", p.seed);
@@ -2227,19 +2143,12 @@ fn write_single(out: &mut String, d: &SingleApDoc) {
     };
     let _ = writeln!(out, "    map: {map},");
     let _ = writeln!(out, "    clients: {},", d.clients);
-    let _ = writeln!(out, "    warmup_s: {},", fmt_dur(d.warmup));
-    let _ = writeln!(out, "    duration_s: {},", fmt_dur(d.duration));
-    let _ = writeln!(
+    write_timing(
         out,
-        "    sample_interval_s: {},",
-        fmt_dur(d.sample_interval)
+        [d.warmup, d.duration, d.sample_interval],
+        d.downlink_bytes,
+        d.uplink_bytes,
     );
-    let _ = writeln!(out, "    downlink_bytes: {},", d.downlink_bytes);
-    let uplink = match d.uplink_bytes {
-        Some(b) => format!("Some({b})"),
-        None => "None".into(),
-    };
-    let _ = writeln!(out, "    uplink_bytes: {uplink},");
     if !d.mics.is_empty() {
         let _ = writeln!(out, "    mics: [");
         for s in &d.mics {
@@ -2310,19 +2219,12 @@ fn write_city(out: &mut String, d: &CityDoc) {
         }
     };
     let _ = writeln!(out, "    grid: {grid},");
-    let _ = writeln!(out, "    warmup_s: {},", fmt_dur(d.warmup));
-    let _ = writeln!(out, "    duration_s: {},", fmt_dur(d.duration));
-    let _ = writeln!(
+    write_timing(
         out,
-        "    sample_interval_s: {},",
-        fmt_dur(d.sample_interval)
+        [d.warmup, d.duration, d.sample_interval],
+        d.downlink_bytes,
+        d.uplink_bytes,
     );
-    let _ = writeln!(out, "    downlink_bytes: {},", d.downlink_bytes);
-    let uplink = match d.uplink_bytes {
-        Some(b) => format!("Some({b})"),
-        None => "None".into(),
-    };
-    let _ = writeln!(out, "    uplink_bytes: {uplink},");
     if !d.overrides.is_empty() {
         let _ = writeln!(out, "    overrides: [");
         for o in &d.overrides {
