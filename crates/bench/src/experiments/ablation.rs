@@ -14,54 +14,28 @@
 //!    starting from the widest channel width"). We compare against a
 //!    narrowest-first stagger on the open band.
 
-use crate::experiments::fig10::{candidates, sweep_point};
+use crate::experiments::fig10::{argmax, candidates, measure_point};
 use crate::json;
 use crate::report::{mean, round4, ExperimentReport};
 use crate::runner::RunCtx;
 use rand::Rng;
-use whitefi::driver::{measure_airtime, BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi::{mcham_with, Combiner, ScanOracle, SyntheticOracle};
-use whitefi_phy::SimDuration;
-use whitefi_spectrum::{SpectrumMap, UhfChannel, WfChannel, Width};
-
-fn argmax(xs: &[f64; 3]) -> usize {
-    // Throughputs are finite, so `total_cmp` picks the same maximum as
-    // `partial_cmp` did; the range is nonempty so the fallback never
-    // fires.
-    (0..3).max_by(|&a, &b| xs[a].total_cmp(&xs[b])).unwrap_or(0)
-}
+use whitefi_spectrum::{SpectrumMap, UhfChannel, Width};
 
 /// For one background intensity: the throughput fraction (picked/best)
-/// achieved by each combiner's pick.
+/// achieved by each combiner's pick, scored on the Figure 10
+/// measurement (airtime + per-width throughput).
 pub fn combiner_fractions(delay_ms: u64, seed: u64, quick: bool) -> [f64; 3] {
-    // Reuse the Figure 10 scenario: measured airtime + per-width truth.
-    let (_m, tput) = sweep_point(delay_ms, seed, quick);
+    let (airtime, tput) = measure_point(delay_ms, seed, quick);
     let best = tput[argmax(&tput)];
-    let mut s = Scenario::new(seed, crate::experiments::fig10::fragment_map(), 1);
-    for i in 5..=9usize {
-        s.background.push(BackgroundPair {
-            channel: WfChannel::from_parts(i, Width::W5),
-            traffic: BackgroundTraffic::Cbr {
-                interval: SimDuration::from_millis(delay_ms),
-            },
-        });
-    }
-    let airtime = measure_airtime(&s, SimDuration::from_secs(2));
-    let mut out = [0.0; 3];
-    for (k, combiner) in [Combiner::Product, Combiner::Min, Combiner::Max]
-        .into_iter()
-        .enumerate()
-    {
-        let scores: Vec<f64> = candidates()
-            .iter()
-            .map(|&c| mcham_with(combiner, &airtime, c))
-            .collect();
-        let pick = (0..3)
-            .max_by(|&a, &b| scores[a].total_cmp(&scores[b]))
-            .unwrap_or(0);
-        out[k] = if best > 0.0 { tput[pick] / best } else { 1.0 };
-    }
-    out
+    [Combiner::Product, Combiner::Min, Combiner::Max].map(|combiner| {
+        let pick = argmax(&candidates().map(|c| mcham_with(combiner, &airtime, c)));
+        if best > 0.0 {
+            tput[pick] / best
+        } else {
+            1.0
+        }
+    })
 }
 
 /// A narrowest-first staggered scan (the anti-Algorithm-1 ordering) for

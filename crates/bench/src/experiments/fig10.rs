@@ -23,7 +23,7 @@ use crate::runner::RunCtx;
 use whitefi::driver::{measure_airtime, run_fixed, BackgroundPair, BackgroundTraffic, Scenario};
 use whitefi::mcham;
 use whitefi_phy::SimDuration;
-use whitefi_spectrum::{SpectrumMap, WfChannel, Width};
+use whitefi_spectrum::{AirtimeVector, SpectrumMap, WfChannel, Width};
 
 /// The three candidate channels, centred at TV channel 28 (index 7).
 pub fn candidates() -> [WfChannel; 3] {
@@ -35,7 +35,7 @@ pub fn candidates() -> [WfChannel; 3] {
 }
 
 /// The 5-channel fragment map (TV 26–30 free, indices 5..=9).
-pub fn fragment_map() -> SpectrumMap {
+fn fragment_map() -> SpectrumMap {
     SpectrumMap::from_free([5, 6, 7, 8, 9])
 }
 
@@ -59,20 +59,24 @@ fn scenario(delay_ms: u64, seed: u64, quick: bool) -> Scenario {
     s
 }
 
-/// One sweep point: `(mcham[3], throughput_mbps[3])` indexed 5/10/20 MHz.
-pub fn sweep_point(delay_ms: u64, seed: u64, quick: bool) -> ([f64; 3], [f64; 3]) {
+/// One sweep point's measurement: the background's airtime vector and
+/// the throughput (Mbps) on each of the [`candidates`], indexed
+/// 5/10/20 MHz. The combiner ablation scores the same measurement.
+pub fn measure_point(delay_ms: u64, seed: u64, quick: bool) -> (AirtimeVector, [f64; 3]) {
     let s = scenario(delay_ms, seed, quick);
     let airtime = measure_airtime(&s, SimDuration::from_secs(2));
-    let mut m = [0.0; 3];
-    let mut tput = [0.0; 3];
-    for (i, cand) in candidates().iter().enumerate() {
-        m[i] = mcham(&airtime, *cand);
-        tput[i] = run_fixed(&s, *cand).aggregate_mbps;
-    }
-    (m, tput)
+    let tput = candidates().map(|c| run_fixed(&s, c).aggregate_mbps);
+    (airtime, tput)
 }
 
-fn argmax(xs: &[f64; 3]) -> usize {
+/// One sweep point: `(mcham[3], throughput_mbps[3])` indexed 5/10/20 MHz.
+pub fn sweep_point(delay_ms: u64, seed: u64, quick: bool) -> ([f64; 3], [f64; 3]) {
+    let (airtime, tput) = measure_point(delay_ms, seed, quick);
+    (candidates().map(|c| mcham(&airtime, c)), tput)
+}
+
+/// Index of the largest of three scores; the first of tied maxima.
+pub fn argmax(xs: &[f64; 3]) -> usize {
     let mut best = 0;
     for i in 1..3 {
         if xs[i] > xs[best] {

@@ -89,12 +89,6 @@ impl ApConfig {
         self.downlink_bytes = Some(bytes);
         self
     }
-
-    /// Pins the AP to its initial channel (baseline mode).
-    pub fn fixed(mut self) -> Self {
-        self.adaptive = false;
-        self
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -973,7 +967,10 @@ mod tests {
         let ap = sim.add_node(
             NodeConfig::on_channel(main).ap().in_ssid(1),
             Box::new(Tap {
-                ap: ApBehavior::new(ApConfig::default().fixed()),
+                ap: ApBehavior::new(ApConfig {
+                    adaptive: false,
+                    ..ApConfig::default()
+                }),
                 stored: stored.clone(),
             }),
         );

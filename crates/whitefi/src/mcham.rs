@@ -32,8 +32,7 @@ pub struct NodeReport {
 /// MCham of channel `channel` under the airtime measurements `airtime`
 /// (Equation 2).
 pub fn mcham(airtime: &AirtimeVector, channel: WfChannel) -> f64 {
-    let product: f64 = channel.spanned().map(|c| airtime.rho(c)).product();
-    channel.width().capacity_factor() * product
+    mcham_with(Combiner::Product, airtime, channel)
 }
 
 /// Precomputed per-UHF-channel shares `ρ(c)` for one airtime vector,

@@ -8,22 +8,21 @@
 //! * `Scenario(...)` — a single-AP run ([`SingleApDoc`] →
 //!   [`CompiledSingleAp`]), covering spectrum map, client population,
 //!   timing, scripted and sampled ("storm") mic strikes, background
-//!   traffic mixes (CBR, Markov churn, scripted and diurnal windows)
-//!   and a full [`FaultPlan`];
+//!   traffic mixes (CBR, Markov churn and diurnal windows), a full
+//!   [`FaultPlan`] and the initial channel of the adaptive run;
 //! * `City(...)` — a multi-AP city grid ([`CityDoc`] →
 //!   [`CityScenario`]) with per-cell strike overrides.
 //!
 //! The grammar is the RON subset `ident`, integers, floats, `[lists]`,
 //! `Name(field: value, ...)` structs, `Name(v0, v1)` tuples,
 //! `Some(x)`/`None`, with `//` and `/* */` comments and trailing
-//! commas. Every diagnostic carries an exact `line:col`; [`load`]
-//! prefixes the file path so failures print `file:line:col: message`.
-//! No code path unwraps (whitefi-lint R4).
+//! commas. Every parenthesised value is named. Every diagnostic
+//! carries an exact `line:col`; [`load`] prefixes the file path so
+//! failures print `file:line:col: message`. No code path unwraps
+//! (whitefi-lint R4).
 
 use crate::city::{run_city, CityOutcome, CityScenario};
-use crate::driver::{
-    run_fixed, run_whitefi, BackgroundPair, BackgroundTraffic, Scenario, ScenarioOutcome,
-};
+use crate::driver::{run_whitefi, BackgroundPair, BackgroundTraffic, Scenario, ScenarioOutcome};
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::fmt::Write as _;
@@ -352,11 +351,11 @@ enum Node {
     Ident(String),
     List(Vec<SNode>),
     Struct {
-        name: Option<String>,
+        name: String,
         fields: Vec<(String, Span, SNode)>,
     },
     Tuple {
-        name: Option<String>,
+        name: String,
         items: Vec<SNode>,
     },
 }
@@ -425,14 +424,9 @@ impl Parser {
             Tok::Float(v) => Node::Float(v),
             Tok::Ident(name) => {
                 if self.peek().tok == Tok::LParen {
-                    return self.parse_paren(Some(name), span);
+                    return self.parse_paren(name, span);
                 }
                 Node::Ident(name)
-            }
-            Tok::LParen => {
-                // Re-enter with the paren already consumed.
-                self.i -= 1;
-                return self.parse_paren(None, span);
             }
             Tok::LBracket => {
                 let mut items = Vec::new();
@@ -468,9 +462,9 @@ impl Parser {
         Ok(SNode { node, span })
     }
 
-    /// Parses `Name( ... )` or `( ... )`: struct fields if the first
-    /// token pair is `ident :`, positional tuple items otherwise.
-    fn parse_paren(&mut self, name: Option<String>, span: Span) -> Res<SNode> {
+    /// Parses `Name( ... )`: struct fields if the first token pair is
+    /// `ident :`, positional tuple items otherwise.
+    fn parse_paren(&mut self, name: String, span: Span) -> Res<SNode> {
         self.expect_tok(&Tok::LParen, "`(`")?;
         if self.peek().tok == Tok::RParen {
             self.next();
@@ -586,10 +580,7 @@ struct Fields<'a> {
 impl<'a> Fields<'a> {
     fn new(n: &'a SNode, want: &'a str) -> Res<Self> {
         match &n.node {
-            Node::Struct {
-                name: Some(name),
-                fields,
-            } if name == want => Ok(Self {
+            Node::Struct { name, fields } if name == want => Ok(Self {
                 name: want,
                 span: n.span,
                 entries: fields,
@@ -746,10 +737,7 @@ fn list_of(n: &SNode) -> Res<&[SNode]> {
 fn opt_of(n: &SNode) -> Res<Option<&SNode>> {
     match &n.node {
         Node::Ident(s) if s == "None" => Ok(None),
-        Node::Tuple {
-            name: Some(nm),
-            items,
-        } if nm == "Some" && items.len() == 1 => Ok(Some(&items[0])),
+        Node::Tuple { name, items } if name == "Some" && items.len() == 1 => Ok(Some(&items[0])),
         _ => Err(SchemaError::at(n.span, "expected `None` or `Some(...)`")),
     }
 }
@@ -765,11 +753,7 @@ fn uhf_of(n: &SNode) -> Res<UhfChannel> {
 }
 
 fn wf_of(n: &SNode) -> Res<WfChannel> {
-    let Node::Tuple {
-        name: Some(name),
-        items,
-    } = &n.node
-    else {
+    let Node::Tuple { name, items } = &n.node else {
         return Err(SchemaError::at(
             n.span,
             "expected a channel like `W20(7)` (width + centre index)",
@@ -815,25 +799,6 @@ pub enum ScenarioDoc {
     SingleAp(SingleApDoc),
     /// `City(...)`: a multi-AP grid sharing one band.
     City(CityDoc),
-}
-
-/// The spectrum map, as written in the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MapSpec {
-    /// `Free([..])`: the listed UHF indices are free, the rest occupied.
-    Free(Vec<usize>),
-    /// `Occupied([..])`: the listed indices are occupied, the rest free.
-    Occupied(Vec<usize>),
-}
-
-impl MapSpec {
-    /// Builds the [`SpectrumMap`].
-    pub fn build(&self) -> SpectrumMap {
-        match self {
-            MapSpec::Free(idx) => SpectrumMap::from_free(idx.iter().copied()),
-            MapSpec::Occupied(idx) => SpectrumMap::from_occupied(idx.iter().copied()),
-        }
-    }
 }
 
 /// Which nodes observe a mic strike.
@@ -916,13 +881,6 @@ pub enum TrafficSpec {
         /// Mean passive dwell.
         mean_passive: SimDuration,
     },
-    /// CBR only inside explicit windows.
-    Scripted {
-        /// CBR interval while a window is open.
-        interval: SimDuration,
-        /// Open windows.
-        windows: Vec<(SimTime, SimTime)>,
-    },
     /// Periodic on/off windows over the whole run — a diurnal load mix
     /// compiled down to [`BackgroundTraffic::Scripted`].
     Diurnal {
@@ -953,10 +911,6 @@ impl TrafficSpec {
                 interval: *interval,
                 mean_active: *mean_active,
                 mean_passive: *mean_passive,
-            },
-            TrafficSpec::Scripted { interval, windows } => BackgroundTraffic::Scripted {
-                interval: *interval,
-                windows: windows.clone(),
             },
             TrafficSpec::Diurnal {
                 interval,
@@ -989,29 +943,14 @@ pub struct BgSpec {
     pub traffic: TrafficSpec,
 }
 
-/// How to run a compiled single-AP scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunSpec {
-    /// The adaptive WhiteFi protocol, optionally pinned to an initial
-    /// channel.
-    Whitefi {
-        /// Initial channel (must be admitted by the map).
-        initial: Option<WfChannel>,
-    },
-    /// A static network pinned to one channel for the whole run.
-    Fixed {
-        /// The pinned channel.
-        channel: WfChannel,
-    },
-}
-
 /// A `Scenario(...)` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleApDoc {
     /// Simulation seed (every per-node stream derives from it).
     pub seed: u64,
-    /// The band.
-    pub map: MapSpec,
+    /// The band: the free UHF indices (`map: Free([..])`), the rest
+    /// occupied.
+    pub free: Vec<usize>,
     /// Client count.
     pub clients: usize,
     /// Warmup before measurement.
@@ -1032,8 +971,9 @@ pub struct SingleApDoc {
     pub background: Vec<BgSpec>,
     /// Optional fault plan.
     pub faults: Option<FaultPlan>,
-    /// Run mode.
-    pub run: RunSpec,
+    /// Initial channel of the adaptive run (must be admitted by the
+    /// map; `run: Whitefi(initial: ..)`).
+    pub initial: Option<WfChannel>,
     /// Optional pinned-channel contrast run (e.g. campus_day's static
     /// 20 MHz comparison).
     pub contrast_fixed: Option<WfChannel>,
@@ -1137,33 +1077,22 @@ impl ScenarioDoc {
 // Compilation
 // ---------------------------------------------------------------------------
 
-/// A compiled single-AP case: the engine [`Scenario`] plus run mode.
+/// A compiled single-AP case: the engine [`Scenario`] plus the initial
+/// channel of its adaptive run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSingleAp {
     /// The engine scenario, byte-identical to the hand-coded build.
     pub scenario: Scenario,
-    /// Run mode.
-    pub run: RunSpec,
+    /// The initial channel handed to [`run_whitefi`].
+    pub initial: Option<WfChannel>,
     /// Optional pinned contrast channel.
     pub contrast_fixed: Option<WfChannel>,
 }
 
 impl CompiledSingleAp {
-    /// The initial channel handed to [`run_whitefi`] (None for fixed
-    /// runs, which pin their own channel).
-    pub fn initial(&self) -> Option<WfChannel> {
-        match self.run {
-            RunSpec::Whitefi { initial } => initial,
-            RunSpec::Fixed { .. } => None,
-        }
-    }
-
-    /// Runs the case per its [`RunSpec`].
+    /// Runs the adaptive protocol on the case.
     pub fn run(&self) -> ScenarioOutcome {
-        match self.run {
-            RunSpec::Whitefi { initial } => run_whitefi(&self.scenario, initial),
-            RunSpec::Fixed { channel } => run_fixed(&self.scenario, channel),
-        }
+        run_whitefi(&self.scenario, self.initial)
     }
 }
 
@@ -1176,7 +1105,7 @@ impl SingleApDoc {
     /// Compiles to the engine [`Scenario`]. Infallible: every
     /// cross-field constraint was validated at decode time.
     pub fn compile(&self) -> CompiledSingleAp {
-        let map = self.map.build();
+        let map = SpectrumMap::from_free(self.free.iter().copied());
         let mut s = Scenario::new(self.seed, map, self.clients);
         s.warmup = self.warmup;
         s.duration = self.duration;
@@ -1250,7 +1179,7 @@ impl SingleApDoc {
 
         CompiledSingleAp {
             scenario: s,
-            run: self.run,
+            initial: self.initial,
             contrast_fixed: self.contrast_fixed,
         }
     }
@@ -1361,16 +1290,10 @@ fn check_version(f: &mut Fields) -> Res<()> {
     Ok(())
 }
 
-fn map_spec_of(n: &SNode) -> Res<MapSpec> {
-    let Node::Tuple {
-        name: Some(name),
-        items,
-    } = &n.node
-    else {
-        return Err(SchemaError::at(
-            n.span,
-            "expected `Free([..])` or `Occupied([..])`",
-        ));
+/// Decodes `Free([..])` into its free UHF indices.
+fn free_of(n: &SNode) -> Res<Vec<usize>> {
+    let Node::Tuple { name, items } = &n.node else {
+        return Err(SchemaError::at(n.span, "expected `Free([..])`"));
     };
     let [inner] = &items[..] else {
         return Err(SchemaError::at(
@@ -1382,30 +1305,23 @@ fn map_spec_of(n: &SNode) -> Res<MapSpec> {
         .iter()
         .map(|c| uhf_of(c).map(UhfChannel::index))
         .collect::<Res<Vec<usize>>>()?;
-    let spec = match name.as_str() {
-        "Free" => MapSpec::Free(idx),
-        "Occupied" => MapSpec::Occupied(idx),
-        other => {
-            return Err(SchemaError::at(
-                n.span,
-                format!("unknown map constructor `{other}` (expected Free or Occupied)"),
-            ))
-        }
-    };
-    if spec.build().free_count() == 0 {
+    if name != "Free" {
+        return Err(SchemaError::at(
+            n.span,
+            format!("unknown map constructor `{name}` (expected Free)"),
+        ));
+    }
+    if idx.is_empty() {
         return Err(SchemaError::at(n.span, "map has no free channels"));
     }
-    Ok(spec)
+    Ok(idx)
 }
 
 fn mic_at_of(n: &SNode, clients: usize) -> Res<MicAt> {
     match &n.node {
         Node::Ident(s) if s == "Ap" => Ok(MicAt::Ap),
         Node::Ident(s) if s == "Everyone" => Ok(MicAt::Everyone),
-        Node::Tuple {
-            name: Some(nm),
-            items,
-        } if nm == "Client" => {
+        Node::Tuple { name, items } if name == "Client" => {
             let [item] = &items[..] else {
                 return Err(SchemaError::at(
                     n.span,
@@ -1509,38 +1425,11 @@ fn strike_list_of(n: &SNode, map: SpectrumMap, clients: Option<usize>) -> Res<Ve
     Ok(strikes.into_iter().map(|(s, _)| s).collect())
 }
 
-fn window_of(n: &SNode) -> Res<(SimTime, SimTime)> {
-    let Node::Tuple { name: None, items } = &n.node else {
-        return Err(SchemaError::at(
-            n.span,
-            "expected a `(on_s, off_s)` window pair",
-        ));
-    };
-    let [on_n, off_n] = &items[..] else {
-        return Err(SchemaError::at(
-            n.span,
-            "a window takes exactly two times: `(on_s, off_s)`",
-        ));
-    };
-    let on = time_of(on_n, "on_s")?;
-    let off = time_of(off_n, "off_s")?;
-    if off <= on {
-        return Err(SchemaError::at(
-            off_n.span,
-            "window end must be after its start",
-        ));
-    }
-    Ok((on, off))
-}
-
 fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
-    let Node::Struct {
-        name: Some(name), ..
-    } = &n.node
-    else {
+    let Node::Struct { name, .. } = &n.node else {
         return Err(SchemaError::at(
             n.span,
-            "expected a traffic shape: `Cbr(...)`, `Markov(...)`, `Scripted(...)` or `Diurnal(...)`",
+            "expected a traffic shape: `Cbr(...)`, `Markov(...)` or `Diurnal(...)`",
         ));
     };
     match name.as_str() {
@@ -1562,16 +1451,6 @@ fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
                 mean_passive,
             })
         }
-        "Scripted" => {
-            let mut f = Fields::new(n, "Scripted")?;
-            let interval = pos_dur_of(f.req("interval_s")?, "interval_s")?;
-            let windows = list_of(f.req("windows")?)?
-                .iter()
-                .map(window_of)
-                .collect::<Res<Vec<_>>>()?;
-            f.finish()?;
-            Ok(TrafficSpec::Scripted { interval, windows })
-        }
         "Diurnal" => {
             let mut f = Fields::new(n, "Diurnal")?;
             let interval = pos_dur_of(f.req("interval_s")?, "interval_s")?;
@@ -1591,7 +1470,7 @@ fn traffic_of(n: &SNode) -> Res<TrafficSpec> {
         }
         other => Err(SchemaError::at(
             n.span,
-            format!("unknown traffic shape `{other}` (expected Cbr, Markov, Scripted or Diurnal)"),
+            format!("unknown traffic shape `{other}` (expected Cbr, Markov or Diurnal)"),
         )),
     }
 }
@@ -1607,10 +1486,7 @@ fn bg_of(n: &SNode, map: SpectrumMap) -> Res<BgSpec> {
 fn seed_source_of(n: &SNode) -> Res<SeedSource> {
     match &n.node {
         Node::Ident(s) if s == "Scenario" => Ok(SeedSource::Scenario),
-        Node::Tuple {
-            name: Some(nm),
-            items,
-        } if nm == "Fixed" => {
+        Node::Tuple { name, items } if name == "Fixed" => {
             let [item] = &items[..] else {
                 return Err(SchemaError::at(n.span, "`Fixed` takes exactly one seed"));
             };
@@ -1693,32 +1569,18 @@ fn admitted_wf_of(n: &SNode, map: SpectrumMap, what: &str) -> Res<WfChannel> {
     Ok(ch)
 }
 
-fn run_of(n: &SNode, map: SpectrumMap) -> Res<RunSpec> {
-    match &n.node {
-        Node::Ident(s) if s == "Whitefi" => Ok(RunSpec::Whitefi { initial: None }),
-        Node::Struct { name: Some(nm), .. } if nm == "Whitefi" => {
-            let mut f = Fields::new(n, "Whitefi")?;
-            let initial = match f.get("initial") {
-                Some(v) => match opt_of(v)? {
-                    Some(inner) => Some(admitted_wf_of(inner, map, "initial channel")?),
-                    None => None,
-                },
-                None => None,
-            };
-            f.finish()?;
-            Ok(RunSpec::Whitefi { initial })
-        }
-        Node::Struct { name: Some(nm), .. } if nm == "Fixed" => {
-            let mut f = Fields::new(n, "Fixed")?;
-            let channel = admitted_wf_of(f.req("channel")?, map, "fixed channel")?;
-            f.finish()?;
-            Ok(RunSpec::Fixed { channel })
-        }
-        _ => Err(SchemaError::at(
-            n.span,
-            "expected `Whitefi`, `Whitefi(initial: ...)` or `Fixed(channel: ...)`",
-        )),
-    }
+/// Decodes `run: Whitefi(initial: ..)` into the initial channel.
+fn initial_of(n: &SNode, map: SpectrumMap) -> Res<Option<WfChannel>> {
+    let mut f = Fields::new(n, "Whitefi")?;
+    let initial = match f.get("initial") {
+        Some(v) => match opt_of(v)? {
+            Some(inner) => Some(admitted_wf_of(inner, map, "initial channel")?),
+            None => None,
+        },
+        None => None,
+    };
+    f.finish()?;
+    Ok(initial)
 }
 
 /// Decodes `downlink_bytes` (default 1000) and `uplink_bytes` (default
@@ -1755,8 +1617,8 @@ fn decode_single(n: &SNode) -> Res<SingleApDoc> {
     let mut f = Fields::new(n, "Scenario")?;
     check_version(&mut f)?;
     let seed = u64_of(f.req("seed")?)?;
-    let map = map_spec_of(f.req("map")?)?;
-    let built = map.build();
+    let free = free_of(f.req("map")?)?;
+    let built = SpectrumMap::from_free(free.iter().copied());
     let clients_node = f.req("clients")?;
     let clients = usize_of(clients_node)?;
     if clients == 0 {
@@ -1788,9 +1650,9 @@ fn decode_single(n: &SNode) -> Res<SingleApDoc> {
         Some(v) => Some(faults_of(v)?),
         None => None,
     };
-    let run = match f.get("run") {
-        Some(v) => run_of(v, built)?,
-        None => RunSpec::Whitefi { initial: None },
+    let initial = match f.get("run") {
+        Some(v) => initial_of(v, built)?,
+        None => None,
     };
     let contrast_fixed = match f.get("contrast_fixed") {
         Some(v) => Some(admitted_wf_of(v, built, "contrast channel")?),
@@ -1799,7 +1661,7 @@ fn decode_single(n: &SNode) -> Res<SingleApDoc> {
     f.finish()?;
     Ok(SingleApDoc {
         seed,
-        map,
+        free,
         clients,
         warmup,
         duration,
@@ -1810,16 +1672,13 @@ fn decode_single(n: &SNode) -> Res<SingleApDoc> {
         mic_storm,
         background,
         faults,
-        run,
+        initial,
         contrast_fixed,
     })
 }
 
 fn grid_of(n: &SNode) -> Res<GridSpec> {
-    let Node::Struct {
-        name: Some(name), ..
-    } = &n.node
-    else {
+    let Node::Struct { name, .. } = &n.node else {
         return Err(SchemaError::at(
             n.span,
             "expected `Grid(...)` or `Checkerboard(...)`",
@@ -1941,10 +1800,7 @@ fn decode_city(n: &SNode) -> Res<CityDoc> {
 /// selects the document kind.
 pub fn parse_str(src: &str) -> Result<ScenarioDoc, SchemaError> {
     let root = parse_root(src)?;
-    let Node::Struct {
-        name: Some(name), ..
-    } = &root.node
-    else {
+    let Node::Struct { name, .. } = &root.node else {
         return Err(SchemaError::at(
             root.span,
             "a scenario document is a named struct, e.g. `Scenario(version: 1, ...)`",
@@ -2003,18 +1859,6 @@ fn fmt_wf(ch: WfChannel) -> String {
     format!("{w}({})", ch.center().index())
 }
 
-fn fmt_opt_wf(ch: Option<WfChannel>) -> String {
-    match ch {
-        Some(c) => format!("Some({})", fmt_wf(c)),
-        None => "None".into(),
-    }
-}
-
-fn fmt_usize_list(idx: &[usize]) -> String {
-    let items: Vec<String> = idx.iter().map(ToString::to_string).collect();
-    format!("[{}]", items.join(", "))
-}
-
 fn write_strike(out: &mut String, indent: &str, s: &MicStrike, with_at: bool) {
     let _ = write!(
         out,
@@ -2050,18 +1894,6 @@ fn write_traffic(out: &mut String, t: &TrafficSpec) {
                 fmt_dur(*interval),
                 fmt_dur(*mean_active),
                 fmt_dur(*mean_passive)
-            );
-        }
-        TrafficSpec::Scripted { interval, windows } => {
-            let ws: Vec<String> = windows
-                .iter()
-                .map(|(on, off)| format!("({}, {})", fmt_time(*on), fmt_time(*off)))
-                .collect();
-            let _ = write!(
-                out,
-                "Scripted(interval_s: {}, windows: [{}])",
-                fmt_dur(*interval),
-                ws.join(", ")
             );
         }
         TrafficSpec::Diurnal {
@@ -2137,11 +1969,8 @@ fn write_single(out: &mut String, d: &SingleApDoc) {
     let _ = writeln!(out, "Scenario(");
     let _ = writeln!(out, "    version: {SCHEMA_VERSION},");
     let _ = writeln!(out, "    seed: {},", d.seed);
-    let map = match &d.map {
-        MapSpec::Free(idx) => format!("Free({})", fmt_usize_list(idx)),
-        MapSpec::Occupied(idx) => format!("Occupied({})", fmt_usize_list(idx)),
-    };
-    let _ = writeln!(out, "    map: {map},");
+    let free: Vec<String> = d.free.iter().map(ToString::to_string).collect();
+    let _ = writeln!(out, "    map: Free([{}]),", free.join(", "));
     let _ = writeln!(out, "    clients: {},", d.clients);
     write_timing(
         out,
@@ -2185,11 +2014,10 @@ fn write_single(out: &mut String, d: &SingleApDoc) {
     if let Some(p) = &d.faults {
         write_faults(out, "    ", p);
     }
-    let run = match d.run {
-        RunSpec::Whitefi { initial } => format!("Whitefi(initial: {})", fmt_opt_wf(initial)),
-        RunSpec::Fixed { channel } => format!("Fixed(channel: {})", fmt_wf(channel)),
-    };
-    let _ = writeln!(out, "    run: {run},");
+    let initial = d
+        .initial
+        .map_or_else(|| "None".into(), |c| format!("Some({})", fmt_wf(c)));
+    let _ = writeln!(out, "    run: Whitefi(initial: {initial}),");
     if let Some(ch) = d.contrast_fixed {
         let _ = writeln!(out, "    contrast_fixed: {},", fmt_wf(ch));
     }
@@ -2267,7 +2095,7 @@ mod tests {
         assert_eq!(d.clients, 2);
         assert_eq!(d.downlink_bytes, 1000);
         assert_eq!(d.uplink_bytes, Some(500));
-        assert_eq!(d.run, RunSpec::Whitefi { initial: None });
+        assert_eq!(d.initial, None);
     }
 
     #[test]
@@ -2329,7 +2157,8 @@ mod tests {
     #[test]
     fn canonical_serialization_round_trips() {
         let doc = parse_str(
-            "Scenario(version: 1, seed: 9, map: Occupied([0, 29]), clients: 3,\n\
+            "Scenario(version: 1, seed: 9, clients: 3,\n\
+             map: Free([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28]),\n\
              warmup_s: 0.25, duration_s: 3.5, sample_interval_s: 0.1,\n\
              mics: [Strike(channel: 5, on_s: 1.0, off_s: 2.0, at: Client(1))],\n\
              mic_storm: Storm(prob: 0.5, mean_off_s: 40.0, mean_on_s: 10.0, horizon_s: 60.0, seed: Fixed(11)),\n\

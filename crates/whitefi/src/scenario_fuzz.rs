@@ -16,13 +16,13 @@
 //! fault probabilities stay inside the `sim_torture` bounds.
 
 use crate::scenario_file::{
-    BgSpec, CellOverride, CityDoc, GridSpec, MapSpec, MicAt, MicStorm, MicStrike, RunSpec,
-    ScenarioDoc, SeedSource, SingleApDoc, TrafficSpec,
+    BgSpec, CellOverride, CityDoc, GridSpec, MicAt, MicStorm, MicStrike, ScenarioDoc, SeedSource,
+    SingleApDoc, TrafficSpec,
 };
 use rand::{Rng, SeedableRng};
 use whitefi_mac::{splitmix64, FaultPlan};
 use whitefi_phy::{ChaCha8Rng, SimDuration, SimTime};
-use whitefi_spectrum::{UhfChannel, NUM_UHF_CHANNELS};
+use whitefi_spectrum::{SpectrumMap, UhfChannel, NUM_UHF_CHANNELS};
 
 /// Salt mixed into every fuzz seed so fuzzer streams never collide with
 /// simulator node streams derived from the same integer.
@@ -42,7 +42,7 @@ const STREAM_MICS: u64 = 4;
 const STREAM_BACKGROUND: u64 = 5;
 /// Stream id: fault plans.
 const STREAM_FAULTS: u64 = 6;
-/// Stream id: run mode.
+/// Stream id: the run's initial channel.
 const STREAM_RUN: u64 = 7;
 
 /// One per-family RNG of the fuzz seed's stream family.
@@ -58,9 +58,9 @@ fn ms_dur(ms: u64) -> SimDuration {
     SimDuration::from_millis(ms)
 }
 
-/// Samples a spectrum map of 2–3 disjoint free fragments (width 1–4)
+/// Samples the free UHF indices of 2–3 disjoint fragments (width 1–4)
 /// spread over the band — the fragmentation regimes of Figure 2.
-fn sample_map(seed: u64) -> MapSpec {
+fn sample_map(seed: u64) -> Vec<usize> {
     let mut rng = stream(seed, STREAM_MAP);
     let fragments = rng.gen_range(2..=3usize);
     let mut free: Vec<usize> = Vec::new();
@@ -79,7 +79,7 @@ fn sample_map(seed: u64) -> MapSpec {
         // total: fall back to a single mid-band channel.
         free.push(10);
     }
-    MapSpec::Free(free)
+    free
 }
 
 /// Samples a `sim_torture`-bounded fault plan: drop ≤ 0.25, dup ≤ 0.2,
@@ -134,8 +134,8 @@ fn sample_traffic(rng: &mut ChaCha8Rng) -> TrafficSpec {
 
 /// Samples a single-AP document.
 pub fn generate_single_ap(seed: u64) -> SingleApDoc {
-    let map = sample_map(seed);
-    let built = map.build();
+    let free_idx = sample_map(seed);
+    let built = SpectrumMap::from_free(free_idx.iter().copied());
     let free: Vec<UhfChannel> = built.free_channels().collect();
     let admitted = built.available_channels();
 
@@ -206,7 +206,7 @@ pub fn generate_single_ap(seed: u64) -> SingleApDoc {
 
     SingleApDoc {
         seed: splitmix64(seed),
-        map,
+        free: free_idx,
         clients,
         warmup: ms_dur(warmup_ms),
         duration: ms_dur(duration_ms),
@@ -217,7 +217,7 @@ pub fn generate_single_ap(seed: u64) -> SingleApDoc {
         mic_storm,
         background,
         faults,
-        run: RunSpec::Whitefi { initial },
+        initial,
         contrast_fixed: None,
     }
 }

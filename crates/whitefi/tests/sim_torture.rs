@@ -156,8 +156,7 @@ fn case_count() -> u64 {
 fn single_ap_case(case: u64) -> (Scenario, Option<WfChannel>) {
     if case % 2 == 1 {
         let compiled = whitefi::scenario_fuzz::generate_single_ap(0x7057_0001 ^ case).compile();
-        let initial = compiled.initial();
-        (compiled.scenario, initial)
+        (compiled.scenario, compiled.initial)
     } else {
         let (s, initial) = torture_scenario(case);
         (s, Some(initial))

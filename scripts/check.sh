@@ -4,9 +4,10 @@
 #
 #   --bless    re-bless the golden files (GOLDEN_BLESS=1: the golden
 #              trace test, the scenario-file outcomes in
-#              tests/golden/scenario_files.txt, the layerbench city,
-#              paper_sweep and sift_capture digests at seeds 1 and 7,
-#              the quick sweep's numbers in
+#              tests/golden/scenario_files.txt and the written file
+#              bytes in tests/golden/scenario_bytes.txt, the
+#              layerbench city, paper_sweep and sift_capture digests at
+#              seeds 1 and 7, the quick sweep's numbers in
 #              tests/golden/quick_sweep.txt and the full sweep's record
 #              in experiments_output.txt) after an intended protocol,
 #              timing or synthesis change

@@ -48,7 +48,7 @@ fn quickstart_file_is_byte_identical_to_the_retired_constructor() {
 
     let case = compile_single(&load("quickstart"));
     assert_eq!(case.scenario, legacy, "compiled scenario drifted");
-    assert_eq!(case.initial(), None);
+    assert_eq!(case.initial, None);
     assert_eq!(case.run(), run_whitefi(&legacy, None), "outcome drifted");
 }
 
@@ -76,7 +76,7 @@ fn mic_storm_file_is_byte_identical_to_the_retired_constructor() {
 
     let case = compile_single(&load("mic_storm"));
     assert_eq!(case.scenario, legacy, "compiled scenario drifted");
-    assert_eq!(case.initial(), Some(initial));
+    assert_eq!(case.initial, Some(initial));
     assert_eq!(
         case.run(),
         run_whitefi(&legacy, Some(initial)),
